@@ -13,12 +13,10 @@ trained model — the deprecated whole-object pickle versus the
 memory-mapped artifact of :mod:`repro.store` (which only parses the
 header and vocabulary; the weight matrix is mapped, not read).
 
-The serving benches time the two multi-process front-ends over the same
-artifact: the one-shot ``score_urls`` pool (spins workers up and down
-per call) versus one round-trip to a long-lived serving daemon whose
-pre-forked workers keep the mapped model and caches warm
-(:mod:`repro.store.daemon`); equivalence of their answers is asserted
-before timing.
+The serving benches time round-trips to a long-lived serving daemon
+whose pre-forked workers keep the mapped model and caches warm
+(:mod:`repro.store.daemon`); the daemon's answers are asserted identical
+to in-process scoring of the same artifact before timing.
 
 The bulk bench times the offline engine (:mod:`repro.bulk`) over a
 sharded gzipped corpus at 1 and 4 workers; the recorded scaling ratio
@@ -32,9 +30,8 @@ shard-by-shard ingestion into the result database), and the per-request
 latency of a point lookup + first page against a built index.
 
 A machine-readable summary (per-bench best seconds, URLs/sec, the
-compiled-vs-sparse speedup, the artifact-vs-pickle load speedup, the
-daemon-vs-pool serving speedup, and the bulk-engine throughput/scaling
-numbers) is written to ``BENCH_core_throughput.json`` next to this
+compiled-vs-sparse speedup, the artifact-vs-pickle load speedup, and
+the bulk-engine throughput/scaling numbers) is written to ``BENCH_core_throughput.json`` next to this
 file so the perf trajectory can be tracked across PRs —
 ``docs/serving.md``'s and ``docs/bulk.md``'s capacity-planning
 sections are keyed off these numbers.
@@ -101,10 +98,6 @@ def _write_json_summary():
     artifact_load = summary.get("model_load_artifact", {}).get("best_seconds")
     if pickle_load and artifact_load:
         summary["artifact_load_speedup_vs_pickle"] = pickle_load / artifact_load
-    pool = summary.get("serve_pool_roundtrip", {}).get("best_seconds")
-    daemon = summary.get("serve_daemon_roundtrip", {}).get("best_seconds")
-    if pool and daemon:
-        summary["daemon_vs_pool_speedup"] = pool / daemon
     JSON_PATH.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
@@ -227,29 +220,17 @@ def daemon_client(model_files, tmp_path_factory):
     stop_daemon(socket_path)
 
 
-def test_serve_pool_roundtrip(benchmark, model_files, urls, record):
-    """The one-shot path: every call pays pool spin-up, N artifact
-    mmaps, and cold per-worker caches."""
-    from repro.store import score_urls
-
-    _, artifact_path = model_files
-    results = benchmark(
-        lambda: score_urls(artifact_path, urls, workers=2, batch_size=256)
-    )
-    assert len(results) == len(urls)
-    record(benchmark, "serve_pool_roundtrip", len(urls))
-
-
 def test_serve_daemon_roundtrip(benchmark, model_files, daemon_client, urls, record):
     """The long-lived path: one socket round-trip to pre-forked workers
     whose mapped model, tokenizer memo, and interned-row cache stay
-    warm across requests.  Answers are asserted identical to the pool's
-    before timing."""
-    from repro.store import score_urls
+    warm across requests.  Answers are asserted identical to in-process
+    scoring of the same artifact before timing."""
+    from repro.api import open_model
+    from repro.store import score_batch
 
     _, artifact_path = model_files
-    assert daemon_client.classify(urls) == score_urls(
-        artifact_path, urls, workers=1
+    assert daemon_client.classify(urls) == score_batch(
+        open_model(artifact_path), urls
     )
     results = benchmark(lambda: daemon_client.classify(urls))
     assert len(results) == len(urls)

@@ -12,7 +12,7 @@ paper does — the exact train -> save -> serve flow of a crawler
 deployment.  Inference goes through the public facade:
 ``repro.api.open_model("store://<name>")`` resolves the stored
 artifact (mmap-backed, zero-copy) to the same ``Predictor`` surface
-every other backend answers.  See ``examples/serve_workers.py`` for
+every other backend answers.  See ``examples/serve_daemon.py`` for
 the multi-process serving side.
 """
 

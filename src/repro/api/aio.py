@@ -38,11 +38,11 @@ from collections.abc import Sequence
 from types import TracebackType
 from typing import Optional, Protocol, Union, cast, runtime_checkable
 
-from repro.api.errors import BackendUnavailableError
 from repro.api.protocol import Predictor
 from repro.api.resolver import (
     ModelHandleLike,
-    daemon_endpoint,
+    _dial_daemon,
+    _unusable_daemon,
     is_daemon_handle,
     open_model,
 )
@@ -161,23 +161,17 @@ class _ThreadedPredictor:
 
 async def _aopen_daemon(handle: str, timeout: float) -> AsyncPredictor:
     """Dial a daemon handle with the native asyncio client and verify
-    it answers — the async twin of the resolver's dial-and-ping."""
+    it answers — the resolver's dial step, pinged over asyncio."""
     from repro.store.client import AsyncRemoteIdentifier, DaemonError
 
-    address, chosen_timeout, retry, tracing = daemon_endpoint(
-        handle, timeout=timeout
-    )
-    remote = AsyncRemoteIdentifier.connect(
-        address, timeout=chosen_timeout, retry=retry, tracing=tracing
+    remote = _dial_daemon(
+        handle, AsyncRemoteIdentifier.connect, timeout=timeout
     )
     try:
         await remote.client.aping()
     except DaemonError as error:
         await remote.aclose()
-        raise BackendUnavailableError(
-            f"{error}; or open the model's artifact path directly",
-            handle=handle,
-        ) from error
+        raise _unusable_daemon(handle, error) from error
     return cast(AsyncPredictor, remote)
 
 

@@ -24,8 +24,8 @@ the store root, ``repro://sock?timeout=5`` the daemon dial timeout, and
 fault-tolerance posture (:class:`~repro.store.client.RetryPolicy`:
 retry budget, initial backoff seconds, end-to-end request deadline).
 :func:`portable_handle` produces exactly such a self-contained handle
-string for shipping to worker processes (the bulk engine and the
-serving pool both re-open models that way).
+string for shipping to worker processes (the bulk engine re-opens
+models that way).
 
 Resolution failures raise the typed :mod:`repro.api.errors` hierarchy
 with actionable messages.  New backends plug in via
@@ -46,7 +46,7 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Optional, Union, cast
+from typing import TYPE_CHECKING, Any, Optional, TypeVar, Union, cast
 from urllib.parse import parse_qsl, quote
 
 from repro.api.errors import (
@@ -285,19 +285,17 @@ def _daemon_tracing_option(
 
 
 def _daemon_dial_settings(
-    options: dict[str, str], rest: str, context: ResolveContext,
-    scheme: str = DAEMON_SCHEME,
+    options: dict[str, str], rest: str, timeout: float, scheme: str,
 ) -> tuple[float, Optional["RetryPolicy"], bool]:
-    """``(timeout, retry, tracing)`` a daemon handle's options pin.
+    """``(timeout, retry, tracing)`` a daemon handle's options pin
+    (``timeout`` is the default when the handle pins none).
 
-    Shared by the Unix (``repro://``) and TCP (``repro+tcp://``)
-    resolvers so both handle grammars accept the identical
-    ``timeout``/``retries``/``backoff``/``deadline``/``tracing``
-    options with the identical validation.
+    Both handle grammars (``repro://``, ``repro+tcp://``) accept the
+    identical ``timeout``/``retries``/``backoff``/``deadline``/
+    ``tracing`` options with the identical validation.
     """
     from repro.store.client import RetryPolicy
 
-    timeout = context.timeout
     pinned_timeout = _daemon_seconds_option(options, "timeout", rest, scheme)
     if pinned_timeout is not None:
         timeout = pinned_timeout
@@ -332,58 +330,6 @@ def _daemon_dial_settings(
     return timeout, retry, tracing
 
 
-def _connect_remote(
-    address: Union[str, tuple[str, int]], timeout: float,
-    retry: Optional["RetryPolicy"], handle: str, tracing: bool = False,
-) -> Predictor:
-    """Dial a daemon at ``address``, verify it answers, or raise typed."""
-    from repro.store.client import DaemonError, RemoteIdentifier
-
-    remote = RemoteIdentifier.connect(address, timeout=timeout, retry=retry,
-                                      tracing=tracing)
-    try:
-        remote.client.ping()
-    except DaemonError as error:
-        # Dead endpoint *or* a live daemon refusing the ping (e.g. a
-        # protocol-version gate): either way the backend is unusable —
-        # close the connection and surface one typed error.  The client
-        # error already names the endpoint and the fix.
-        remote.close()
-        raise BackendUnavailableError(
-            f"{error}; or open the model's artifact path directly",
-            handle=handle,
-        ) from error
-    return cast(Predictor, remote)
-
-
-def _resolve_daemon(rest: str, context: ResolveContext) -> Predictor:
-    """``repro://`` resolver: dial the daemon and verify it answers.
-
-    The handle may pin its own dial timeout (``repro://sock?timeout=5``),
-    the client's retry posture
-    (``repro://sock?retries=8&backoff=0.1&deadline=2`` —
-    :class:`~repro.store.client.RetryPolicy` budget, initial backoff
-    seconds, end-to-end per-request deadline seconds), and per-request
-    tracing (``repro://sock?tracing=1``) — handle options beat the
-    :class:`ResolveContext` defaults, so a worker process re-opening
-    the handle needs no extra arguments.
-    """
-    socket_path, options = _split_options(
-        rest, scheme=DAEMON_SCHEME, allowed=_DAEMON_OPTIONS
-    )
-    timeout, retry, tracing = _daemon_dial_settings(options, rest, context)
-    if not socket_path:
-        raise InvalidHandleError(
-            f"serving handle has an empty socket path: "
-            f"{DAEMON_SCHEME}://{rest!r}; expected repro://<socket-path>",
-            handle=f"{DAEMON_SCHEME}://{rest}",
-        )
-    return _connect_remote(
-        socket_path, timeout, retry, handle=f"{DAEMON_SCHEME}://{rest}",
-        tracing=tracing,
-    )
-
-
 def tcp_daemon_address(handle: str) -> tuple[str, int]:
     """``(host, port)`` of a ``repro+tcp://host:port`` handle string.
 
@@ -413,25 +359,6 @@ def tcp_daemon_address(handle: str) -> tuple[str, int]:
             handle=handle,
         ) from None
     return host or "127.0.0.1", port
-
-
-def _resolve_daemon_tcp(rest: str, context: ResolveContext) -> Predictor:
-    """``repro+tcp://`` resolver: dial a daemon's TCP front door.
-
-    Same handle options as ``repro://``
-    (``?timeout=&retries=&backoff=&deadline=&tracing=``); the body is
-    ``host:port`` instead of a socket path.
-    """
-    handle = f"{TCP_DAEMON_SCHEME}://{rest}"
-    _, options = _split_options(
-        rest, scheme=TCP_DAEMON_SCHEME, allowed=_DAEMON_OPTIONS
-    )
-    address = tcp_daemon_address(handle)
-    timeout, retry, tracing = _daemon_dial_settings(
-        options, rest, context, scheme=TCP_DAEMON_SCHEME
-    )
-    return _connect_remote(address, timeout, retry, handle=handle,
-                           tracing=tracing)
 
 
 def daemon_endpoint(
@@ -470,11 +397,74 @@ def daemon_endpoint(
         address = tcp_daemon_address(handle)
     else:
         address = daemon_socket_path(handle)
-    context = ResolveContext(timeout=timeout)
     chosen_timeout, retry, tracing = _daemon_dial_settings(
-        options, rest, context, scheme=scheme
+        options, rest, timeout, scheme
     )
     return address, chosen_timeout, retry, tracing
+
+
+_Remote = TypeVar("_Remote")
+
+
+def _dial_daemon(
+    handle: str, connect: Callable[..., _Remote], *, timeout: float
+) -> _Remote:
+    """The remote identifier a daemon handle dials, not yet verified.
+
+    The shared half of opening a daemon handle: :func:`open_model`
+    passes ``RemoteIdentifier.connect``, :func:`repro.api.aopen_model`
+    ``AsyncRemoteIdentifier.connect``.  Each then pings over its own
+    transport and, on failure, closes the remote and raises
+    :func:`_unusable_daemon`.
+    """
+    address, chosen_timeout, retry, tracing = daemon_endpoint(
+        handle, timeout=timeout
+    )
+    return connect(address, timeout=chosen_timeout, retry=retry,
+                   tracing=tracing)
+
+
+def _unusable_daemon(handle: str, error: Exception) -> BackendUnavailableError:
+    """The facade error for a daemon handle whose liveness ping failed.
+
+    A dead endpoint *or* a live daemon refusing the ping (e.g. a
+    protocol-version gate): either way the backend is unusable.  The
+    client error already names the endpoint and the fix.
+    """
+    return BackendUnavailableError(
+        f"{error}; or open the model's artifact path directly",
+        handle=handle,
+    )
+
+
+def _daemon_resolver(scheme: str) -> SchemeResolver:
+    """The resolver of one daemon scheme (``repro://``,
+    ``repro+tcp://``): dial the daemon and verify it answers.
+
+    The handle may pin its own dial timeout (``?timeout=5``), the
+    client's retry posture (``?retries=8&backoff=0.1&deadline=2`` —
+    :class:`~repro.store.client.RetryPolicy` budget, initial backoff
+    seconds, end-to-end per-request deadline seconds), and per-request
+    tracing (``?tracing=1``) — handle options beat the
+    :class:`ResolveContext` defaults, so a worker process re-opening
+    the handle needs no extra arguments.
+    """
+
+    def resolve(rest: str, context: ResolveContext) -> Predictor:
+        from repro.store.client import DaemonError, RemoteIdentifier
+
+        handle = f"{scheme}://{rest}"
+        remote = _dial_daemon(
+            handle, RemoteIdentifier.connect, timeout=context.timeout
+        )
+        try:
+            remote.client.ping()
+        except DaemonError as error:
+            remote.close()
+            raise _unusable_daemon(handle, error) from error
+        return cast(Predictor, remote)
+
+    return resolve
 
 
 # -- store handles ----------------------------------------------------------------
@@ -729,8 +719,8 @@ def resolve_artifact_path(
 ) -> str:
     """The on-disk artifact path a handle names, for path-based serving.
 
-    Multi-process serving (``serve start`` / ``serve batch``) needs a
-    *file* every worker can ``mmap``, not an in-process predictor; this
+    The serving daemon (``serve start``) needs a *file* every worker
+    can ``mmap``, not an in-process predictor; this
     resolves plain paths and ``store://`` names to that file and
     rejects everything that has none.  Raises
     :class:`UnreadableModelError` for pickles (serving requires the
@@ -773,7 +763,7 @@ def portable_handle(
 ) -> str:
     """A handle string that re-opens the same model in *any* process.
 
-    Worker fan-out (the bulk engine, the serving pool) ships model
+    Worker fan-out (the bulk engine) ships model
     handles to freshly spawned processes that share neither this
     process's working directory nor its resolver arguments.  This
     canonicalises a handle so a bare ``open_model(portable)`` elsewhere
@@ -823,6 +813,6 @@ def portable_handle(
     return f"{STORE_SCHEME}://{body}?root={quote(str(root))}"
 
 
-register_scheme(DAEMON_SCHEME, _resolve_daemon)
-register_scheme(TCP_DAEMON_SCHEME, _resolve_daemon_tcp)
+register_scheme(DAEMON_SCHEME, _daemon_resolver(DAEMON_SCHEME))
+register_scheme(TCP_DAEMON_SCHEME, _daemon_resolver(TCP_DAEMON_SCHEME))
 register_scheme(STORE_SCHEME, _resolve_store)

@@ -17,8 +17,8 @@ The execution model:
 2. **Fan out.**  N worker processes each re-open the *same* handle via
    :func:`repro.api.open_model` — artifact-backed models memory-map
    one shared physical copy of the weight matrix, exactly like the
-   serving pool.  Shards are handed to workers largest-first (greedy
-   balancing); within a shard, URLs stream through
+   serving daemon's workers.  Shards are handed to workers
+   largest-first (greedy balancing); within a shard, URLs stream through
    ``chunk_size``-sized :meth:`~repro.api.Predictor.predict` passes —
    one matmul each on the compiled backend.
 3. **Commit.**  A worker writes its shard's rows to ``<output>.part``,

@@ -20,7 +20,7 @@ arguments or stdin — ``--model`` accepts any
 pickle, a ``store://<name>`` model-store entry, or a
 ``repro://<socket>`` handle of a running serving daemon; ``serve``
 manages the long-lived daemon (``start``/``stop``/``status``/
-``reload``, plus ``batch`` for one-shot pool scoring); ``bulk`` is the
+``reload``); ``bulk`` is the
 checkpointed offline engine for corpora that dwarf RAM (sharded
 gzipped input, N workers, killable and resumable — ``docs/bulk.md``);
 ``query`` answers per-language counts, score histograms, URL lookups,
@@ -135,8 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--seed", type=int, default=0)
 
     serve = commands.add_parser(
-        "serve",
-        help="the long-lived serving daemon (and one-shot pool scoring)",
+        "serve", help="the long-lived serving daemon"
     )
     serve_commands = serve.add_subparsers(dest="serve_command", required=True)
 
@@ -202,19 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="print the daemon's retained request spans as "
                 "JSON lines, oldest first",
             )
-
-    batch = serve_commands.add_parser(
-        "batch",
-        help="one-shot scoring with a worker pool sharing one mapped "
-        "artifact (no daemon; use start for streams of requests)",
-    )
-    batch.add_argument(
-        "--model", required=True,
-        help="model artifact path or store://<name> handle",
-    )
-    batch.add_argument("--workers", type=int, default=2)
-    batch.add_argument("--batch-size", type=int, default=512)
-    batch.add_argument("urls", nargs="*", help="URLs (default: stdin)")
 
     bulk = commands.add_parser(
         "bulk",
@@ -474,29 +460,22 @@ def _cmd_classify(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _artifact_path(handle: str) -> str:
-    """Resolve serve's ``--model`` to an artifact file, exiting cleanly.
-
-    The multi-process serve commands need a file every worker can
-    ``mmap``; :func:`repro.api.resolve_artifact_path` maps paths and
-    ``store://`` names to one and rejects pickles and daemon handles.
-    """
-    try:
-        return resolve_artifact_path(handle)
-    except ResolveError as error:
-        raise SystemExit(str(error)) from None
-
-
 def _cmd_serve(args: argparse.Namespace, out) -> int:
     import json
 
-    from repro.store import DaemonClient, DaemonError, score_urls
+    from repro.store import DaemonClient, DaemonError
     from repro.store.daemon import ServingDaemon, start_daemon, stop_daemon
 
     command = args.serve_command
     try:
         if command == "start":
-            model_path = _artifact_path(args.model)
+            # The daemon's workers need a file they can all mmap:
+            # resolve_artifact_path maps paths and store:// names to one
+            # and rejects pickles and daemon handles.
+            try:
+                model_path = resolve_artifact_path(args.model)
+            except ResolveError as error:
+                raise SystemExit(str(error)) from None
             if args.query_db and args.http is None:
                 raise SystemExit(
                     "serve start: --query-db rides on the HTTP front-end; "
@@ -564,18 +543,6 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
             return 0
     except DaemonError as error:
         raise SystemExit(str(error)) from None
-
-    # serve batch: the one-shot pool.
-    model_path = _artifact_path(args.model)
-    urls = args.urls or [line.strip() for line in sys.stdin if line.strip()]
-    if not urls:
-        return 0
-    results = score_urls(
-        model_path, urls, workers=args.workers, batch_size=args.batch_size
-    )
-    for result in results:
-        out.write(result.tsv() + "\n")
-    return 0
 
 
 def _cmd_bulk(args: argparse.Namespace, out) -> int:

@@ -112,6 +112,45 @@ def make_extractor(name: str, **kwargs) -> FeatureExtractor:
 ROW_CACHE_SIZE = 1 << 16
 
 
+def best_labels(
+    scores: Mapping[Language, Sequence[float]],
+) -> list[Language | None]:
+    """The single best language per row of a ``scores_many`` result.
+
+    The best label is the top-scoring language, or ``None`` when the top
+    score is not positive (every binary classifier said no).  Ties go to
+    the language that comes first in ``scores`` — the model's language
+    order, :data:`~repro.languages.LANGUAGES` for every stock backend —
+    so every path that derives a best label agrees on tied rows.
+    """
+    languages = tuple(scores)
+    out: list[Language | None] = []
+    for row in zip(*scores.values()):
+        top = max(row)
+        out.append(languages[row.index(top)] if top > 0.0 else None)
+    return out
+
+
+def batch_result(
+    urls: Sequence[str],
+    scores: Mapping[Language, list[float]],
+    model: ModelInfo,
+) -> BatchResult:
+    """A :class:`~repro.api.BatchResult` derived from one score pass:
+    decisions are ``score > 0`` (the rule every backend's ``decisions``
+    implements) and best labels come from :func:`best_labels`."""
+    return BatchResult(
+        urls=tuple(urls),
+        scores=scores,
+        decisions={
+            language: [value > 0.0 for value in values]
+            for language, values in scores.items()
+        },
+        best=tuple(best_labels(scores)),
+        model=model,
+    )
+
+
 class CompiledIdentifier:
     """Vectorized batch-inference backend for a fitted identifier.
 
@@ -396,23 +435,11 @@ class IdentifierBase(abc.ABC):
 
         One :meth:`scores_many` pass (a single matmul on compiled
         backends, one request on remote ones) yields the scores, the
-        per-language decisions (``score > 0`` — the same rule every
-        backend's ``decisions`` implements), and the best labels.
+        per-language decisions and the best labels (:func:`batch_result`).
         """
         urls = list(urls)
         scores = self.scores_many(urls)
-        decisions = {
-            language: [value > 0.0 for value in values]
-            for language, values in scores.items()
-        }
-        best = self.classify_many(urls, scores=scores)
-        return BatchResult(
-            urls=tuple(urls),
-            scores=scores,
-            decisions=decisions,
-            best=tuple(best),
-            model=self.capabilities().model,
-        )
+        return batch_result(urls, scores, self.capabilities().model)
 
     def predict_iter(
         self, urls: Iterable[str], chunk_size: int = DEFAULT_CHUNK_SIZE
@@ -479,7 +506,8 @@ class IdentifierBase(abc.ABC):
         scores: Mapping[Language, Sequence[float]] | None = None,
     ) -> list[Language | None]:
         """Batch variant of :meth:`classify` (single best language or
-        ``None`` per URL), served by the compiled backend when present.
+        ``None`` per URL, ties to the earlier language — see
+        :func:`best_labels`), served by the compiled backend when present.
 
         Callers that already hold this batch's :meth:`scores_many`
         result (the CLI prints labels *and* per-language answers) pass
@@ -487,14 +515,7 @@ class IdentifierBase(abc.ABC):
         """
         if scores is None:
             scores = self.scores_many(urls)
-        out: list[Language | None] = []
-        for row in range(len(urls)):
-            best_language, best_score = max(
-                ((language, scores[language][row]) for language in scores),
-                key=lambda item: item[1],
-            )
-            out.append(best_language if best_score > 0.0 else None)
-        return out
+        return best_labels(scores)
 
     def predict_languages(self, url: str) -> set[Language]:
         """All languages whose binary classifier answers yes for ``url``."""
@@ -509,8 +530,9 @@ class IdentifierBase(abc.ABC):
         crawler want.
         """
         scores = self.scores(url)
-        best_language, best_score = max(scores.items(), key=lambda item: item[1])
-        return best_language if best_score > 0.0 else None
+        return best_labels(
+            {language: (value,) for language, value in scores.items()}
+        )[0]
 
     # -- evaluation -----------------------------------------------------------------
 

@@ -5,7 +5,6 @@ from repro.crawler.focused import (
     bfs_crawl,
     compare_crawlers,
     focused_crawl,
-    resolve_identifier,
 )
 from repro.crawler.frontier import Frontier
 from repro.crawler.quota import (
@@ -28,5 +27,4 @@ __all__ = [
     "compare_policies",
     "crawl_with_quota",
     "download_everything_policy",
-    "resolve_identifier",
 ]

@@ -20,32 +20,13 @@ pages that are in the target language.
 from __future__ import annotations
 
 import heapq
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import networkx as nx
 
-from repro.api import Predictor, open_model
+from repro.api import open_model
 from repro.languages import Language
-
-
-def resolve_identifier(identifier) -> Predictor:
-    """Deprecated: use :func:`repro.api.open_model` instead.
-
-    Thin shim over the facade, kept so pre-facade crawler code keeps
-    working: fitted identifiers pass through,
-    :class:`~repro.store.ModelHandle` objects are ``load()``-ed,
-    ``repro://`` / ``store://`` / path strings resolve to the matching
-    backend.  The crawl entry points below call the facade directly.
-    """
-    warnings.warn(
-        "repro.crawler.resolve_identifier() is deprecated; use "
-        "repro.api.open_model(handle) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return open_model(identifier)
 
 
 @dataclass

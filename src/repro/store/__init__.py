@@ -4,9 +4,8 @@ long-lived serving daemon.
 This package persists fitted identifiers as a versioned binary format —
 a JSON header plus raw little-endian numpy buffers — that serving
 workers open with ``mmap``, so N processes share one read-only weight
-matrix instead of N pickled clones, and serves them three ways: an
-in-process :class:`ServingIdentifier`, a one-shot scoring pool, and a
-socket/HTTP daemon.
+matrix instead of N pickled clones, and serves them two ways: an
+in-process :class:`ServingIdentifier` and a socket/HTTP daemon.
 
 Layers, bottom to top:
 
@@ -19,8 +18,8 @@ Layers, bottom to top:
 * :mod:`repro.store.registry` — the :class:`ModelStore` directory of
   named artifacts (save/load/list/verify), surfacing rollout metadata
   per :class:`ModelHandle`.
-* :mod:`repro.store.serve` — one-shot multi-process batch scoring from
-  one mapped artifact (:func:`score_urls`).
+* :mod:`repro.store.serve` — the served row shape (:class:`ServedUrl`)
+  and the per-batch kernel that produces it (:func:`score_batch`).
 * :mod:`repro.store.metrics` — request counts and latency histograms
   shared by the daemon's status block and ``repro.bulk`` progress
   reporting.
@@ -50,7 +49,6 @@ from repro.store.client import (
     DaemonRequestError,
     DaemonUnavailableError,
     RemoteIdentifier,
-    resolve_serving_handle,
 )
 from repro.store.daemon import ServingDaemon, start_daemon, stop_daemon
 from repro.store.format import (
@@ -64,7 +62,7 @@ from repro.store.format import (
     write_artifact,
 )
 from repro.store.registry import ARTIFACT_SUFFIX, ModelHandle, ModelStore
-from repro.store.serve import ServedUrl, score_batch, score_urls
+from repro.store.serve import ServedUrl, score_batch
 
 __all__ = [
     "ARTIFACT_SUFFIX",
@@ -88,10 +86,8 @@ __all__ = [
     "ServingIdentifier",
     "is_artifact",
     "load_identifier",
-    "resolve_serving_handle",
     "save_identifier",
     "score_batch",
-    "score_urls",
     "start_daemon",
     "stop_daemon",
     "write_artifact",

@@ -1,24 +1,29 @@
 """Client side of the serving daemon: sockets in, identifiers out.
 
-Three layers, thinnest first:
+Two clients and the identifiers over them:
 
-* :class:`DaemonClient` — one persistent connection to a running
-  :mod:`repro.store.daemon`, speaking the length-prefixed JSON protocol
-  of :mod:`repro.store.wire`.  Survives daemon hot reloads by
-  transparently reconnecting once per request.
-* :class:`RemoteIdentifier` — adapts a :class:`DaemonClient` to the
-  :class:`~repro.core.pipeline.IdentifierBase` surface, so anything that
-  consumes an identifier (the focused crawler, ``evaluate``, the CLI)
-  can point at a daemon instead of loading weights into its own
-  process.
-* :func:`resolve_serving_handle` — deprecated shim over
-  :func:`repro.api.open_model`, which is how ``repro://<socket-path>``
-  handle strings resolve everywhere now (the CLI, the crawler, the
-  examples all go through the facade).
+* :class:`DaemonClient` — one persistent blocking connection to a
+  running :mod:`repro.store.daemon` (Unix socket or TCP), speaking the
+  length-prefixed JSON protocol of :mod:`repro.store.wire`.
+* :class:`AsyncDaemonClient` — its asyncio twin, multiplexing any
+  number of concurrent callers over one connection by correlation id.
+* :class:`RemoteIdentifier` / :class:`AsyncRemoteIdentifier` — the
+  :class:`repro.api.Predictor` / :class:`repro.api.AsyncPredictor`
+  surfaces over those clients.  ``repro://<socket-path>`` and
+  ``repro+tcp://<host>:<port>`` handles resolve to them through
+  :func:`repro.api.open_model` / :func:`repro.api.aopen_model`.
+
+The two clients share every decision and keep only their I/O apart.
+:meth:`RetryPolicy.plan` gives each logical request a sans-I/O
+:class:`RequestPlan` that numbers the attempts, carries the remaining
+deadline budget and turns each attempt's outcome into a backoff delay or
+a typed error; the transports connect, send, receive, close and sleep.
+Response decoding and the capability block are module functions both
+sides call.
 
 Error taxonomy: :class:`DaemonUnavailableError` means nothing answered
-(daemon not started, crashed, or wrong socket path) — callers may retry
-or fall back to loading the artifact themselves.
+(daemon not started, crashed, or wrong endpoint) — callers may retry or
+fall back to loading the artifact themselves.
 :class:`DaemonRequestError` means a live daemon *refused* the request
 and carries the protocol error ``code``.  Refusals in
 :data:`~repro.store.wire.RETRYABLE_CODES` (``overloaded``,
@@ -30,17 +35,17 @@ pointless.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import os
 import random
 import socket
 import time
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from repro.api.resolver import daemon_socket_path, is_daemon_handle
-from repro.core.pipeline import IdentifierBase
-from repro.languages import Language
+from repro.api.types import BatchResult, Capabilities, ModelInfo
+from repro.core.pipeline import IdentifierBase, batch_result
+from repro.languages import LANGUAGES, Language
 from repro.obs.trace import start_trace
 from repro.store.serve import ServedUrl
 from repro.store.wire import (
@@ -55,9 +60,6 @@ from repro.store.wire import (
     send_message,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only
-    import asyncio
-
 #: Operations safe to replay: pure reads whose repetition cannot change
 #: daemon state.  ``reload`` and ``stop`` are excluded — replaying a
 #: mutation after an ambiguous failure could act twice.
@@ -65,9 +67,9 @@ IDEMPOTENT_OPS = frozenset(
     {"ping", "status", "classify", "score", "decisions", "traces"}
 )
 
-#: Scheme prefix of daemon handle strings (``repro://<socket-path>``);
-#: canonical form lives in :data:`repro.api.DAEMON_SCHEME`.
-HANDLE_SCHEME = "repro://"
+#: Failures of the transport itself — a dead connection, a torn frame,
+#: a timed-out read.  Retried like a retryable refusal.
+TRANSPORT_ERRORS = (WireError, OSError)
 
 
 class DaemonError(Exception):
@@ -75,9 +77,9 @@ class DaemonError(Exception):
 
 
 class DaemonUnavailableError(DaemonError):
-    """No daemon answered on the socket (not started, crashed, or a
+    """No daemon answered on the endpoint (not started, crashed, or a
     stale path).  Start one with ``repro serve start`` or fall back to
-    :func:`repro.store.load_identifier`."""
+    :func:`repro.api.open_model` on the artifact path."""
 
 
 class DaemonRequestError(DaemonError):
@@ -95,7 +97,7 @@ class DaemonRequestError(DaemonError):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How a :class:`DaemonClient` retries transient failures.
+    """How the daemon clients retry transient failures.
 
     Retries happen only for *idempotent* operations
     (:data:`IDEMPOTENT_OPS`), and only on transient failures: transport
@@ -134,44 +136,141 @@ class RetryPolicy:
         base = min(self.backoff * (2 ** (attempt - 1)), self.backoff_max)
         return base * (0.5 + random.random() / 2)
 
+    def plan(self, op: str, fields: dict, *, version: int,
+             endpoint: str) -> "RequestPlan":
+        """The attempt planner of one logical ``op`` request to the
+        daemon at ``endpoint``, speaking protocol ``version``."""
+        return RequestPlan(self, op, fields, version, endpoint)
 
-def parse_handle(handle: str) -> str:
-    """Socket path of a ``repro://`` handle string.
 
-    Delegates to the one parser in :mod:`repro.api.resolver`
-    (:func:`~repro.api.daemon_socket_path`).  Raises
-    :class:`~repro.api.InvalidHandleError` (a ``ValueError``) for
-    strings that do not carry the scheme or carry an empty path — use
-    :func:`is_handle` to probe first.
+class RequestPlan:
+    """The attempts of one logical request under a :class:`RetryPolicy`.
+
+    Sans-I/O: it never touches a socket and never sleeps.  A transport
+    asks :meth:`next_attempt` for each attempt's request and deadline
+    budget, performs the round trip, and hands back the outcome —
+    :meth:`failed` for a transport error, :meth:`answered` for a
+    response.  Both return the backoff to sleep before the next attempt
+    or raise the typed error the caller sees.
     """
-    return daemon_socket_path(handle)
+
+    def __init__(self, policy: RetryPolicy, op: str, fields: dict,
+                 version: int, endpoint: str) -> None:
+        self.policy = policy
+        self.op = op
+        self.fields = fields
+        self.version = version
+        self.endpoint = endpoint
+        self.idempotent = op in IDEMPOTENT_OPS
+        self.expires = (
+            time.monotonic() + policy.deadline
+            if policy.deadline is not None else None
+        )
+        self.attempt = 0
+
+    def next_attempt(self) -> tuple[dict, int | None]:
+        """The next attempt's request message and its remaining deadline
+        budget in milliseconds (``None`` without a policy deadline).
+
+        Replays carry an ``attempt`` field so the daemon's robustness
+        counters see them.
+        """
+        self.attempt += 1
+        message = {"v": self.version, "op": self.op, **self.fields}
+        if self.attempt > 1:
+            message["attempt"] = self.attempt
+        if self.expires is None:
+            return message, None
+        return message, max(0, int((self.expires - time.monotonic()) * 1000))
+
+    def failed(self, error: Exception) -> float:
+        """Backoff before retrying after a transport error; raises
+        :class:`DaemonUnavailableError` once retrying is not allowed."""
+        if self._may_retry():
+            return self.policy.delay(self.attempt)
+        raise DaemonUnavailableError(
+            f"serving daemon on {self.endpoint!r} stopped answering ({error})"
+        ) from None
+
+    def answered(self, response: dict) -> float | None:
+        """``None`` when ``response`` is the success to return, else the
+        backoff before retrying a retryable refusal.  Raises
+        :class:`DaemonRequestError` for a terminal refusal, or for a
+        retryable one that outlived the budget."""
+        if response.get("ok"):
+            return None
+        error_block = response.get("error", {})
+        code = error_block.get("code", "internal")
+        if code in RETRYABLE_CODES and self._may_retry():
+            return self.policy.delay(self.attempt)
+        raise DaemonRequestError(
+            code=code,
+            message=error_block.get("message", "daemon returned an error"),
+        )
+
+    def _may_retry(self) -> bool:
+        if not self.idempotent or self.attempt > self.policy.retries:
+            return False
+        return self.expires is None or time.monotonic() < self.expires
 
 
-def is_handle(value) -> bool:
-    """True for ``repro://`` daemon handle strings (delegates to
-    :func:`repro.api.is_daemon_handle`)."""
-    return is_daemon_handle(value)
+# -- response decoding, shared by the sync and async clients -----------------------
 
 
-class DaemonClient:
-    """One connection to a serving daemon, reconnecting across reloads.
+def _served_rows(response: dict) -> list[ServedUrl]:
+    """The rows of a ``classify`` response, in input order."""
+    return [
+        ServedUrl(url=row["url"], best=row["best"],
+                  positives=tuple(row["positives"]))
+        for row in response["results"]
+    ]
 
-    The connection is opened lazily on the first request and kept for
-    the client's lifetime (a daemon worker serves any number of
-    requests per connection).  Transient failures — a connection closed
-    by a hot-reload handover or a crashed worker, a typed
-    ``overloaded`` or ``shutting-down`` refusal — are retried on a
-    fresh connection under the client's :class:`RetryPolicy` (jittered
-    exponential backoff, idempotent operations only) before surfacing
-    :class:`DaemonUnavailableError` / :class:`DaemonRequestError`.
-    A daemon that was never there fails fast: connection *refusal* is
-    not retried.
 
-    Use as a context manager or call :meth:`close` when done::
+def _code_map(response: dict, key: str) -> dict[str, list]:
+    """The ``{language code: values}`` map of a ``score`` or
+    ``decisions`` response."""
+    return {code: list(values) for code, values in response[key].items()}
 
-        with DaemonClient("repro.sock") as client:
-            rows = client.classify(["http://www.blumen.de/garten"])
-    """
+
+def _trace_fields(limit: int | None) -> dict:
+    """Request fields of a ``traces`` op."""
+    return {} if limit is None else {"limit": int(limit)}
+
+
+def _spans(response: dict) -> list[dict]:
+    """The span records of a ``traces`` response, oldest first."""
+    return list(response["traces"])
+
+
+def _by_language(codes: dict[str, list]) -> dict[Language, list]:
+    """A code-keyed map re-keyed by :class:`~repro.languages.Language`."""
+    return {Language.coerce(code): values for code, values in codes.items()}
+
+
+def _remote_capabilities(status: dict, source: str) -> Capabilities:
+    """The capability block of a daemon-served model, from the daemon's
+    ``status`` block: backend ``"remote"`` (no weights in this process)
+    and the rollout provenance of the model it serves."""
+    model = status.get("model", {})
+    rollout = model.get("rollout") or {}
+    return Capabilities(
+        model=ModelInfo(
+            name=model.get("name", "remote"),
+            backend="remote",
+            languages=tuple(LANGUAGES),
+            created_at=rollout.get("created_at"),
+            train_corpus=rollout.get("train_corpus"),
+            source=source,
+        ),
+        compiled=False,
+        remote=True,
+    )
+
+
+class _ClientBase:
+    """What both daemon clients share: the endpoint they dial, the retry
+    policy they plan attempts with, and tracing.  Their I/O lives in
+    the subclasses."""
 
     def __init__(
         self,
@@ -202,12 +301,11 @@ class DaemonClient:
         self.protocol_version = protocol_version
         self.retry = RetryPolicy() if retry is None else retry
         self.tracing = bool(tracing)
-        #: Ids of the most recent traced round-trip: ``trace_id``, the
-        #: client's ``span_id``, and the daemon's echoed
-        #: ``server_span_id`` (``None`` until the first traced request,
-        #: or when the daemon predates tracing and echoes nothing).
+        #: Ids of the most recently answered traced request:
+        #: ``trace_id``, the client's ``span_id``, and the daemon's
+        #: echoed ``server_span_id`` (``None`` until the first traced
+        #: request, or when the daemon predates tracing).
         self.last_trace: dict | None = None
-        self._sock: socket.socket | None = None
 
     @property
     def handle(self) -> str:
@@ -215,6 +313,44 @@ class DaemonClient:
         if self.tcp_address is not None:
             return f"repro+tcp://{self.endpoint}"
         return f"repro://{self.socket_path}"
+
+    def _unavailable(self, error: Exception) -> DaemonUnavailableError:
+        """The fail-fast error for an endpoint nobody listens on."""
+        start = "repro serve start"
+        if self.tcp_address is not None:
+            start += " --tcp"
+        return DaemonUnavailableError(
+            f"no serving daemon on {self.endpoint!r} ({error}); "
+            f"start one with '{start}'"
+        )
+
+    def _plan(self, op: str, fields: dict) -> RequestPlan:
+        return self.retry.plan(
+            op, fields, version=self.protocol_version, endpoint=self.endpoint
+        )
+
+
+class DaemonClient(_ClientBase):
+    """One connection to a serving daemon, reconnecting across reloads.
+
+    The connection is opened lazily on the first request and kept for
+    the client's lifetime (a daemon worker serves any number of
+    requests per connection).  Transient failures — a connection closed
+    by a hot-reload handover or a crashed worker, a typed
+    ``overloaded`` or ``shutting-down`` refusal — are retried on a
+    fresh connection under the client's :class:`RetryPolicy` (jittered
+    exponential backoff, idempotent operations only) before surfacing
+    :class:`DaemonUnavailableError` / :class:`DaemonRequestError`.
+    A daemon that was never there fails fast: connection *refusal* is
+    not retried.
+
+    Use as a context manager or call :meth:`close` when done::
+
+        with DaemonClient("repro.sock") as client:
+            rows = client.classify(["http://www.blumen.de/garten"])
+    """
+
+    _sock: socket.socket | None = None
 
     # -- connection management ----------------------------------------------------
 
@@ -225,12 +361,8 @@ class DaemonClient:
                     self.tcp_address, timeout=self.timeout
                 )
             except OSError as error:
-                raise DaemonUnavailableError(
-                    f"no serving daemon on {self.endpoint!r} ({error}); "
-                    "start one with 'repro serve start --tcp'"
-                ) from None
+                raise self._unavailable(error) from None
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(self.timeout)
             return sock
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         sock.settimeout(self.timeout)
@@ -238,10 +370,7 @@ class DaemonClient:
             sock.connect(self.socket_path)
         except OSError as error:
             sock.close()
-            raise DaemonUnavailableError(
-                f"no serving daemon on {self.endpoint!r} ({error}); "
-                "start one with 'repro serve start'"
-            ) from None
+            raise self._unavailable(error) from None
         return sock
 
     def close(self) -> None:
@@ -260,8 +389,7 @@ class DaemonClient:
 
     # -- request plumbing ---------------------------------------------------------
 
-    def _roundtrip(self, message: dict,
-                   deadline_ms: int | None = None) -> dict:
+    def _roundtrip(self, message: dict, deadline_ms: int | None) -> dict:
         if self._sock is None:
             self._sock = self._connect()
         trace = start_trace() if self.tracing else None
@@ -284,74 +412,35 @@ class DaemonClient:
     def request(self, op: str, **fields) -> dict:
         """Issue one ``op`` request and return the success response.
 
-        Transient failures are retried under :attr:`retry` when ``op``
-        is idempotent: transport errors (the worker that held our
-        connection crashed or retired in a hot reload — a fresh
-        connection reaches its replacement) and typed refusals in
-        :data:`~repro.store.wire.RETRYABLE_CODES`.  Retried requests
-        carry an ``attempt`` field so the daemon's robustness counters
-        see them.
-
+        Transient failures are retried under :attr:`retry` on a fresh
+        connection — the worker that held ours crashed, retired in a
+        hot reload, or shed the request (:class:`RequestPlan` decides).
         Raises :class:`DaemonRequestError` on a terminal refusal (or a
         retryable one that outlived the retry budget) and
         :class:`DaemonUnavailableError` when no daemon answers.
         """
-        policy = self.retry
-        idempotent = op in IDEMPOTENT_OPS
-        expires = (
-            time.monotonic() + policy.deadline
-            if policy.deadline is not None else None
-        )
-
-        def may_retry(attempt: int) -> bool:
-            if not idempotent or attempt > policy.retries:
-                return False
-            return expires is None or time.monotonic() < expires
-
-        attempt = 0
+        plan = self._plan(op, fields)
         while True:
-            attempt += 1
-            message = {"v": self.protocol_version, "op": op, **fields}
-            if attempt > 1:
-                message["attempt"] = attempt
-            deadline_ms = None
-            if expires is not None:
-                deadline_ms = max(
-                    0, int((expires - time.monotonic()) * 1000)
-                )
+            message, deadline_ms = plan.next_attempt()
             try:
-                response = self._roundtrip(message, deadline_ms=deadline_ms)
-            except (WireError, ConnectionClosed, OSError) as error:
+                response = self._roundtrip(message, deadline_ms)
+            except TRANSPORT_ERRORS as error:
                 self.close()
-                if may_retry(attempt):
-                    time.sleep(policy.delay(attempt))
-                    continue
-                raise DaemonUnavailableError(
-                    f"serving daemon on {self.endpoint!r} stopped "
-                    f"answering ({error})"
-                ) from None
-            if response.get("ok"):
-                return response
-            error_block = response.get("error", {})
-            code = error_block.get("code", "internal")
-            if code in RETRYABLE_CODES and may_retry(attempt):
-                # A draining worker closes after this answer; an
-                # overloaded daemon wants us elsewhere.  Either way the
-                # retry belongs on a fresh connection.
-                self.close()
-                time.sleep(policy.delay(attempt))
+                time.sleep(plan.failed(error))
                 continue
-            raise DaemonRequestError(
-                code=code,
-                message=error_block.get(
-                    "message", "daemon returned an error"
-                ),
-            )
+            delay = plan.answered(response)
+            if delay is None:
+                return response
+            # A draining worker closes after this answer; an overloaded
+            # daemon wants us elsewhere.  Either way the retry belongs
+            # on a fresh connection.
+            self.close()
+            time.sleep(delay)
 
     # -- the served operations ----------------------------------------------------
 
     def ping(self) -> bool:
-        """True when a daemon answers on the socket."""
+        """True when a daemon answers on the endpoint."""
         return bool(self.request("ping").get("ok"))
 
     def status(self) -> dict:
@@ -362,12 +451,7 @@ class DaemonClient:
     def classify(self, urls) -> list[ServedUrl]:
         """Batch triage: one :class:`~repro.store.serve.ServedUrl` per
         input URL, in input order (same rows ``repro classify`` prints)."""
-        response = self.request("classify", urls=list(urls))
-        return [
-            ServedUrl(url=row["url"], best=row["best"],
-                      positives=tuple(row["positives"]))
-            for row in response["results"]
-        ]
+        return _served_rows(self.request("classify", urls=list(urls)))
 
     def score(self, urls) -> dict[str, list[float]]:
         """Per-language decision scores, keyed by language code.
@@ -375,26 +459,23 @@ class DaemonClient:
         JSON transports floats via ``repr`` round-tripping, so scores
         arrive bit-identical to what the daemon's matmul produced.
         """
-        response = self.request("score", urls=list(urls))
-        return {code: list(values) for code, values in response["scores"].items()}
+        return _code_map(self.request("score", urls=list(urls)), "scores")
 
     def decisions(self, urls) -> dict[str, list[bool]]:
         """Per-language binary decisions, keyed by language code."""
-        response = self.request("decisions", urls=list(urls))
-        return {code: list(values) for code, values in response["decisions"].items()}
+        return _code_map(
+            self.request("decisions", urls=list(urls)), "decisions"
+        )
 
     def traces(self, limit: int | None = None) -> list[dict]:
         """The daemon's most recent request spans, oldest first.
 
         Spans come from the fork-shared ring buffer every worker writes
-        traced requests into (capacity ``REPRO_TRACE_CAPACITY``), so
-        the answer covers the whole daemon, not just the worker that
+        traced requests into (capacity ``REPRO_SERVE_TRACE_CAPACITY``),
+        so the answer covers the whole daemon, not just the worker that
         happens to hold this connection.  ``limit`` caps the answer to
         the newest N spans."""
-        fields: dict = {}
-        if limit is not None:
-            fields["limit"] = int(limit)
-        return list(self.request("traces", **fields)["traces"])
+        return _spans(self.request("traces", **_trace_fields(limit)))
 
     def reload(self) -> dict:
         """Ask the daemon to re-examine its artifact path (same effect
@@ -424,8 +505,7 @@ class RemoteIdentifier(IdentifierBase):
 
     def __init__(self, client: DaemonClient) -> None:
         self.client = client
-        self._name: str | None = None
-        self._capabilities = None
+        self._capabilities: Capabilities | None = None
 
     @classmethod
     def connect(cls, socket_path: "str | os.PathLike | tuple[str, int]",
@@ -440,14 +520,11 @@ class RemoteIdentifier(IdentifierBase):
 
     @property
     def name(self) -> str:
-        """Report label of the model the daemon serves (fetched once)."""
-        if self._name is None:
-            self._name = self.client.status().get("model", {}).get(
-                "name", "remote"
-            )
-        return self._name
+        """Report label of the model the daemon serves (from the cached
+        capability block)."""
+        return self.capabilities().model.name
 
-    def capabilities(self):
+    def capabilities(self) -> Capabilities:
         """The :class:`repro.api.Predictor` capability block.
 
         Backend is ``"remote"`` — no weights in this process — and the
@@ -459,47 +536,26 @@ class RemoteIdentifier(IdentifierBase):
         the daemon's status directly) for fresh provenance.
         """
         if self._capabilities is None:
-            from repro.api.types import Capabilities, ModelInfo
-            from repro.languages import LANGUAGES
-
-            model = self.client.status().get("model", {})
-            rollout = model.get("rollout") or {}
-            self._capabilities = Capabilities(
-                model=ModelInfo(
-                    name=model.get("name", "remote"),
-                    backend="remote",
-                    languages=tuple(LANGUAGES),
-                    created_at=rollout.get("created_at"),
-                    train_corpus=rollout.get("train_corpus"),
-                    source=self.client.handle,
-                ),
-                compiled=False,
-                remote=True,
+            self._capabilities = _remote_capabilities(
+                self.client.status(), self.client.handle
             )
         return self._capabilities
 
     def close(self) -> None:
-        """Drop the daemon connection (a later call reconnects) and
-        the cached name/capability block (a later call refetches, so a
+        """Drop the daemon connection (a later call reconnects) and the
+        cached capability block (a later call refetches, so a
         hot-reloaded daemon's new provenance becomes visible)."""
-        self._name = None
         self._capabilities = None
         self.client.close()
 
     def decisions(self, urls):
-        remote = self.client.decisions(urls)
-        return {
-            Language.coerce(code): values for code, values in remote.items()
-        }
+        return _by_language(self.client.decisions(urls))
 
     def scores_many(self, urls):
-        remote = self.client.score(urls)
-        return {
-            Language.coerce(code): values for code, values in remote.items()
-        }
+        return _by_language(self.client.score(urls))
 
 
-class AsyncDaemonClient:
+class AsyncDaemonClient(_ClientBase):
     """Asyncio-native daemon client multiplexing one connection.
 
     Where :class:`DaemonClient` serializes request/response pairs, this
@@ -511,8 +567,8 @@ class AsyncDaemonClient:
     one connection behaves like a FIFO pipeline — high fan-in
     concurrency without a connection per caller.
 
-    Retry semantics are :class:`RetryPolicy`'s, identical to the sync
-    client: idempotent ops only, transport errors and typed
+    Retries follow the same :class:`RequestPlan` as the sync client:
+    idempotent ops only, transport errors and typed
     ``overloaded``/``shutting-down`` refusals retried on a fresh
     connection with jittered exponential backoff, the remaining
     deadline budget propagated in each attempt's frame header.
@@ -534,50 +590,26 @@ class AsyncDaemonClient:
         retry: RetryPolicy | None = None,
         tracing: bool = False,
     ) -> None:
-        if isinstance(socket_path, tuple):
-            host, port = socket_path
-            self.socket_path: str | None = None
-            self.tcp_address: tuple[str, int] | None = (str(host), int(port))
-            self.endpoint = f"{host}:{port}"
-        else:
-            self.socket_path = os.fspath(socket_path)
-            self.tcp_address = None
-            self.endpoint = self.socket_path
-        self.timeout = timeout
-        self.protocol_version = protocol_version
-        self.retry = RetryPolicy() if retry is None else retry
-        self.tracing = bool(tracing)
-        #: Ids of the most recently *answered* traced request (the sync
-        #: client's :attr:`DaemonClient.last_trace`, under concurrency:
-        #: pipelined responses land in completion order).
-        self.last_trace: dict | None = None
-        self._reader: "asyncio.StreamReader | None" = None
-        self._writer: "asyncio.StreamWriter | None" = None
-        self._reader_task: "asyncio.Task | None" = None
-        self._pending: "dict[int, asyncio.Future]" = {}
+        super().__init__(socket_path, timeout, protocol_version, retry,
+                         tracing)
+        self._reader: asyncio.StreamReader | None = None
+        self._writer: asyncio.StreamWriter | None = None
+        self._reader_task: asyncio.Task | None = None
+        self._pending: dict[int, asyncio.Future] = {}
         self._sent_traces: dict = {}
-        self._connect_lock: "asyncio.Lock | None" = None
-        self._write_lock: "asyncio.Lock | None" = None
+        self._connect_lock: asyncio.Lock | None = None
+        self._write_lock: asyncio.Lock | None = None
         self._next_cid = 0
         #: Connections dialed over this client's lifetime — observability
         #: for tests and capacity planning (1 under pure multiplexing;
         #: +1 per retry-forced reconnect).
         self.connections_opened = 0
 
-    @property
-    def handle(self) -> str:
-        """The facade handle string this client's endpoint resolves from."""
-        if self.tcp_address is not None:
-            return f"repro+tcp://{self.endpoint}"
-        return f"repro://{self.socket_path}"
-
     # -- connection management ----------------------------------------------------
 
-    def _locks(self) -> "tuple[asyncio.Lock, asyncio.Lock]":
+    def _locks(self) -> tuple[asyncio.Lock, asyncio.Lock]:
         # Created lazily so the client can be constructed outside a
         # running event loop.
-        import asyncio
-
         if self._connect_lock is None:
             self._connect_lock = asyncio.Lock()
             self._write_lock = asyncio.Lock()
@@ -585,8 +617,6 @@ class AsyncDaemonClient:
         return self._connect_lock, self._write_lock
 
     async def _ensure_connected(self) -> None:
-        import asyncio
-
         connect_lock, _ = self._locks()
         async with connect_lock:
             if self._writer is not None:
@@ -609,17 +639,14 @@ class AsyncDaemonClient:
                         self.timeout,
                     )
             except (OSError, asyncio.TimeoutError) as error:
-                raise DaemonUnavailableError(
-                    f"no serving daemon on {self.endpoint!r} ({error}); "
-                    "start one with 'repro serve start'"
-                ) from None
+                raise self._unavailable(error) from None
             self._reader, self._writer = reader, writer
             self.connections_opened += 1
             self._reader_task = asyncio.get_running_loop().create_task(
                 self._read_loop(reader)
             )
 
-    async def _read_loop(self, reader: "asyncio.StreamReader") -> None:
+    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
         """Pair every incoming response frame with its awaiting caller.
 
         Runs until the connection dies, then fails every still-pending
@@ -679,9 +706,6 @@ class AsyncDaemonClient:
         a dirty :class:`ConnectionClosed` and retry under their own
         budgets — the same thing a daemon-side close would do to them.
         """
-        import asyncio
-        import contextlib
-
         task, self._reader_task = self._reader_task, None
         writer, self._writer, self._reader = self._writer, None, None
         if task is not None and task is not asyncio.current_task():
@@ -714,12 +738,10 @@ class AsyncDaemonClient:
 
     async def _roundtrip(self, message: dict,
                          deadline_ms: int | None) -> dict:
-        import asyncio
-
         await self._ensure_connected()
         _, write_lock = self._locks()
         loop = asyncio.get_running_loop()
-        future: "asyncio.Future" = loop.create_future()
+        future: asyncio.Future = loop.create_future()
         async with write_lock:
             if self._writer is None:
                 raise ConnectionClosed("connection lost before send",
@@ -763,61 +785,22 @@ class AsyncDaemonClient:
             raise
 
     async def request(self, op: str, **fields) -> dict:
-        """Async twin of :meth:`DaemonClient.request` — same retry
-        matrix, same error taxonomy, ``asyncio.sleep`` backoff."""
-        import asyncio
-
-        policy = self.retry
-        idempotent = op in IDEMPOTENT_OPS
-        expires = (
-            time.monotonic() + policy.deadline
-            if policy.deadline is not None else None
-        )
-
-        def may_retry(attempt: int) -> bool:
-            if not idempotent or attempt > policy.retries:
-                return False
-            return expires is None or time.monotonic() < expires
-
-        attempt = 0
+        """Async twin of :meth:`DaemonClient.request` — the same
+        :class:`RequestPlan`, ``asyncio.sleep`` backoff."""
+        plan = self._plan(op, fields)
         while True:
-            attempt += 1
-            message = {"v": self.protocol_version, "op": op, **fields}
-            if attempt > 1:
-                message["attempt"] = attempt
-            deadline_ms = None
-            if expires is not None:
-                deadline_ms = max(
-                    0, int((expires - time.monotonic()) * 1000)
-                )
+            message, deadline_ms = plan.next_attempt()
             try:
-                response = await self._roundtrip(
-                    message, deadline_ms=deadline_ms
-                )
-            except (WireError, ConnectionClosed, OSError,
-                    TimeoutError) as error:
+                response = await self._roundtrip(message, deadline_ms)
+            except TRANSPORT_ERRORS as error:
                 await self._drop_connection()
-                if may_retry(attempt):
-                    await asyncio.sleep(policy.delay(attempt))
-                    continue
-                raise DaemonUnavailableError(
-                    f"serving daemon on {self.endpoint!r} stopped "
-                    f"answering ({error})"
-                ) from None
-            if response.get("ok"):
-                return response
-            error_block = response.get("error", {})
-            code = error_block.get("code", "internal")
-            if code in RETRYABLE_CODES and may_retry(attempt):
-                await self._drop_connection()
-                await asyncio.sleep(policy.delay(attempt))
+                await asyncio.sleep(plan.failed(error))
                 continue
-            raise DaemonRequestError(
-                code=code,
-                message=error_block.get(
-                    "message", "daemon returned an error"
-                ),
-            )
+            delay = plan.answered(response)
+            if delay is None:
+                return response
+            await self._drop_connection()
+            await asyncio.sleep(delay)
 
     # -- the served operations ----------------------------------------------------
 
@@ -831,36 +814,24 @@ class AsyncDaemonClient:
 
     async def aclassify(self, urls) -> list[ServedUrl]:
         """Batch triage, one :class:`ServedUrl` per input URL in order."""
-        response = await self.request("classify", urls=list(urls))
-        return [
-            ServedUrl(url=row["url"], best=row["best"],
-                      positives=tuple(row["positives"]))
-            for row in response["results"]
-        ]
+        return _served_rows(await self.request("classify", urls=list(urls)))
 
     async def ascore(self, urls) -> dict[str, list[float]]:
         """Per-language decision scores, keyed by language code."""
-        response = await self.request("score", urls=list(urls))
-        return {
-            code: list(values)
-            for code, values in response["scores"].items()
-        }
+        return _code_map(
+            await self.request("score", urls=list(urls)), "scores"
+        )
 
     async def adecisions(self, urls) -> dict[str, list[bool]]:
         """Per-language binary decisions, keyed by language code."""
-        response = await self.request("decisions", urls=list(urls))
-        return {
-            code: list(values)
-            for code, values in response["decisions"].items()
-        }
+        return _code_map(
+            await self.request("decisions", urls=list(urls)), "decisions"
+        )
 
     async def atraces(self, limit: int | None = None) -> list[dict]:
         """The daemon's most recent request spans, oldest first
         (async twin of :meth:`DaemonClient.traces`)."""
-        fields: dict = {}
-        if limit is not None:
-            fields["limit"] = int(limit)
-        return list((await self.request("traces", **fields))["traces"])
+        return _spans(await self.request("traces", **_trace_fields(limit)))
 
     async def areload(self) -> dict:
         """Ask the daemon to re-examine its artifact path (SIGHUP)."""
@@ -877,14 +848,14 @@ class AsyncRemoteIdentifier:
     The async twin of :class:`RemoteIdentifier`: holds no weights, one
     request per batch call, scores round-tripping bit-identically
     through JSON.  ``apredict`` derives decisions and best labels from
-    one score pass with exactly the rules
-    :meth:`repro.core.pipeline.IdentifierBase.predict` uses, so sync
-    and async predictions over the same daemon are byte-identical.
+    one score pass through :func:`repro.core.pipeline.batch_result`,
+    the code the sync ``predict`` uses, so sync and async predictions
+    over the same daemon are byte-identical.
     """
 
     def __init__(self, client: AsyncDaemonClient) -> None:
         self.client = client
-        self._capabilities = None
+        self._capabilities: Capabilities | None = None
 
     @classmethod
     def connect(cls, socket_path: "str | os.PathLike | tuple[str, int]",
@@ -905,67 +876,27 @@ class AsyncRemoteIdentifier:
             return self._capabilities.model.name
         return "remote"
 
-    async def acapabilities(self):
+    async def acapabilities(self) -> Capabilities:
         """Capability block (fetched once, cached like the sync twin)."""
         if self._capabilities is None:
-            from repro.api.types import Capabilities, ModelInfo
-            from repro.languages import LANGUAGES
-
-            model = (await self.client.astatus()).get("model", {})
-            rollout = model.get("rollout") or {}
-            self._capabilities = Capabilities(
-                model=ModelInfo(
-                    name=model.get("name", "remote"),
-                    backend="remote",
-                    languages=tuple(LANGUAGES),
-                    created_at=rollout.get("created_at"),
-                    train_corpus=rollout.get("train_corpus"),
-                    source=self.client.handle,
-                ),
-                compiled=False,
-                remote=True,
+            self._capabilities = _remote_capabilities(
+                await self.client.astatus(), self.client.handle
             )
         return self._capabilities
 
     async def adecisions(self, urls) -> dict:
-        remote = await self.client.adecisions(urls)
-        return {
-            Language.coerce(code): values for code, values in remote.items()
-        }
+        return _by_language(await self.client.adecisions(urls))
 
     async def ascores_many(self, urls) -> dict:
-        remote = await self.client.ascore(urls)
-        return {
-            Language.coerce(code): values for code, values in remote.items()
-        }
+        return _by_language(await self.client.ascore(urls))
 
-    async def apredict(self, urls):
-        """One score pass into a :class:`repro.api.BatchResult` — the
-        same derivation as the sync ``predict`` (decisions are
-        ``score > 0``; best is the max-scoring language when positive)."""
-        from repro.api.types import BatchResult
-
+    async def apredict(self, urls) -> BatchResult:
+        """One score pass into a :class:`repro.api.BatchResult`, built
+        exactly like the sync ``predict``."""
         urls = list(urls)
         scores = await self.ascores_many(urls)
-        decisions = {
-            language: [value > 0.0 for value in values]
-            for language, values in scores.items()
-        }
-        best = []
-        for row in range(len(urls)):
-            best_language, best_score = max(
-                ((language, scores[language][row]) for language in scores),
-                key=lambda item: item[1],
-            )
-            best.append(best_language if best_score > 0.0 else None)
         capabilities = await self.acapabilities()
-        return BatchResult(
-            urls=tuple(urls),
-            scores=scores,
-            decisions=decisions,
-            best=tuple(best),
-            model=capabilities.model,
-        )
+        return batch_result(urls, scores, capabilities.model)
 
     async def aclose(self) -> None:
         """Drop the connection and the cached capability block."""
@@ -977,20 +908,3 @@ class AsyncRemoteIdentifier:
 
     async def __aexit__(self, *exc_info) -> None:
         await self.aclose()
-
-
-def resolve_serving_handle(handle: str, timeout: float = 30.0) -> RemoteIdentifier:
-    """Deprecated: use :func:`repro.api.open_model` instead.
-
-    Resolves a ``repro://<socket-path>`` string to a remote identifier.
-    Unlike the facade, resolution here is lazy — no connection is
-    attempted until the first request, and a dead socket surfaces as
-    :class:`DaemonUnavailableError` on first use.
-    """
-    warnings.warn(
-        "resolve_serving_handle() is deprecated; use "
-        "repro.api.open_model(handle) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return RemoteIdentifier.connect(parse_handle(handle), timeout=timeout)

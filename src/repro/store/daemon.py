@@ -1,9 +1,8 @@
 """The long-lived serving daemon: pre-forked workers over one mmap.
 
-``repro.store.serve.score_urls`` answers a one-shot batch by spinning a
-``multiprocessing.Pool`` up and down around it — fine for a script,
-wrong for a crawler fleet that wants an answer per frontier expansion.
-:class:`ServingDaemon` is the long-lived alternative:
+A crawler fleet wants an answer per frontier expansion without paying
+a model load, a process start or cold caches per batch.
+:class:`ServingDaemon` pays them once:
 
 * the parent process loads one model artifact (header parsed, weight
   matrix **memory-mapped**) and then pre-forks N workers — every worker
@@ -40,7 +39,6 @@ protocol spec, hot-reload semantics, and capacity planning.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import multiprocessing
 import os
@@ -115,47 +113,8 @@ RESPAWN_BACKOFF_INITIAL = 0.5
 RESPAWN_BACKOFF_MAX = 30.0
 
 #: Spans retained in the fork-shared trace ring buffer (env-overridable
-#: via ``REPRO_TRACE_CAPACITY``).
+#: via ``REPRO_SERVE_TRACE_CAPACITY``).
 TRACE_CAPACITY = 256
-
-
-def _batch_fingerprint(urls: list[str]) -> str:
-    """Short digest binding a pagination cursor to one exact batch."""
-    joined = "\n".join(urls).encode("utf-8", "surrogatepass")
-    return hashlib.sha256(joined).hexdigest()[:12]
-
-
-def encode_page_cursor(urls: list[str], last_index: int) -> str:
-    """Opaque keyset cursor: the last row already returned, fingerprinted.
-
-    The REST surface pages by *position in the request batch* (the
-    stable sort key of a classify/score/decisions response), so the
-    cursor names the last returned row and the fingerprint refuses a
-    cursor replayed against a different batch — the keyset analogue of
-    Paper-Scanner's ``{date}|{id}`` cursors.
-    """
-    return f"{last_index}|{_batch_fingerprint(urls)}"
-
-
-def decode_page_cursor(urls: list[str], cursor: str) -> int:
-    """Validate ``cursor`` against ``urls``; return the next start index.
-
-    Raises ``ValueError`` with an operator-readable reason on a cursor
-    that is malformed, out of range, or minted for a different batch.
-    """
-    index_text, _, fingerprint = str(cursor).partition("|")
-    try:
-        last_index = int(index_text)
-    except ValueError:
-        raise ValueError(f"malformed page cursor {cursor!r}") from None
-    if fingerprint != _batch_fingerprint(urls):
-        raise ValueError(
-            "page cursor was minted for a different url batch; "
-            "send the same 'urls' list on every page"
-        )
-    if not 0 <= last_index < len(urls):
-        raise ValueError(f"page cursor index {last_index} out of range")
-    return last_index + 1
 
 
 def parse_tcp_spec(spec: "str | tuple[str, int]") -> tuple[str, int]:
@@ -283,10 +242,10 @@ class ServingDaemon:
         # the model's language set, so they are created in run() (and
         # replaced on reload — a new model starts a new baseline).
         self._spans = SpanLog(capacity=int(os.environ.get(
-            "REPRO_TRACE_CAPACITY", TRACE_CAPACITY)))
+            "REPRO_SERVE_TRACE_CAPACITY", TRACE_CAPACITY)))
         self._drift: DriftCounters | None = None
         self._drift_window = int(os.environ.get(
-            "REPRO_DRIFT_WINDOW", DEFAULT_DRIFT_WINDOW_ROWS))
+            "REPRO_SERVE_DRIFT_WINDOW", DEFAULT_DRIFT_WINDOW_ROWS))
         #: Structured JSON event logging (--log-json or REPRO_LOG=json):
         #: every _log line becomes a {"event": "log"} record and
         #: lifecycle transitions emit typed events with trace ids.
@@ -951,6 +910,10 @@ class ServingDaemon:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # _reply writes headers and body as two segments; with Nagle
+            # on, the body waits out the client's delayed ACK (~40 ms)
+            # on every back-to-back keep-alive request.
+            disable_nagle_algorithm = True
 
             def log_message(self, format, *args):  # noqa: A002
                 daemon._log(f"http {self.address_string()} {format % args}")
@@ -1133,58 +1096,12 @@ class ServingDaemon:
                 except (ValueError, json.JSONDecodeError) as error:
                     self._reply(400, error_response("bad-request", str(error)))
                     return
-                # Keyset pagination: "limit" caps the rows answered per
-                # page, "cursor" (from the previous page's next_cursor)
-                # names the last row already returned.  Only the page's
-                # slice of urls is dispatched, so a huge batch costs one
-                # page of work per request instead of one giant frame.
-                limit = body.pop("limit", None)
-                cursor = body.pop("cursor", None)
-                page: tuple[list, int] | None = None
-                if limit is not None or cursor is not None:
-                    urls = body.get("urls")
-                    if not isinstance(urls, list):
-                        self._reply(400, error_response(
-                            "bad-request",
-                            "pagination requires 'urls': list",
-                        ))
-                        return
-                    if limit is None:
-                        limit = len(urls)
-                    if not isinstance(limit, int) or limit < 1:
-                        self._reply(400, error_response(
-                            "bad-request", f"'limit' must be >= 1, got "
-                            f"{limit!r}",
-                        ))
-                        return
-                    try:
-                        start = (
-                            decode_page_cursor(urls, cursor)
-                            if cursor is not None else 0
-                        )
-                    except ValueError as error:
-                        self._reply(400, error_response(
-                            "bad-request", str(error)
-                        ))
-                        return
-                    page = (urls, start)
-                    body = {**body, "urls": urls[start:start + limit]}
                 # The path, not the body, decides the op — a body "op"
                 # must never widen a batch endpoint into stop/reload.
                 response = daemon._timed_dispatch(
                     {**body, "v": PROTOCOL_VERSION, "op": op},
                     transport="http",
                 )
-                if page is not None and response.get("ok"):
-                    urls, start = page
-                    served = len(body["urls"])
-                    end = start + served
-                    response["total"] = len(urls)
-                    response["offset"] = start
-                    response["next_cursor"] = (
-                        encode_page_cursor(urls, end - 1)
-                        if served and end < len(urls) else None
-                    )
                 self._reply(200 if response.get("ok") else 400, response)
 
         server = ThreadingHTTPServer(("127.0.0.1", self.http_port), Handler)

@@ -35,9 +35,10 @@ ROADMAP's N-language item, closing the loop with the hot-reload gate.
 
 from __future__ import annotations
 
-import bisect
 import multiprocessing
 import time
+
+import numpy as np
 
 __all__ = [
     "BUCKET_BOUNDS_MS",
@@ -343,25 +344,9 @@ class DriftCounters:
     def _reduce(values) -> tuple[int, float, list[int]]:
         """One language's batch -> (positives, score sum, bucket counts)."""
         buckets = [0] * (len(DRIFT_SCORE_BOUNDS) + 1)
-        try:
-            import numpy
-        except ImportError:
-            positives = 0
-            total = 0.0
-            for value in values:
-                value = float(value)
-                if value > 0.0:
-                    positives += 1
-                total += value
-                buckets[bisect.bisect_left(DRIFT_SCORE_BOUNDS, value)] += 1
-            return positives, total, buckets
-        array = numpy.asarray(values, dtype=numpy.float64)
-        positions = numpy.searchsorted(
-            DRIFT_SCORE_BOUNDS, array, side="left"
-        )
-        for bucket, count in zip(
-            *numpy.unique(positions, return_counts=True)
-        ):
+        array = np.asarray(values, dtype=np.float64)
+        positions = np.searchsorted(DRIFT_SCORE_BOUNDS, array, side="left")
+        for bucket, count in zip(*np.unique(positions, return_counts=True)):
             buckets[int(bucket)] = int(count)
         return int((array > 0.0).sum()), float(array.sum()), buckets
 

@@ -389,12 +389,6 @@ async def read_frame_async(reader: "asyncio.StreamReader") -> Frame:
                  trace_id, span_id)
 
 
-def recv_message(sock: socket.socket) -> dict:
-    """Read one frame, discarding any deadline field (response side)."""
-    message, _ = recv_frame(sock)
-    return message
-
-
 def error_response(code: str, message: str) -> dict:
     """A well-formed failure response (``code`` must be registered)."""
     assert code in ERROR_CODES, f"unregistered error code {code!r}"

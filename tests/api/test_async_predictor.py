@@ -1,19 +1,18 @@
 """AsyncPredictor conformance: parity with the sync facade, multiplexed
-concurrency, cancellation, and the sync client's retry/deadline matrix.
+concurrency, cancellation.
 
 Every test drives coroutines through ``asyncio.run`` inside plain
-synchronous test functions (no asyncio pytest plugin needed).  Three
+synchronous test functions (no asyncio pytest plugin needed).  Two
 layers:
 
 * conformance against a live dual-listener daemon — ``adecisions`` /
   ``apredict`` byte-identical to the sparse oracle and to the sync
   :class:`Predictor` over the same daemon, on both transports;
 * multiplexing — N concurrent callers share one connection and each
-  gets *its own* answer back (correlation-id pairing under fan-in);
-* the scripted-server retry matrix from the robustness suite, re-run
-  against :class:`AsyncDaemonClient` so the async stack's
-  :class:`RetryPolicy`/deadline semantics cannot drift from the sync
-  client's.
+  gets *its own* answer back (correlation-id pairing under fan-in).
+
+The retry/deadline matrix runs against both clients in
+``tests/store/test_robustness.py::TestClientRetries``.
 """
 
 from __future__ import annotations
@@ -31,13 +30,10 @@ from repro.store import save_identifier
 from repro.store.client import (
     AsyncDaemonClient,
     AsyncRemoteIdentifier,
-    DaemonRequestError,
-    DaemonUnavailableError,
     RetryPolicy,
 )
 from repro.store.daemon import start_daemon, stop_daemon
 from repro.store.wire import recv_frame, send_message
-from tests.store.test_robustness import ScriptedServer
 
 FAST = RetryPolicy(retries=4, backoff=0.01, backoff_max=0.02)
 
@@ -267,165 +263,6 @@ class TestMultiplexing:
                 done.set()
                 listener.close()
                 server.join(timeout=10)
-
-
-class TestAsyncRetryMatrix:
-    """The scripted-server matrix from the robustness suite, re-run
-    against the async client: same scripts, same assertions."""
-
-    def run_request(self, server_path, coroutine_factory):
-        async def run():
-            client = AsyncDaemonClient(server_path, retry=FAST)
-            try:
-                return await coroutine_factory(client)
-            finally:
-                await client.aclose()
-
-        return asyncio.run(run())
-
-    def test_retryable_refusals_retried_to_success(self, scripted):
-        server = scripted(["overloaded", "shutting-down", "ok"])
-        assert self.run_request(server.path, lambda c: c.aping()) is True
-        ops = [message["op"] for message, _ in server.requests]
-        assert ops == ["ping", "ping", "ping"]
-        assert server.requests[1][0]["attempt"] == 2
-        assert server.requests[2][0]["attempt"] == 3
-
-    def test_terminal_refusal_not_retried(self, scripted):
-        server = scripted(["bad-request", "ok"])
-        with pytest.raises(DaemonRequestError) as caught:
-            self.run_request(server.path, lambda c: c.astatus())
-        assert caught.value.code == "bad-request"
-        assert len(server.requests) == 1
-
-    def test_deadline_exceeded_not_retried(self, scripted):
-        server = scripted(["deadline-exceeded", "ok"])
-        with pytest.raises(DaemonRequestError) as caught:
-            self.run_request(
-                server.path, lambda c: c.adecisions(["http://a.de/x"])
-            )
-        assert caught.value.code == "deadline-exceeded"
-        assert len(server.requests) == 1
-
-    def test_torn_frame_retried_on_fresh_connection(self, scripted):
-        server = scripted(["torn", "ok"])
-
-        async def run():
-            client = AsyncDaemonClient(server.path, retry=FAST)
-            try:
-                assert await client.aping() is True
-                assert client.connections_opened == 2
-            finally:
-                await client.aclose()
-
-        asyncio.run(run())
-        assert len(server.requests) == 2
-
-    def test_connection_reset_retried(self, scripted):
-        server = scripted(["reset", "ok"])
-        assert self.run_request(server.path, lambda c: c.aping()) is True
-        assert len(server.requests) == 2
-
-    def test_budget_exhaustion_surfaces_typed_error(self, scripted):
-        server = scripted(["overloaded"] * 3)
-        policy = RetryPolicy(retries=2, backoff=0.01, backoff_max=0.02)
-
-        async def run():
-            async with AsyncDaemonClient(server.path, retry=policy) as c:
-                await c.aping()
-
-        with pytest.raises(DaemonRequestError) as caught:
-            asyncio.run(run())
-        assert caught.value.code == "overloaded"
-        assert len(server.requests) == 3
-
-    def test_non_idempotent_op_never_retried(self, scripted):
-        server = scripted(["overloaded", "ok"])
-        with pytest.raises(DaemonRequestError) as caught:
-            self.run_request(server.path, lambda c: c.astop())
-        assert caught.value.code == "overloaded"
-        assert len(server.requests) == 1
-
-    def test_zero_retries_disables_retrying(self, scripted):
-        server = scripted(["overloaded", "ok"])
-        policy = RetryPolicy(retries=0, backoff=0.01)
-
-        async def run():
-            async with AsyncDaemonClient(server.path, retry=policy) as c:
-                await c.aping()
-
-        with pytest.raises(DaemonRequestError):
-            asyncio.run(run())
-        assert len(server.requests) == 1
-
-    def test_deadline_propagates_in_frame_header(self, scripted):
-        server = scripted(["ok"])
-        policy = RetryPolicy(retries=0, backoff=0.01, deadline=5.0)
-
-        async def run():
-            async with AsyncDaemonClient(server.path, retry=policy) as c:
-                await c.aping()
-
-        asyncio.run(run())
-        (_, deadline_ms), = server.requests
-        assert deadline_ms is not None
-        assert 0 < deadline_ms <= 5000
-
-    def test_no_deadline_means_no_header_budget(self, scripted):
-        server = scripted(["ok"])
-        assert self.run_request(server.path, lambda c: c.aping()) is True
-        (_, deadline_ms), = server.requests
-        assert deadline_ms is None
-
-    def test_deadline_bounds_total_retry_time(self, scripted):
-        import time
-
-        server = scripted(["overloaded"] * 50)
-        policy = RetryPolicy(
-            retries=50, backoff=0.05, backoff_max=0.05, deadline=0.3
-        )
-        started = time.monotonic()
-
-        async def run():
-            async with AsyncDaemonClient(server.path, retry=policy) as c:
-                await c.aping()
-
-        with pytest.raises(DaemonRequestError):
-            asyncio.run(run())
-        assert time.monotonic() - started < 2.0
-        assert len(server.requests) < 20
-
-    def test_connection_refusal_fails_fast(self, sockpath):
-        import time
-
-        started = time.monotonic()
-
-        async def run():
-            client = AsyncDaemonClient(
-                sockpath("never.sock"), timeout=2.0, retry=FAST
-            )
-            try:
-                await client.aping()
-            finally:
-                await client.aclose()
-
-        with pytest.raises(DaemonUnavailableError):
-            asyncio.run(run())
-        assert time.monotonic() - started < 1.0
-
-
-@pytest.fixture()
-def scripted(sockpath):
-    servers = []
-
-    def factory(script):
-        server = ScriptedServer(sockpath(f"a{len(servers)}.sock"), script)
-        servers.append(server)
-        return server
-
-    yield factory
-    for server in servers:
-        server.close()
 
 
 class TestAsyncRemoteIdentifierSurface:

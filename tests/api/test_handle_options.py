@@ -10,6 +10,7 @@ import pytest
 from repro.api import (
     InvalidHandleError,
     daemon_socket_path,
+    is_daemon_handle,
     open_model,
     portable_handle,
     resolve_artifact_path,
@@ -63,6 +64,15 @@ class TestStoreRootOption:
 class TestDaemonOptions:
     def test_socket_path_strips_options(self):
         assert daemon_socket_path("repro://a/b.sock?timeout=5") == "a/b.sock"
+        assert daemon_socket_path("repro:///run/x.sock") == "/run/x.sock"
+
+    def test_only_daemon_schemes_are_daemon_handles(self):
+        assert is_daemon_handle("repro://a.sock")
+        assert is_daemon_handle("repro+tcp://127.0.0.1:7707")
+        for value in ("a.sock", "store://m", 123, None):
+            assert not is_daemon_handle(value)
+        with pytest.raises(InvalidHandleError, match="serving handle"):
+            daemon_socket_path("model.urlmodel")
 
     def test_bad_timeout_refused(self):
         with pytest.raises(InvalidHandleError, match="timeout"):

@@ -1,6 +1,4 @@
-"""The Predictor protocol surface: conformance, lifecycle, typed results,
-and the deprecation shims on the old entry points.
-"""
+"""The Predictor protocol surface: conformance, lifecycle, typed results."""
 
 from __future__ import annotations
 
@@ -135,27 +133,3 @@ class TestStreamingHelper:
 
     def test_empty_input(self, identifier):
         assert list(identifier.predict_iter(iter(()))) == []
-
-
-class TestDeprecationShims:
-    def test_crawler_resolve_identifier_warns(self, identifier):
-        from repro.crawler import resolve_identifier
-
-        with pytest.warns(DeprecationWarning, match="open_model"):
-            assert resolve_identifier(identifier) is identifier
-
-    def test_resolve_serving_handle_warns(self):
-        from repro.store.client import resolve_serving_handle
-
-        with pytest.warns(DeprecationWarning, match="open_model"):
-            remote = resolve_serving_handle("repro://lazy.sock")
-        assert remote.client.socket_path == "lazy.sock"
-
-    def test_client_parse_helpers_delegate(self):
-        from repro.api import InvalidHandleError
-        from repro.store.client import is_handle, parse_handle
-
-        assert is_handle("repro://a.sock") and not is_handle("a.sock")
-        assert parse_handle("repro:///run/x.sock") == "/run/x.sock"
-        with pytest.raises(InvalidHandleError):
-            parse_handle("repro://")

@@ -18,6 +18,7 @@ import urllib.request
 
 import pytest
 
+from repro.api import open_model
 from repro.core.pipeline import LanguageIdentifier
 from repro.store import save_identifier, write_artifact
 from repro.store.client import (
@@ -25,10 +26,9 @@ from repro.store.client import (
     DaemonRequestError,
     DaemonUnavailableError,
     RemoteIdentifier,
-    is_handle,
-    parse_handle,
 )
 from repro.store.daemon import (
+    ServingDaemon,
     pidfile_for,
     read_pid,
     start_daemon,
@@ -38,7 +38,7 @@ from repro.store.format import MAGIC
 from repro.store.wire import (
     FrameTooLargeError,
     WireError,
-    recv_message,
+    recv_frame,
     send_message,
 )
 
@@ -102,7 +102,7 @@ class TestWire:
         a, b = socket.socketpair()
         with a, b:
             send_message(a, {"op": "ping", "v": 1})
-            assert recv_message(b) == {"op": "ping", "v": 1}
+            assert recv_frame(b) == ({"op": "ping", "v": 1}, None)
 
     def test_oversized_frame_rejected_without_reading(self):
         a, b = socket.socketpair()
@@ -113,7 +113,7 @@ class TestWire:
             # before a single body byte is read.
             a.sendall((1 << 28).to_bytes(4, "big"))
             with pytest.raises(FrameTooLargeError):
-                recv_message(b)
+                recv_frame(b)
 
     def test_non_object_body_rejected(self):
         a, b = socket.socketpair()
@@ -121,21 +121,7 @@ class TestWire:
             body = b"[1, 2]"
             a.sendall(len(body).to_bytes(4, "big") + body)
             with pytest.raises(WireError, match="JSON object"):
-                recv_message(b)
-
-
-class TestHandles:
-    def test_parse_handle(self):
-        assert parse_handle("repro://model.sock") == "model.sock"
-        assert parse_handle("repro:///run/repro.sock") == "/run/repro.sock"
-
-    def test_non_handles_rejected(self):
-        assert not is_handle("model.urlmodel")
-        assert not is_handle(123)
-        with pytest.raises(ValueError, match="serving handle"):
-            parse_handle("model.urlmodel")
-        with pytest.raises(ValueError, match="empty socket path"):
-            parse_handle("repro://")
+                recv_frame(b)
 
 
 class TestLifecycle:
@@ -242,15 +228,13 @@ class TestLifecycle:
     ):
         """``repro://`` handles resolve to a weightless identifier whose
         answers match the daemon's model exactly."""
-        from repro.crawler import resolve_identifier
-
         first, _ = oracle_pair
         model_path = tmp_path / "handle.urlmodel"
         socket_path = sockpath("handle.sock")
         save_identifier(first, model_path)
         start_daemon(model_path, socket_path, workers=1)
         try:
-            remote = resolve_identifier(f"repro://{socket_path}")
+            remote = open_model(f"repro://{socket_path}")
             assert isinstance(remote, RemoteIdentifier)
             assert remote.name == "NB/words"
             assert remote.decisions(test_urls) == first._sparse_decisions(
@@ -402,6 +386,19 @@ class TestClientErrorPaths:
     def test_stop_without_daemon(self, tmp_path):
         with pytest.raises(RuntimeError, match="pidfile"):
             stop_daemon(tmp_path / "never.sock")
+
+
+class TestEnvironment:
+    def test_documented_variables_size_the_span_ring_and_drift_window(
+        self, tmp_path, monkeypatch
+    ):
+        """docs/observability.md names REPRO_SERVE_TRACE_CAPACITY and
+        REPRO_SERVE_DRIFT_WINDOW (the REPRO_SERVE_* family)."""
+        monkeypatch.setenv("REPRO_SERVE_TRACE_CAPACITY", "7")
+        monkeypatch.setenv("REPRO_SERVE_DRIFT_WINDOW", "123")
+        daemon = ServingDaemon(tmp_path / "m.urlmodel", tmp_path / "d.sock")
+        assert daemon._spans.capacity == 7
+        assert daemon._drift_window == 123
 
 
 class TestRolloutMetadata:

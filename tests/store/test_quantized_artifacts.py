@@ -7,8 +7,8 @@ corpora, and each score moves by at most ``tolerance * (1 + sum_i x_i *
 |w64_i|)``.  Artifacts declare quantisation through the ``weights_dtype``
 header flag; readers refuse unknown flags/values and flag/buffer
 mismatches rather than mis-reading, and the payload checksum still
-guards the quantised bytes.  The serving pool and the bulk engine must
-serve a quantised artifact end to end with unchanged answers.
+guards the quantised bytes.  The bulk engine must score a quantised
+artifact end to end with unchanged answers.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.store import (
     ArtifactFile,
     load_identifier,
     save_identifier,
-    score_urls,
 )
 from repro.store.format import MAGIC, _align
 
@@ -210,15 +209,6 @@ class TestQuantizedServing:
         save_identifier(identifier, exact)
         save_identifier(identifier, quantised, dtype="float32")
         return exact, quantised
-
-    def test_serve_pool_end_to_end(self, model_pair, small_bundle):
-        exact, quantised = model_pair
-        urls = small_bundle.odp_test.urls[:80]
-        reference = score_urls(str(exact), urls, workers=2, batch_size=16)
-        served = score_urls(str(quantised), urls, workers=2, batch_size=16)
-        assert [row.tsv() for row in served] == [
-            row.tsv() for row in reference
-        ]
 
     def test_bulk_end_to_end(self, model_pair, small_bundle, tmp_path):
         exact, quantised = model_pair

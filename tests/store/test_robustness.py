@@ -6,7 +6,8 @@ Three layers of test, cheapest first:
 * wire unit tests over socket pairs and fake sockets — the deadline
   header, torn-frame detection, EINTR recovery;
 * client retry-policy tests against a *scripted* Unix-socket server —
-  deterministic control over every response, no daemon processes;
+  deterministic control over every response, no daemon processes; one
+  table, run against both the sync and the async client;
 * chaos integration tests against a real pre-forked daemon with faults
   armed through :mod:`repro.testing.faults` — worker SIGKILL mid-
   request, saturation, deadline expiry, crash loops, SIGTERM drain.
@@ -14,6 +15,7 @@ Three layers of test, cheapest first:
 
 from __future__ import annotations
 
+import asyncio
 import os
 import signal
 import socket
@@ -26,6 +28,7 @@ from repro.core.pipeline import LanguageIdentifier
 from repro.store import save_identifier
 from repro.store.client import (
     IDEMPOTENT_OPS,
+    AsyncDaemonClient,
     DaemonClient,
     DaemonRequestError,
     DaemonUnavailableError,
@@ -49,7 +52,6 @@ from repro.store.wire import (
     error_response,
     ok_response,
     recv_frame,
-    recv_message,
     send_message,
 )
 from repro.testing.faults import FAULTS_ENV, FAULTS_STATE_ENV
@@ -138,7 +140,7 @@ class TestTornFrames:
             with a:
                 a.sendall((100).to_bytes(4, "big") + b'{"op":')
             with pytest.raises(ConnectionClosed) as caught:
-                recv_message(b)
+                recv_frame(b)
             assert caught.value.clean is False
 
     def test_truncated_deadline_field_is_dirty_close(self):
@@ -156,7 +158,7 @@ class TestTornFrames:
         with b:
             a.close()
             with pytest.raises(ConnectionClosed) as caught:
-                recv_message(b)
+                recv_frame(b)
             assert caught.value.clean is True
 
     def test_truncated_length_prefix_is_dirty(self):
@@ -165,7 +167,7 @@ class TestTornFrames:
             with a:
                 a.sendall(b"\x00\x00")
             with pytest.raises(ConnectionClosed) as caught:
-                recv_message(b)
+                recv_frame(b)
             assert caught.value.clean is False
 
 
@@ -203,7 +205,7 @@ class TestEintrRecovery:
         body = b'{"op":"ping"}'
         frame = len(body).to_bytes(4, "big") + body
         sock = _InterruptedSocket(payload=frame, interrupts=3)
-        assert recv_message(sock) == {"op": "ping"}
+        assert recv_frame(sock) == ({"op": "ping"}, None)
 
     def test_send_resumes_at_exact_offset(self):
         """Interrupts and short sends must never duplicate or drop
@@ -270,13 +272,15 @@ class ScriptedServer:
     frame successfully, an error code string answers one frame with
     that typed refusal then closes, ``"torn"`` sends half a response
     frame then hard-closes, ``"reset"`` closes without answering.
-    Records every received request for assertions.
+    Records every received request and counts accepted connections for
+    assertions.
     """
 
     def __init__(self, path, script):
         self.path = str(path)
         self.script = list(script)
         self.requests: list[tuple[dict, int | None]] = []
+        self.connections = 0
         self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self._listener.bind(self.path)
         self._listener.listen(8)
@@ -289,6 +293,7 @@ class ScriptedServer:
                 connection, _ = self._listener.accept()
             except OSError:
                 return
+            self.connections += 1
             with connection:
                 try:
                     self._handle(connection, action)
@@ -343,87 +348,104 @@ def scripted(sockpath):
 FAST = RetryPolicy(retries=4, backoff=0.01, backoff_max=0.02)
 
 
+@pytest.fixture(params=["sync", "async"])
+def call(request):
+    """``call(endpoint, policy, method, *args)``: one request through
+    :class:`DaemonClient` or — its ``a``-prefixed twin under
+    ``asyncio.run`` — :class:`AsyncDaemonClient`, so every retry case
+    below holds both clients to the same :class:`RequestPlan`."""
+    if request.param == "sync":
+
+        def call_sync(endpoint, policy, method, *args, timeout=30.0):
+            with DaemonClient(endpoint, timeout=timeout, retry=policy) as c:
+                return getattr(c, method)(*args)
+
+        return call_sync
+
+    def call_async(endpoint, policy, method, *args, timeout=30.0):
+        async def run():
+            async with AsyncDaemonClient(
+                endpoint, timeout=timeout, retry=policy
+            ) as client:
+                return await getattr(client, "a" + method)(*args)
+
+        return asyncio.run(run())
+
+    return call_async
+
+
 class TestClientRetries:
-    def test_retryable_refusals_are_retried_to_success(self, scripted):
+    def test_retryable_refusals_are_retried_to_success(self, scripted, call):
         server = scripted(["overloaded", "shutting-down", "ok"])
-        with DaemonClient(server.path, retry=FAST) as client:
-            assert client.ping() is True
+        assert call(server.path, FAST, "ping") is True
         ops = [message["op"] for message, _ in server.requests]
         assert ops == ["ping", "ping", "ping"]
         # Replayed attempts are stamped so the daemon can count them.
         assert server.requests[1][0]["attempt"] == 2
         assert server.requests[2][0]["attempt"] == 3
 
-    def test_terminal_refusal_not_retried(self, scripted):
+    def test_terminal_refusal_not_retried(self, scripted, call):
         server = scripted(["bad-request", "ok"])
-        with DaemonClient(server.path, retry=FAST) as client:
-            with pytest.raises(DaemonRequestError) as caught:
-                client.status()
+        with pytest.raises(DaemonRequestError) as caught:
+            call(server.path, FAST, "status")
         assert caught.value.code == "bad-request"
         assert len(server.requests) == 1
 
-    def test_deadline_exceeded_not_retried(self, scripted):
+    def test_deadline_exceeded_not_retried(self, scripted, call):
         server = scripted(["deadline-exceeded", "ok"])
-        with DaemonClient(server.path, retry=FAST) as client:
-            with pytest.raises(DaemonRequestError) as caught:
-                client.decisions(["http://a.de/x"])
+        with pytest.raises(DaemonRequestError) as caught:
+            call(server.path, FAST, "decisions", ["http://a.de/x"])
         assert caught.value.code == "deadline-exceeded"
         assert len(server.requests) == 1
 
-    def test_torn_frame_retried_on_fresh_connection(self, scripted):
+    def test_torn_frame_retried_on_fresh_connection(self, scripted, call):
         server = scripted(["torn", "ok"])
-        with DaemonClient(server.path, retry=FAST) as client:
-            assert client.ping() is True
+        assert call(server.path, FAST, "ping") is True
         assert len(server.requests) == 2
+        assert server.connections == 2
 
-    def test_connection_reset_retried(self, scripted):
+    def test_connection_reset_retried(self, scripted, call):
         server = scripted(["reset", "ok"])
-        with DaemonClient(server.path, retry=FAST) as client:
-            assert client.ping() is True
+        assert call(server.path, FAST, "ping") is True
         assert len(server.requests) == 2
 
-    def test_budget_exhaustion_surfaces_typed_error(self, scripted):
+    def test_budget_exhaustion_surfaces_typed_error(self, scripted, call):
         server = scripted(["overloaded"] * 3)
         policy = RetryPolicy(retries=2, backoff=0.01, backoff_max=0.02)
-        with DaemonClient(server.path, retry=policy) as client:
-            with pytest.raises(DaemonRequestError) as caught:
-                client.ping()
+        with pytest.raises(DaemonRequestError) as caught:
+            call(server.path, policy, "ping")
         assert caught.value.code == "overloaded"
         assert len(server.requests) == 3  # 1 try + 2 retries, no more
 
-    def test_non_idempotent_op_never_retried(self, scripted):
+    def test_non_idempotent_op_never_retried(self, scripted, call):
         server = scripted(["overloaded", "ok"])
-        with DaemonClient(server.path, retry=FAST) as client:
-            with pytest.raises(DaemonRequestError) as caught:
-                client.stop()
+        with pytest.raises(DaemonRequestError) as caught:
+            call(server.path, FAST, "stop")
         assert caught.value.code == "overloaded"
         assert len(server.requests) == 1
 
-    def test_zero_retries_disables_retrying(self, scripted):
+    def test_zero_retries_disables_retrying(self, scripted, call):
         server = scripted(["overloaded", "ok"])
         policy = RetryPolicy(retries=0, backoff=0.01)
-        with DaemonClient(server.path, retry=policy) as client:
-            with pytest.raises(DaemonRequestError):
-                client.ping()
+        with pytest.raises(DaemonRequestError):
+            call(server.path, policy, "ping")
         assert len(server.requests) == 1
 
-    def test_deadline_propagates_in_frame_header(self, scripted):
+    def test_deadline_propagates_in_frame_header(self, scripted, call):
         server = scripted(["ok"])
         policy = RetryPolicy(retries=0, backoff=0.01, deadline=5.0)
-        with DaemonClient(server.path, retry=policy) as client:
-            client.ping()
+        call(server.path, policy, "ping")
         (_, deadline_ms), = server.requests
         assert deadline_ms is not None
         assert 0 < deadline_ms <= 5000
 
-    def test_no_deadline_means_no_header_budget(self, scripted):
+    def test_no_deadline_means_no_header_budget(self, scripted, call):
         server = scripted(["ok"])
-        with DaemonClient(server.path, retry=FAST) as client:
-            client.ping()
+        assert call(server.path, FAST, "ping") is True
         (_, deadline_ms), = server.requests
         assert deadline_ms is None
 
-    def test_deadline_bounds_total_retry_time(self, scripted):
+    def test_deadline_bounds_total_retry_time(self, scripted, call):
         """Retries stop when the end-to-end deadline expires even with
         retry budget left."""
         server = scripted(["overloaded"] * 50)
@@ -431,21 +453,17 @@ class TestClientRetries:
             retries=50, backoff=0.05, backoff_max=0.05, deadline=0.3
         )
         started = time.monotonic()
-        with DaemonClient(server.path, retry=policy) as client:
-            with pytest.raises(DaemonRequestError):
-                client.ping()
+        with pytest.raises(DaemonRequestError):
+            call(server.path, policy, "ping")
         assert time.monotonic() - started < 2.0
         assert len(server.requests) < 20
 
-    def test_connection_refusal_fails_fast(self, sockpath):
+    def test_connection_refusal_fails_fast(self, sockpath, call):
         """A daemon that was never there is not retried — fail fast so
         misconfiguration is loud."""
         started = time.monotonic()
-        with DaemonClient(
-            sockpath("never.sock"), timeout=2.0, retry=FAST
-        ) as client:
-            with pytest.raises(DaemonUnavailableError):
-                client.ping()
+        with pytest.raises(DaemonUnavailableError):
+            call(sockpath("never.sock"), FAST, "ping", timeout=2.0)
         assert time.monotonic() - started < 1.0
 
 

@@ -8,7 +8,7 @@ Unix socket and on TCP at once, which is exactly the deployment shape
 ``serve start --tcp`` produces).  On top of the shared matrix:
 keep-alive pipelining with correlation-id echo over raw sockets, the
 ``repro+tcp://`` resolver route, ``parse_tcp_spec`` grammar, and the
-HTTP front-end's keyset pagination.
+HTTP front-end's batch answers over keep-alive connections.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import signal
 import socket
 import threading
 import time
-import urllib.error
 import urllib.request
 from types import SimpleNamespace
 
@@ -33,8 +32,6 @@ from repro.store.client import (
     RetryPolicy,
 )
 from repro.store.daemon import (
-    decode_page_cursor,
-    encode_page_cursor,
     parse_tcp_spec,
     signal_daemon,
     start_daemon,
@@ -351,7 +348,7 @@ class TestTcpResolver:
         assert decisions == sparse_oracle(first, test_urls)
 
 
-class TestHttpPagination:
+class TestHttpBatches:
     @pytest.fixture()
     def http_daemon(self, oracle_pair, sockpath):
         model_path, first, _ = oracle_pair
@@ -359,92 +356,72 @@ class TestHttpPagination:
         start_daemon(model_path, socket_path, workers=1, http_port=0)
         with DaemonClient(socket_path) as client:
             port = client.status()["http_port"]
-        yield f"http://127.0.0.1:{port}", first
+        yield port, first
         stop_daemon(socket_path)
 
-    def post(self, base, path, body):
+    def post(self, port, path, body):
         request = urllib.request.Request(
-            f"{base}{path}", data=json.dumps(body).encode(),
+            f"http://127.0.0.1:{port}{path}", data=json.dumps(body).encode(),
             headers={"Content-Type": "application/json"}, method="POST",
         )
         with urllib.request.urlopen(request) as response:
             return json.loads(response.read())
 
-    def test_keyset_pagination_walks_the_whole_batch(
+    def test_old_paging_fields_get_the_whole_batch(
         self, http_daemon, test_urls
     ):
-        base, first = http_daemon
+        """HTTP batches do not page (``MAX_BATCH_URLS`` bounds a
+        response): a body still carrying ``limit``/``cursor`` is
+        answered in full with no ``next_cursor``, so a client's
+        ``while next_cursor`` loop ends after one page."""
+        port, first = http_daemon
         urls = test_urls[:11]
-        pages, cursor = [], None
+        body, pages = {"urls": urls, "limit": 4}, []
         while True:
-            body = {"urls": urls, "limit": 4}
-            if cursor is not None:
-                body["cursor"] = cursor
-            page = self.post(base, "/v1/classify", body)
-            assert page["ok"] and page["total"] == len(urls)
+            page = self.post(port, "/v1/classify", body)
             pages.append(page)
-            cursor = page["next_cursor"]
-            if cursor is None:
+            if page.get("next_cursor") is None:
                 break
-        assert [page["offset"] for page in pages] == [0, 4, 8]
-        stitched = [row for page in pages for row in page["results"]]
-        best = first.classify_many(urls)
-        assert [row["best"] for row in stitched] == [
-            b.value if b else None for b in best
+            body = {**body, "cursor": page["next_cursor"]}
+        (page,) = pages
+        assert page["ok"] and set(page) == {"v", "ok", "results"}
+        assert [row["url"] for row in page["results"]] == urls
+        assert [row["best"] for row in page["results"]] == [
+            b.value if b else None for b in first.classify_many(urls)
         ]
-
-    def test_cursor_from_a_different_batch_rejected(
-        self, http_daemon, test_urls
-    ):
-        base, _ = http_daemon
-        urls = test_urls[:8]
-        foreign = encode_page_cursor(["http://other.example/x"], 1)
-        with pytest.raises(urllib.error.HTTPError) as caught:
-            self.post(base, "/v1/classify",
-                      {"urls": urls, "limit": 2, "cursor": foreign})
-        assert caught.value.code == 400
-
-    @pytest.mark.parametrize("limit", [0, -3, "four"])
-    def test_bad_limit_rejected(self, http_daemon, test_urls, limit):
-        base, _ = http_daemon
-        with pytest.raises(urllib.error.HTTPError) as caught:
-            self.post(base, "/v1/classify",
-                      {"urls": test_urls[:4], "limit": limit})
-        assert caught.value.code == 400
-
-    def test_unpaginated_requests_keep_the_exact_old_shape(
-        self, http_daemon, test_urls
-    ):
-        """No limit/cursor in the body → no pagination keys in the
-        response; pre-pagination consumers see unchanged payloads."""
-        base, first = http_daemon
-        page = self.post(base, "/v1/score", {"urls": test_urls[:3]})
-        assert page["ok"]
-        assert "next_cursor" not in page and "total" not in page
-        reference = first.scores_many(test_urls[:3])
-        assert page["scores"] == {
+        scores = self.post(
+            port, "/v1/score", {"urls": urls[:3], "limit": 1, "cursor": "x"}
+        )
+        assert scores["scores"] == {
             language.value: values
-            for language, values in reference.items()
+            for language, values in first.scores_many(urls[:3]).items()
         }
 
-    def test_limit_covering_the_batch_ends_pagination_immediately(
+    def test_back_to_back_keepalive_posts_do_not_stall(
         self, http_daemon, test_urls
     ):
-        base, _ = http_daemon
-        page = self.post(base, "/v1/decisions",
-                         {"urls": test_urls[:3], "limit": 50})
-        assert page["ok"] and page["next_cursor"] is None
-        assert page["total"] == 3 and page["offset"] == 0
+        """The front-end writes headers and body as two segments; with
+        Nagle's algorithm on, every back-to-back request on a kept-alive
+        connection waited out the client's delayed ACK (~40 ms)."""
+        import http.client
+        import statistics
 
-    def test_cursor_codec_roundtrip(self):
-        urls = [f"http://example.fr/{i}" for i in range(10)]
-        cursor = encode_page_cursor(urls, 3)
-        assert decode_page_cursor(urls, cursor) == 4
-        with pytest.raises(ValueError):
-            decode_page_cursor(urls, "junk")
-        with pytest.raises(ValueError):
-            decode_page_cursor(urls, "2|000000000000")
-        with pytest.raises(ValueError):
-            decode_page_cursor(
-                urls, encode_page_cursor(urls, 3).replace("3|", "99|")
-            )
+        port, _ = http_daemon
+        body = json.dumps({"urls": (test_urls * 2)[:32]})
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        latencies = []
+        try:
+            for _ in range(21):
+                started = time.perf_counter()
+                connection.request(
+                    "POST", "/v1/classify", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                answer = json.loads(response.read())
+                latencies.append(time.perf_counter() - started)
+                assert response.status == 200 and len(answer["results"]) == 32
+        finally:
+            connection.close()
+        # The first request opens the connection; time the next 20.
+        assert statistics.median(latencies[1:]) < 0.010, latencies

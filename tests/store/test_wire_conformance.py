@@ -46,7 +46,6 @@ from repro.store.wire import (
     read_frame_async,
     recv_frame,
     recv_frame_ex,
-    recv_message,
     send_message,
 )
 
@@ -175,13 +174,6 @@ class TestFrameGrammar:
             send_message(a, {"op": "x"}, deadline_ms=40, correlation_id=2)
             b.settimeout(DECODE_TIMEOUT)
             assert recv_frame(b) == ({"op": "x"}, 40)
-
-    def test_recv_message_discards_header_fields(self):
-        a, b = socket.socketpair()
-        with a, b:
-            send_message(a, {"ok": True}, deadline_ms=5, correlation_id=1)
-            b.settimeout(DECODE_TIMEOUT)
-            assert recv_message(b) == {"ok": True}
 
     def test_frame_is_immutable(self):
         frame = Frame({"op": "x"}, 1, 2)

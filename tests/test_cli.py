@@ -31,11 +31,8 @@ class TestParser:
         for name in ("stop", "status", "reload"):
             args = parser.parse_args(["serve", name, "--socket", "s.sock"])
             assert args.serve_command == name
-        batch = parser.parse_args(
-            ["serve", "batch", "--model", "m.urlmodel", "http://a.de"]
-        )
-        assert batch.serve_command == "batch"
-        assert batch.urls == ["http://a.de"]
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", "batch", "--model", "m.urlmodel"])
 
     def test_bulk_parses(self):
         parser = build_parser()
@@ -231,31 +228,14 @@ class TestModelFormats:
         with pytest.raises(ArtifactError, match="no compiled backend"):
             self._train(tmp_path, "--backend", "sparse", "--format", "artifact")
 
-    def test_serve_batch_matches_classify(self, tmp_path):
-        model_path, _ = self._train(tmp_path)
-        urls = [
-            "http://www.blumen.de/garten/strasse.html",
-            "http://www.recherche.fr/produits",
-        ]
-        classify_out, serve_out = io.StringIO(), io.StringIO()
-        assert main(["classify", "--model", str(model_path), *urls],
-                    out=classify_out) == 0
-        assert main(
-            ["serve", "batch", "--model", str(model_path), "--workers", "2",
-             "--batch-size", "1", *urls],
-            out=serve_out,
-        ) == 0
-        assert serve_out.getvalue() == classify_out.getvalue()
-
     def test_serve_rejects_pickles(self, tmp_path):
         model_path, _ = self._train(tmp_path, "--format", "pickle")
-        for command in (
-            ["serve", "batch", "--model", str(model_path), "http://a.de"],
-            ["serve", "start", "--model", str(model_path),
-             "--socket", str(tmp_path / "s.sock")],
-        ):
-            with pytest.raises(SystemExit, match="artifact"):
-                main(command, out=io.StringIO())
+        with pytest.raises(SystemExit, match="artifact"):
+            main(
+                ["serve", "start", "--model", str(model_path),
+                 "--socket", str(tmp_path / "s.sock")],
+                out=io.StringIO(),
+            )
 
     def test_serve_daemon_roundtrip(self, tmp_path):
         """start → classify through the repro:// handle → status → stop.

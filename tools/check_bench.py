@@ -54,7 +54,6 @@ DEFAULT_TOLERANCE = 0.35
 #: Wider bands for benches dominated by process pools, sockets and the
 #: scheduler rather than by our own code.
 PER_ENTRY_TOLERANCE = {
-    "serve_pool_roundtrip": 0.60,
     "serve_daemon_roundtrip": 0.60,
     "serve_keepalive_vs_reconnect": 0.60,
     "serve_tcp_concurrent_rps": 0.60,
