@@ -41,8 +41,8 @@ from typing import Optional, Protocol, Union, cast, runtime_checkable
 from repro.api.protocol import Predictor
 from repro.api.resolver import (
     ModelHandleLike,
-    _dial_daemon,
     _unusable_daemon,
+    daemon_endpoint,
     is_daemon_handle,
     open_model,
 )
@@ -161,11 +161,14 @@ class _ThreadedPredictor:
 
 async def _aopen_daemon(handle: str, timeout: float) -> AsyncPredictor:
     """Dial a daemon handle with the native asyncio client and verify
-    it answers — the resolver's dial step, pinged over asyncio."""
+    it answers — the sync resolver's steps, pinged over asyncio."""
     from repro.store.client import AsyncRemoteIdentifier, DaemonError
 
-    remote = _dial_daemon(
-        handle, AsyncRemoteIdentifier.connect, timeout=timeout
+    address, timeout, retry, tracing = daemon_endpoint(
+        handle, timeout=timeout
+    )
+    remote = AsyncRemoteIdentifier.connect(
+        address, timeout=timeout, retry=retry, tracing=tracing
     )
     try:
         await remote.client.aping()

@@ -46,7 +46,7 @@ import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Optional, TypeVar, Union, cast
+from typing import TYPE_CHECKING, Any, Optional, Union, cast
 from urllib.parse import parse_qsl, quote
 
 from repro.api.errors import (
@@ -403,27 +403,6 @@ def daemon_endpoint(
     return address, chosen_timeout, retry, tracing
 
 
-_Remote = TypeVar("_Remote")
-
-
-def _dial_daemon(
-    handle: str, connect: Callable[..., _Remote], *, timeout: float
-) -> _Remote:
-    """The remote identifier a daemon handle dials, not yet verified.
-
-    The shared half of opening a daemon handle: :func:`open_model`
-    passes ``RemoteIdentifier.connect``, :func:`repro.api.aopen_model`
-    ``AsyncRemoteIdentifier.connect``.  Each then pings over its own
-    transport and, on failure, closes the remote and raises
-    :func:`_unusable_daemon`.
-    """
-    address, chosen_timeout, retry, tracing = daemon_endpoint(
-        handle, timeout=timeout
-    )
-    return connect(address, timeout=chosen_timeout, retry=retry,
-                   tracing=tracing)
-
-
 def _unusable_daemon(handle: str, error: Exception) -> BackendUnavailableError:
     """The facade error for a daemon handle whose liveness ping failed.
 
@@ -454,8 +433,11 @@ def _daemon_resolver(scheme: str) -> SchemeResolver:
         from repro.store.client import DaemonError, RemoteIdentifier
 
         handle = f"{scheme}://{rest}"
-        remote = _dial_daemon(
-            handle, RemoteIdentifier.connect, timeout=context.timeout
+        address, timeout, retry, tracing = daemon_endpoint(
+            handle, timeout=context.timeout
+        )
+        remote = RemoteIdentifier.connect(
+            address, timeout=timeout, retry=retry, tracing=tracing
         )
         try:
             remote.client.ping()

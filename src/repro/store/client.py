@@ -14,10 +14,11 @@ Two clients and the identifiers over them:
   :func:`repro.api.open_model` / :func:`repro.api.aopen_model`.
 
 The two clients share every decision and keep only their I/O apart.
-:meth:`RetryPolicy.plan` gives each logical request a sans-I/O
-:class:`RequestPlan` that numbers the attempts, carries the remaining
-deadline budget and turns each attempt's outcome into a backoff delay or
-a typed error; the transports connect, send, receive, close and sleep.
+Each logical request gets a sans-I/O :class:`RequestPlan` under the
+client's :class:`RetryPolicy`: it numbers the attempts, carries the
+remaining deadline budget and turns each attempt's outcome into a
+backoff delay or a typed error; the transports connect, send, receive,
+close and sleep.
 Response decoding and the capability block are module functions both
 sides call.
 
@@ -135,12 +136,6 @@ class RetryPolicy:
         """Jittered sleep before retry number ``attempt`` (1-based)."""
         base = min(self.backoff * (2 ** (attempt - 1)), self.backoff_max)
         return base * (0.5 + random.random() / 2)
-
-    def plan(self, op: str, fields: dict, *, version: int,
-             endpoint: str) -> "RequestPlan":
-        """The attempt planner of one logical ``op`` request to the
-        daemon at ``endpoint``, speaking protocol ``version``."""
-        return RequestPlan(self, op, fields, version, endpoint)
 
 
 class RequestPlan:
@@ -325,8 +320,8 @@ class _ClientBase:
         )
 
     def _plan(self, op: str, fields: dict) -> RequestPlan:
-        return self.retry.plan(
-            op, fields, version=self.protocol_version, endpoint=self.endpoint
+        return RequestPlan(
+            self.retry, op, fields, self.protocol_version, self.endpoint
         )
 
 

@@ -90,6 +90,42 @@ class TestCapabilities:
         assert not capabilities.compiled
         assert capabilities.model.backend == "sparse"
 
+    def test_remote_identifiers_build_one_block_from_one_status(self):
+        """``name`` and ``capabilities()`` share one cached status round
+        trip, and the sync and async identifiers build the same block."""
+        import asyncio
+
+        from repro.store.client import AsyncRemoteIdentifier, RemoteIdentifier
+
+        status = {"model": {"name": "NB/words", "rollout": {
+            "created_at": "2026-01-01T00:00:00Z", "train_corpus": "abc"}}}
+
+        class Client:
+            handle = "repro://d.sock"
+            calls = 0
+
+            def status(self):
+                self.calls += 1
+                return status
+
+            async def astatus(self):
+                return self.status()
+
+        remote = RemoteIdentifier(Client())
+        assert remote.name == "NB/words"
+        capabilities = remote.capabilities()
+        assert remote.client.calls == 1
+        assert capabilities.remote and not capabilities.compiled
+        assert capabilities.model == ModelInfo(
+            name="NB/words", backend="remote", languages=tuple(LANGUAGES),
+            created_at="2026-01-01T00:00:00Z", train_corpus="abc",
+            source="repro://d.sock",
+        )
+        remote_async = AsyncRemoteIdentifier(Client())
+        assert remote_async.name == "remote"  # nothing fetched yet
+        assert asyncio.run(remote_async.acapabilities()) == capabilities
+        assert remote_async.name == "NB/words"
+
 
 class TestTypedResults:
     def test_prediction_tsv_matches_serving_rows(self, identifier, urls):

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.api import ModelInfo
 from repro.core.pipeline import (
     BASELINE_ALGORITHMS,
     FEATURE_SETS,
     LanguageIdentifier,
+    batch_result,
+    best_labels,
     make_extractor,
 )
 from repro.features.ngrams import TrigramFeatureExtractor
@@ -124,3 +127,52 @@ class TestLanguageIdentifier:
             for url in small_bundle.odp_test.urls[:300]
         ]
         assert any(c > 1 for c in counts) or any(c == 0 for c in counts)
+
+
+class TestBestLabels:
+    """The one best-label rule: first maximum in the model's language
+    order, ``None`` when that maximum is not positive."""
+
+    def test_first_maximum_wins_ties(self):
+        en, de, fr, es, it = LANGUAGES
+        scores = {
+            en: [1.0, 0.5, 0.2],
+            de: [1.0, 2.0, 0.2],
+            fr: [0.3, 2.0, 0.2],
+            es: [0.0, 0.0, 0.1],
+            it: [-1.0, 0.0, 0.2],
+        }
+        assert best_labels(scores) == [en, de, en]
+
+    def test_ties_follow_the_mapping_order(self):
+        scores = {language: [1.0] for language in reversed(LANGUAGES)}
+        assert best_labels(scores) == [LANGUAGES[-1]]
+
+    def test_non_positive_maximum_is_none(self):
+        scores = {language: [0.0, -2.0] for language in LANGUAGES}
+        scores[Language.GERMAN] = [0.0, -0.5]
+        assert best_labels(scores) == [None, None]
+
+    def test_empty_batch(self):
+        assert best_labels({language: [] for language in LANGUAGES}) == []
+
+    def test_classify_paths_share_it(self, nb_identifier, small_bundle):
+        urls = small_bundle.odp_test.urls[:50]
+        expected = best_labels(nb_identifier.scores_many(urls))
+        assert nb_identifier.classify_many(urls) == expected
+        assert list(nb_identifier.predict(urls).best) == expected
+        assert [nb_identifier.classify(url) for url in urls] == expected
+
+    def test_batch_result_derives_everything_from_scores(self):
+        en, de, fr, es, it = LANGUAGES
+        scores = {en: [0.5, -1.0], de: [0.5, 0.0], fr: [0.1, -3.0],
+                  es: [-0.2, -1.0], it: [0.0, -0.1]}
+        model = ModelInfo(name="m", backend="remote", languages=LANGUAGES)
+        result = batch_result(["u1", "u2"], scores, model)
+        assert result.urls == ("u1", "u2") and result.model is model
+        assert result.best == (en, None)
+        assert result.decisions == {
+            en: [True, False], de: [True, False], fr: [True, False],
+            es: [False, False], it: [False, False],
+        }
+        assert result[0].positives == (de, en, fr)

@@ -18,10 +18,11 @@ import urllib.request
 
 import pytest
 
-from repro.api import open_model
+from repro.api import InvalidHandleError, daemon_endpoint, open_model
 from repro.core.pipeline import LanguageIdentifier
 from repro.store import save_identifier, write_artifact
 from repro.store.client import (
+    AsyncDaemonClient,
     DaemonClient,
     DaemonRequestError,
     DaemonUnavailableError,
@@ -122,6 +123,29 @@ class TestWire:
             a.sendall(len(body).to_bytes(4, "big") + body)
             with pytest.raises(WireError, match="JSON object"):
                 recv_frame(b)
+
+
+class TestHandles:
+    @pytest.mark.parametrize("client_class", [DaemonClient, AsyncDaemonClient])
+    def test_parse_handle(self, client_class):
+        """Both clients name their endpoint with the handle that
+        resolves back to it."""
+        for endpoint, handle in (
+            ("model.sock", "repro://model.sock"),
+            ("/run/repro.sock", "repro:///run/repro.sock"),
+            (("127.0.0.1", 7707), "repro+tcp://127.0.0.1:7707"),
+        ):
+            client = client_class(endpoint)
+            assert client.handle == handle
+            assert daemon_endpoint(handle)[0] == endpoint
+
+    def test_non_handles_rejected(self):
+        with pytest.raises(InvalidHandleError, match="not a daemon"):
+            daemon_endpoint("model.urlmodel")
+        with pytest.raises(InvalidHandleError, match="empty socket path"):
+            daemon_endpoint("repro://")
+        with pytest.raises(InvalidHandleError, match="host:port"):
+            daemon_endpoint("repro+tcp://localhost")
 
 
 class TestLifecycle:

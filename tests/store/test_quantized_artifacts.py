@@ -7,8 +7,8 @@ corpora, and each score moves by at most ``tolerance * (1 + sum_i x_i *
 |w64_i|)``.  Artifacts declare quantisation through the ``weights_dtype``
 header flag; readers refuse unknown flags/values and flag/buffer
 mismatches rather than mis-reading, and the payload checksum still
-guards the quantised bytes.  The bulk engine must score a quantised
-artifact end to end with unchanged answers.
+guards the quantised bytes.  The served-row kernel and the bulk engine
+must score a quantised artifact end to end with unchanged answers.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro import bulk
+from repro.api import open_model
 from repro.core.pipeline import LanguageIdentifier
 from repro.store import (
     QUANTIZED_SCORE_TOLERANCE,
@@ -30,6 +31,7 @@ from repro.store import (
     save_identifier,
 )
 from repro.store.format import MAGIC, _align
+from repro.store.serve import score_batch
 
 #: One matmul-carrying representative per scorer family, plus the
 #: column-free rank order (whose float32 artifact is bit-exact).
@@ -209,6 +211,17 @@ class TestQuantizedServing:
         save_identifier(identifier, exact)
         save_identifier(identifier, quantised, dtype="float32")
         return exact, quantised
+
+    def test_served_rows_end_to_end(self, model_pair, small_bundle):
+        """The daemon's ``classify`` kernel over a mapped float32
+        artifact gives the float64 artifact's rows."""
+        exact, quantised = model_pair
+        urls = small_bundle.odp_test.urls[:80]
+        reference = score_batch(open_model(exact), urls)
+        served = score_batch(open_model(quantised), urls)
+        assert [row.tsv() for row in served] == [
+            row.tsv() for row in reference
+        ]
 
     def test_bulk_end_to_end(self, model_pair, small_bundle, tmp_path):
         exact, quantised = model_pair

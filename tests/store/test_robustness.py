@@ -5,9 +5,10 @@ Three layers of test, cheapest first:
 
 * wire unit tests over socket pairs and fake sockets — the deadline
   header, torn-frame detection, EINTR recovery;
-* client retry-policy tests against a *scripted* Unix-socket server —
-  deterministic control over every response, no daemon processes; one
-  table, run against both the sync and the async client;
+* the sans-I/O request planner on its own, then client retry-policy
+  tests against a *scripted* Unix-socket server — deterministic
+  control over every response, no daemon processes; one table, run
+  against both the sync and the async client;
 * chaos integration tests against a real pre-forked daemon with faults
   armed through :mod:`repro.testing.faults` — worker SIGKILL mid-
   request, saturation, deadline expiry, crash loops, SIGTERM drain.
@@ -32,6 +33,7 @@ from repro.store.client import (
     DaemonClient,
     DaemonRequestError,
     DaemonUnavailableError,
+    RequestPlan,
     RetryPolicy,
 )
 from repro.store.daemon import (
@@ -262,6 +264,36 @@ class TestRetryPolicy:
                 assert ceiling * 0.5 <= delay <= ceiling
 
 
+class TestRequestPlan:
+    """What the sans-I/O attempt planner decides that the client table
+    below cannot observe; its retry verdicts are checked there, through
+    both clients."""
+
+    def test_replays_are_stamped_after_the_request_fields(self):
+        plan = RequestPlan(
+            RetryPolicy(backoff=0.01), "classify", {"urls": ["http://a.de/x"]},
+            1, "d.sock",
+        )
+        first, budget = plan.next_attempt()
+        assert list(first) == ["v", "op", "urls"]
+        assert first == {"v": 1, "op": "classify", "urls": ["http://a.de/x"]}
+        assert budget is None
+        plan.failed(ConnectionResetError("gone"))
+        replay, _ = plan.next_attempt()
+        assert list(replay) == ["v", "op", "urls", "attempt"]
+        assert replay["attempt"] == 2
+
+    def test_deadline_budget_shrinks_across_attempts(self):
+        plan = RequestPlan(
+            RetryPolicy(backoff=0.01, deadline=5.0), "ping", {}, 1, "d.sock"
+        )
+        _, first = plan.next_attempt()
+        assert 0 < first <= 5000
+        time.sleep(0.02)
+        _, second = plan.next_attempt()
+        assert second < first
+
+
 # -- client retry behaviour against a scripted server -----------------------------
 
 
@@ -465,6 +497,22 @@ class TestClientRetries:
         with pytest.raises(DaemonUnavailableError):
             call(sockpath("never.sock"), FAST, "ping", timeout=2.0)
         assert time.monotonic() - started < 1.0
+
+    def test_refusal_names_the_start_command_of_its_transport(
+        self, sockpath, call
+    ):
+        """A refused TCP dial points at ``serve start --tcp``; a refused
+        Unix dial at plain ``serve start``."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with pytest.raises(DaemonUnavailableError) as caught:
+            call(("127.0.0.1", port), FAST, "ping", timeout=2.0)
+        assert f"no serving daemon on '127.0.0.1:{port}'" in str(caught.value)
+        assert "'repro serve start --tcp'" in str(caught.value)
+        with pytest.raises(DaemonUnavailableError) as caught:
+            call(sockpath("never.sock"), FAST, "ping", timeout=2.0)
+        assert "'repro serve start'" in str(caught.value)
 
 
 # -- robustness counters ----------------------------------------------------------

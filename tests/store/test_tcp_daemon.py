@@ -367,28 +367,43 @@ class TestHttpBatches:
         with urllib.request.urlopen(request) as response:
             return json.loads(response.read())
 
+    @pytest.mark.parametrize("route, key", [
+        ("/v1/classify", "results"),
+        ("/v1/score", "scores"),
+        ("/v1/decisions", "decisions"),
+    ])
+    def test_batch_answers_keep_the_exact_old_shape(
+        self, http_daemon, test_urls, route, key
+    ):
+        """Every batch route answers ``{v, ok, <key>}`` and nothing else."""
+        port, _ = http_daemon
+        answer = self.post(port, route, {"urls": test_urls[:7]})
+        assert set(answer) == {"v", "ok", key}
+
     def test_old_paging_fields_get_the_whole_batch(
         self, http_daemon, test_urls
     ):
         """HTTP batches do not page (``MAX_BATCH_URLS`` bounds a
         response): a body still carrying ``limit``/``cursor`` is
         answered in full with no ``next_cursor``, so a client's
-        ``while next_cursor`` loop ends after one page."""
+        ``while next_cursor`` loop ends after one page.  Limits the
+        paging scheme refused with a 400 are ignored the same way."""
         port, first = http_daemon
         urls = test_urls[:11]
-        body, pages = {"urls": urls, "limit": 4}, []
-        while True:
-            page = self.post(port, "/v1/classify", body)
-            pages.append(page)
-            if page.get("next_cursor") is None:
-                break
-            body = {**body, "cursor": page["next_cursor"]}
-        (page,) = pages
-        assert page["ok"] and set(page) == {"v", "ok", "results"}
-        assert [row["url"] for row in page["results"]] == urls
-        assert [row["best"] for row in page["results"]] == [
-            b.value if b else None for b in first.classify_many(urls)
-        ]
+        for limit in (4, 0, -3, "four"):
+            body, pages = {"urls": urls, "limit": limit}, []
+            while True:
+                page = self.post(port, "/v1/classify", body)
+                pages.append(page)
+                if page.get("next_cursor") is None:
+                    break
+                body = {**body, "cursor": page["next_cursor"]}
+            (page,) = pages
+            assert page["ok"] and set(page) == {"v", "ok", "results"}
+            assert [row["url"] for row in page["results"]] == urls
+            assert [row["best"] for row in page["results"]] == [
+                b.value if b else None for b in first.classify_many(urls)
+            ]
         scores = self.post(
             port, "/v1/score", {"urls": urls[:3], "limit": 1, "cursor": "x"}
         )
