@@ -7,7 +7,7 @@ this package is where that happens at corpus scale.  Point
 a file, a directory of plain/gzipped text, JSONL, or CSV shards, or
 stdin — and it fans the stream out across N worker processes that each
 re-open the same memory-mapped model, streaming in bounded memory and
-checkpointing per-shard completion into a JSON run manifest, so a
+checkpointing per-shard completion into a run manifest, so a
 killed run resumes exactly where it stopped and refuses to resume
 against a different model.
 
@@ -18,7 +18,8 @@ Layers:
   JSONL/CSV with scores and provenance, ``sqlite`` = JSONL plus a
   derived :mod:`repro.query` result index) and the summary rollup;
 * :mod:`repro.bulk.checkpoint` — the run manifest (model fingerprint,
-  per-shard output sha256, atomic replacement);
+  per-shard output sha256, atomic replacement) and its append-only
+  completion journal;
 * :mod:`repro.bulk.engine` — the planner/runner (:func:`run`);
 * :mod:`repro.bulk.errors` — the typed failure hierarchy.
 

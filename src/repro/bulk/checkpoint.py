@@ -1,8 +1,8 @@
-"""The run manifest: what makes a bulk run killable and resumable.
+"""The run checkpoint: what makes a bulk run killable and resumable.
 
-One JSON file (``manifest.json`` in the output directory) records
-everything needed to pick a run back up after a crash, a SIGKILL, or a
-deliberate stop:
+Two files in the output directory record everything needed to pick a
+run back up after a crash, a SIGKILL, or a deliberate stop.
+``manifest.json`` is the plan:
 
 * the **model fingerprint** — handle, name, artifact checksum, rollout
   metadata — so a resume against a *different* model is refused
@@ -15,13 +15,26 @@ deliberate stop:
   re-scored (a half-written or deleted output never survives into the
   final corpus).
 
-Durability protocol: the manifest is only ever replaced **atomically**
-(write to a temp file, ``fsync``, ``os.replace``), and it is updated
-after each shard completes — so a kill at any instant loses at most
-the shards that were mid-flight, never the record of finished work.
-Output shards get the same treatment (written to ``*.part``, fsynced,
-renamed), which is why a ``done`` entry's checksum can be trusted
-enough to *verify* rather than re-score.
+``manifest.journal`` beside it is the append-only completion journal:
+one line per committed shard, ``<crc32 hex> <JSON {"entry", "shard"}>``,
+carrying that shard's whole manifest entry (summary included).
+
+Durability protocol: committing a shard appends its record and fsyncs
+the journal — one record, whatever the shard count, where rewriting
+the manifest per shard cost time in proportion to the shards planned.
+The manifest is only ever replaced **atomically** (write to a temp
+file, ``fsync``, ``os.replace``): when the run is planned, and when it
+is *compacted* on resume and at the end of every run.  Compaction
+writes the full state durably before it deletes the journal, so a kill
+between the two steps only leaves records to replay that the manifest
+already holds.  :meth:`RunManifest.load` replays the journal up to the
+first torn or checksum-failing record, so a kill at any instant loses
+at most the shards that were mid-flight, never the record of finished
+work — and every reader (resume, ``bulk verify``, ``query index``,
+lineage) sees each journaled shard.  Output shards get the same
+treatment (written to ``*.part``, fsynced, renamed), which is why a
+``done`` entry's checksum can be trusted enough to *verify* rather
+than re-score.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ import hashlib
 import json
 import os
 import tempfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,14 +57,23 @@ __all__ = [
     "MANIFEST_NAME",
     "MANIFEST_VERSION",
     "RunManifest",
+    "journal_path",
     "sha256_file",
 ]
 
 #: File name of the run manifest inside the output directory.
 MANIFEST_NAME = "manifest.json"
 
-#: Manifest format version (bumped on incompatible layout changes).
-MANIFEST_VERSION = 1
+#: Manifest format version (bumped on incompatible layout changes;
+#: version 2 added the completion journal, which version-1 builds
+#: would ignore).
+MANIFEST_VERSION = 2
+
+
+def journal_path(manifest_path: str | os.PathLike) -> Path:
+    """The completion journal of a manifest: ``manifest.journal``
+    beside ``manifest.json``."""
+    return Path(manifest_path).with_suffix(".journal")
 
 
 def sha256_file(path: str | os.PathLike, chunk_bytes: int = 1 << 20) -> str:
@@ -90,9 +113,20 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
         raise
 
 
+def _fsync_directory(path: Path) -> None:
+    """Make the entries of directory ``path`` (a rename, a new file)
+    durable, so they cannot be reordered with what follows."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 @dataclass
 class RunManifest:
-    """In-memory view of ``manifest.json`` (see the module docstring)."""
+    """In-memory view of ``manifest.json`` with its journal applied
+    (see the module docstring)."""
 
     model: dict
     sink: str
@@ -140,10 +174,12 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "RunManifest":
-        """Parse a manifest file, refusing anything malformed.
+        """Parse a manifest file and replay its journal, refusing
+        anything malformed.
 
         Raises :class:`ManifestCorruptError` for unreadable/truncated
-        JSON or a missing required field, and
+        JSON, a missing required field, or a journal record naming a
+        shard the manifest does not plan, and
         :class:`ManifestMismatchError` for a manifest of a different
         format version.
         """
@@ -195,12 +231,59 @@ class RunManifest:
                 "its shard table name different shards; remove the output "
                 "directory and start the run fresh"
             )
+        manifest._replay(path)
         return manifest
+
+    def _replay(self, path: Path) -> None:
+        """Apply the intact records of ``path``'s journal, in order.
+
+        A record counts only when its line is complete and its checksum
+        matches.  A kill mid-append tears the last line, and nothing
+        after a damaged record can be trusted, so replay stops at the
+        first of either.  A valid record naming a shard outside the
+        plan belongs to another run and is refused.
+        """
+        journal = journal_path(path)
+        try:
+            data = journal.read_bytes()
+        except FileNotFoundError:
+            return
+        for line in data.split(b"\n")[:-1]:  # [-1]: torn tail or b""
+            checksum, _, payload = line.partition(b" ")
+            if checksum != b"%08x" % zlib.crc32(payload):
+                break
+            try:
+                record = json.loads(payload)
+                shard_id, entry = record["shard"], dict(record["entry"])
+            except (KeyError, TypeError, ValueError) as error:
+                raise ManifestCorruptError(
+                    f"completion journal {journal} holds a malformed "
+                    f"record ({error!r}); remove the output directory and "
+                    "start the run fresh"
+                ) from None
+            if shard_id not in self.shards:
+                raise ManifestCorruptError(
+                    f"completion journal {journal} records shard "
+                    f"{shard_id!r}, which {path.name} does not plan; "
+                    "remove the output directory and start the run fresh"
+                )
+            self.shards[shard_id] = entry
 
     # -- persistence ---------------------------------------------------------------
 
     def save(self, path: str | os.PathLike) -> None:
-        """Atomically replace the manifest file with this state."""
+        """Atomically replace the manifest file with this state, then
+        delete the journal it supersedes (compaction).
+
+        The manifest is durable — fsynced, renamed, its directory
+        fsynced — before the journal goes.  A journal found with no
+        manifest beside it belongs to no run this state describes, so
+        it goes *first*: a kill can never pair it with a fresh plan.
+        """
+        path = Path(path)
+        journal = journal_path(path)
+        if not path.exists():
+            journal.unlink(missing_ok=True)
         payload = {
             "version": self.version,
             "model": self.model,
@@ -214,7 +297,31 @@ class RunManifest:
             payload["summary"] = self.summary
         if self.query_index is not None:
             payload["query_index"] = self.query_index
-        _atomic_write_json(Path(path), payload)
+        _atomic_write_json(path, payload)
+        if journal.exists():
+            _fsync_directory(path.parent)
+            journal.unlink()
+
+    def journal(self, path: str | os.PathLike, shard_id: str) -> None:
+        """Make ``shard_id``'s entry durable without rewriting the
+        manifest: append one checksummed record to the journal of the
+        manifest at ``path`` and fsync it.
+
+        The record holds only this shard's entry, so its cost does not
+        grow with the shards planned or already done.
+        """
+        payload = json.dumps(
+            {"entry": self.shards[shard_id], "shard": shard_id},
+            separators=(",", ":"), sort_keys=True,
+        ).encode("utf-8")
+        journal = journal_path(path)
+        with open(journal, "ab") as stream:
+            created = stream.tell() == 0
+            stream.write(b"%08x %s\n" % (zlib.crc32(payload), payload))
+            stream.flush()
+            os.fsync(stream.fileno())
+        if created:
+            _fsync_directory(journal.parent)
 
     # -- state transitions ---------------------------------------------------------
 

@@ -22,16 +22,20 @@ The execution model:
    ``chunk_size``-sized :meth:`~repro.api.Predictor.predict` passes —
    one matmul each on the compiled backend.
 3. **Commit.**  A worker writes its shard's rows to ``<output>.part``,
-   fsyncs, renames — then the parent records the output's sha256 in
-   the manifest and atomically replaces it.  Nothing is ever appended
-   to: a kill leaves either a committed shard or an ignorable
-   ``.part`` file, never a half-trusted output.
+   fsyncs, renames — then the parent appends the shard's entry, output
+   sha256 included, to the manifest's completion journal and fsyncs
+   it: one record per shard, however many shards the run plans.
+   Outputs are never appended to: a kill leaves either a committed
+   shard or an ignorable ``.part`` file, never a half-trusted output,
+   and a journal record torn by the kill is discarded on replay.
+4. **Compact.**  The end of the run writes the full manifest (summary
+   included) atomically and deletes the journal.
 
-Resume (``resume=True``) refuses a different model checksum or a
-changed shard list, re-verifies every committed output's sha256
-(missing or shortened files are re-scored), and then processes only
-what is still pending.  Resuming a finished run is a no-op — the
-engine is idempotent.
+Resume (``resume=True``) replays the journal, refuses a different
+model checksum or a changed shard list, re-verifies every committed
+output's sha256 (missing or shortened files are re-scored), compacts,
+and then processes only what is still pending.  Resuming a finished
+run is a no-op — the engine is idempotent.
 """
 
 from __future__ import annotations
@@ -519,8 +523,12 @@ def run(
             fingerprint, shards,
             sink=sink, chunk_size=chunk_size, url_field=url_field,
         )
+    if row_sink.indexes_results:
+        from repro.query.schema import RESULT_DB_NAME, create_result_db
+
+        manifest.query_index = RESULT_DB_NAME
     if not stdin_run:
-        manifest.save(manifest_path)
+        manifest.save(manifest_path)  # the plan, or a resume's compaction
     for stale in output_dir.glob("*.part.*"):  # a killed run's leftovers
         try:
             stale.unlink()
@@ -589,9 +597,9 @@ def run(
         )
 
     # Parent-side result indexing (sqlite sink): ingest each shard the
-    # moment its output commits, so the index trails the manifest by at
+    # moment its output commits, so the index trails the journal by at
     # most one shard.  Workers never see the database — the scoring hot
-    # path pays nothing.  Any gap a kill leaves between manifest save
+    # path pays nothing.  Any gap a kill leaves between journal append
     # and ingest is healed by the index_run() reconcile below.
     ordinals = {
         shard_id: ordinal
@@ -599,10 +607,6 @@ def run(
     }
     index_connection = None
     if row_sink.indexes_results:
-        from repro.query.schema import RESULT_DB_NAME, create_result_db
-
-        manifest.query_index = RESULT_DB_NAME
-        manifest.save(manifest_path)
         index_connection = create_result_db(output_dir / RESULT_DB_NAME)
         with index_connection:
             index_connection.execute(
@@ -625,7 +629,7 @@ def run(
         )
         manifest.shards[result["shard_id"]]["summary"] = result["summary"]
         if not stdin_run:
-            manifest.save(manifest_path)
+            manifest.journal(manifest_path, result["shard_id"])
         if index_connection is not None:
             from repro.query.ingest import ingest_shard
 
@@ -730,7 +734,7 @@ def run(
     )
     manifest.summary = summary
     if not stdin_run:
-        manifest.save(manifest_path)
+        manifest.save(manifest_path)  # compaction: the journal goes
     if events is not None:
         events.emit(
             "run-done",
@@ -746,7 +750,7 @@ def run(
 
     if row_sink.indexes_results:
         # Reconcile: converge the index onto the manifest.  Heals the
-        # one-shard gap a kill can leave between manifest save and
+        # one-shard gap a kill can leave between journal append and
         # ingest, drops rows of shards a resume demoted and re-scored,
         # and is a cheap no-op when the per-commit ingestion above
         # already covered everything.

@@ -41,7 +41,8 @@ class CheckpointError(BulkError):
 
 class ManifestCorruptError(CheckpointError):
     """The manifest file does not parse (truncated, hand-edited, or
-    not a manifest at all).  Resuming from it would be guesswork —
+    not a manifest at all), or its journal records a shard the
+    manifest does not plan.  Resuming from it would be guesswork —
     start a fresh run in a clean output directory instead."""
 
 

@@ -226,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     bulk.add_argument(
         "--output", required=True,
         help="output directory: one part-NNNNN file per input shard, "
-        "plus the manifest.json checkpoint",
+        "plus the checkpoint (manifest.json, and its manifest.journal "
+        "until the run ends)",
     )
     bulk.add_argument("--workers", type=int, default=2)
     bulk.add_argument(

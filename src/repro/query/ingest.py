@@ -293,7 +293,8 @@ def index_run(
 ) -> IngestReport:
     """Reconcile a run's result index with its manifest.
 
-    Reads ``manifest.json`` in ``output_dir``, creates the database if
+    Loads ``manifest.json`` in ``output_dir`` (journal replayed, so a
+    killed run's journaled shards count as done), creates the database if
     needed (``rebuild=True`` starts it over, new salt and all), ingests
     every ``done`` shard the index is missing or holds stale, and drops
     shards the manifest no longer vouches for.  Converges in one pass;

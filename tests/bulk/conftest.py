@@ -4,11 +4,54 @@ and one sharded gzipped corpus, reused by every test module."""
 from __future__ import annotations
 
 import gzip
+import json
+from pathlib import Path
 
 import pytest
 
+import repro.bulk as bulk
+from repro.bulk.checkpoint import MANIFEST_NAME, RunManifest, journal_path
 from repro.core.pipeline import LanguageIdentifier
 from repro.store import save_identifier
+
+
+def run_killed_before_compaction(model, input_spec, output_dir, **options):
+    """``bulk.run`` to the end, then put ``output_dir`` back the way a
+    SIGKILL just before the closing compaction leaves it: every output
+    committed, ``manifest.json`` still the plan, and one journal record
+    per shard in commit order.  Returns the journal's bytes."""
+    manifest_path = Path(output_dir) / MANIFEST_NAME
+    journal = journal_path(manifest_path)
+    last = {}
+    save = RunManifest.save
+
+    def snapshot_then_save(manifest, path):
+        if journal.exists():
+            last["plan"] = manifest_path.read_bytes()
+            last["journal"] = journal.read_bytes()
+        save(manifest, path)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RunManifest, "save", snapshot_then_save)
+        bulk.run(model, input_spec, output_dir, **options)
+    manifest_path.write_bytes(last["plan"])
+    journal.write_bytes(last["journal"])
+    return last["journal"]
+
+
+def committed_by_last_run(output_dir) -> list[str]:
+    """Shard ids the latest run in ``output_dir`` committed, in commit
+    order, read from its ``shard-commit`` events."""
+    lines = (Path(output_dir) / "events.jsonl").read_text().splitlines()
+    events = [json.loads(line) for line in lines]
+    start = max(
+        index for index, event in enumerate(events)
+        if event["event"] == "run-start"
+    )
+    return [
+        event["shard"] for event in events[start:]
+        if event["event"] == "shard-commit"
+    ]
 
 
 @pytest.fixture(scope="package")

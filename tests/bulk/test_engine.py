@@ -9,6 +9,7 @@ import pytest
 
 import repro.bulk as bulk
 from repro.bulk import BulkError, ManifestMismatchError
+from repro.bulk.checkpoint import journal_path
 from repro.core.pipeline import LanguageIdentifier
 from repro.store import save_identifier
 
@@ -71,6 +72,29 @@ class TestCheckpointing:
         bulk.run(path, shard_dir, tmp_path / "run", workers=1)
         with pytest.raises(BulkError, match="already records a run"):
             bulk.run(path, shard_dir, tmp_path / "run", workers=1)
+
+    def test_commits_journal_without_rewriting_the_manifest(
+        self, bulk_model, corpus, tmp_path
+    ):
+        path, _ = bulk_model
+        shard_dir, _ = corpus
+        manifest_path = tmp_path / "run" / "manifest.json"
+        seen = []
+
+        def after_commit(_line):
+            seen.append((
+                manifest_path.stat().st_ino,
+                manifest_path.read_bytes(),
+                journal_path(manifest_path).read_bytes().count(b"\n"),
+            ))
+
+        bulk.run(path, shard_dir, tmp_path / "run", workers=2,
+                 progress=after_commit)
+        assert len({(inode, plan) for inode, plan, _ in seen}) == 1
+        assert [records for _, _, records in seen] == [1, 2, 3]
+        # The end of the run compacts: a finished run leaves no journal.
+        assert not journal_path(manifest_path).exists()
+        assert bulk.RunManifest.load(manifest_path).pending_ids() == []
 
     def test_double_resume_is_idempotent(
         self, bulk_model, corpus, reference_rows, tmp_path

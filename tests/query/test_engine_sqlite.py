@@ -10,9 +10,14 @@ import pytest
 
 import repro.bulk as bulk
 from repro.bulk import BulkError
+from repro.bulk.checkpoint import journal_path
 from repro.query import open_index
-from repro.query.ingest import _drop_shard, _refresh_fingerprint
+from repro.query.ingest import _drop_shard, _refresh_fingerprint, index_run
 from repro.testing.faults import FAULTS_ENV, FAULTS_STATE_ENV
+from tests.bulk.conftest import (
+    committed_by_last_run,
+    run_killed_before_compaction,
+)
 
 
 def dump_results(db_path):
@@ -134,3 +139,31 @@ class TestKillAndResumeParity:
         assert dump_results(run_dir / "results.sqlite") == dump_results(
             reference_dir / "results.sqlite"
         )
+
+    def test_index_of_a_killed_run_holds_exactly_the_journaled_shards(
+        self, query_model, query_corpus, tmp_path
+    ):
+        """``index_run`` reads the manifest through the journal replay:
+        a run killed after two commits indexes those two shards."""
+        model_path, _ = query_model
+        shard_dir, _ = query_corpus
+        run_dir = tmp_path / "killed"
+        journal = run_killed_before_compaction(
+            model_path, shard_dir, run_dir, sink="sqlite", workers=1
+        )
+        journaled = committed_by_last_run(run_dir)[:2]
+        journal_path(run_dir / "manifest.json").write_bytes(
+            b"".join(journal.splitlines(keepends=True)[:2])
+        )
+        report = index_run(run_dir, rebuild=True)
+        assert report.shards_ingested == 2
+        connection = sqlite3.connect(run_dir / "results.sqlite")
+        try:
+            indexed = [
+                row[0] for row in connection.execute(
+                    "SELECT shard_id FROM shards ORDER BY shard_id"
+                )
+            ]
+        finally:
+            connection.close()
+        assert indexed == sorted(journaled)
