@@ -8,6 +8,9 @@ tier and the offline bulk engine (see ``docs/observability.md``):
   capture (``accept → dispatch → extract → matmul → respond``), and
   the fork-shared :class:`~repro.obs.trace.SpanLog` ring buffer behind
   ``serve status --traces`` and ``GET /v1/traces``;
+* :mod:`repro.obs.shared` — :class:`~repro.obs.shared.SharedBlock`,
+  the typed arrays in one fork-shared mapping behind every daemon-wide
+  counter (requests, robustness, drift, the span ring);
 * :mod:`repro.obs.prom` — the zero-dependency Prometheus text encoder
   behind ``GET /metrics`` and ``serve status --prom``;
 * :mod:`repro.obs.events` — JSON-lines event logging
@@ -20,6 +23,7 @@ can vendor tracing without pulling in numpy or the daemon machinery.
 
 from repro.obs.events import EventLogger, json_log_enabled
 from repro.obs.prom import CONTENT_TYPE, render_prometheus
+from repro.obs.shared import SharedBlock
 from repro.obs.trace import (
     SpanLog,
     TraceContext,
@@ -35,6 +39,7 @@ from repro.obs.trace import (
 __all__ = [
     "CONTENT_TYPE",
     "EventLogger",
+    "SharedBlock",
     "SpanLog",
     "TraceContext",
     "capture_stages",

@@ -102,16 +102,16 @@ def _histogram(out: _Exposition, name: str, help_text: str,
 
 def _render_requests(out: _Exposition, requests: dict) -> None:
     out.family("repro_requests_total", "counter",
-               "Requests answered by this process, by operation.")
+               "Requests answered by the daemon, by operation.")
     for op, count in (requests.get("by_op") or {}).items():
         out.sample("repro_requests_total", {"op": op}, count)
     out.family("repro_requests_transport_total", "counter",
-               "Requests answered by this process, by listener transport.")
+               "Requests answered by the daemon, by listener transport.")
     for transport, count in (requests.get("by_transport") or {}).items():
         out.sample("repro_requests_transport_total",
                    {"transport": transport}, count)
     out.family("repro_request_errors_total", "counter",
-               "Requests answered with ok=false by this process.")
+               "Requests the daemon answered with ok=false.")
     out.sample("repro_request_errors_total", {}, requests.get("errors", 0))
     latency = requests.get("latency_ms") or {}
     if latency.get("counts"):
@@ -120,7 +120,7 @@ def _render_requests(out: _Exposition, requests: dict) -> None:
         mean_ms = latency.get("mean_ms")
         _histogram(
             out, "repro_request_latency_seconds",
-            "Per-request dispatch latency of this process.",
+            "Per-request dispatch latency across the daemon.",
             bounds, latency["counts"],
             (mean_ms * count / 1000.0) if mean_ms is not None else None,
         )

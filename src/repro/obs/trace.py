@@ -19,10 +19,11 @@ import contextlib
 import contextvars
 import dataclasses
 import json
-import multiprocessing
 import os
 import time
 from typing import Iterator
+
+from repro.obs.shared import SharedBlock
 
 __all__ = [
     "TraceContext",
@@ -121,15 +122,18 @@ def stage(name: str) -> Iterator[None]:
 class SpanLog:
     """A fork-shared ring buffer of finished span records.
 
-    The daemon parent creates one *before* forking workers; every
-    process then appends JSON-serialised span records into a shared
-    byte array, so the parent (answering ``status --traces`` and
-    ``GET /v1/traces``) sees spans recorded by any worker.  Fixed-size
-    slots keep the shared segment bounded: a record that does not fit
-    its slot is retried without its ``stages`` detail, then dropped.
+    The daemon parent creates one *before* forking each worker
+    generation; every process then appends JSON-serialised span records
+    into one :class:`~repro.obs.shared.SharedBlock`, so the parent
+    (answering ``status --traces`` and ``GET /v1/traces``) sees spans
+    recorded by any worker.  A reload forks the new generation over a
+    fresh ring, so old-generation spans never mix with new ones.
+    Fixed-size slots keep the shared segment bounded: a record that
+    does not fit its slot is retried without its ``stages`` detail,
+    then dropped.
 
-    Appends take the shared sequence lock once per span — far off the
-    per-URL hot path (one span per traced *request*).
+    Appends take the block's lock once per span — far off the per-URL
+    hot path (one span per traced *request*).
     """
 
     def __init__(self, capacity: int = 256, slot_bytes: int = 512) -> None:
@@ -137,9 +141,8 @@ class SpanLog:
             raise ValueError("capacity >= 1 and slot_bytes >= 8 required")
         self.capacity = int(capacity)
         self.slot_bytes = int(slot_bytes)
-        self._seq = multiprocessing.Value("Q", 0)  # guards the slots too
-        self._slots = multiprocessing.Array(
-            "B", self.capacity * self.slot_bytes, lock=False
+        self._shared = SharedBlock(
+            seq=("q", 1), slots=("B", self.capacity * self.slot_bytes)
         )
 
     @staticmethod
@@ -156,29 +159,29 @@ class SpanLog:
             data = self._encode(slim)
             if len(data) + 2 > self.slot_bytes:
                 return False
-        with self._seq.get_lock():
-            index = self._seq.value % self.capacity
-            start = index * self.slot_bytes
-            framed = len(data).to_bytes(2, "big") + data
-            self._slots[start:start + len(framed)] = framed
-            self._seq.value += 1
+        framed = len(data).to_bytes(2, "big") + data
+        shared = self._shared
+        with shared.lock:
+            seq = shared.seq[0]
+            start = (seq % self.capacity) * self.slot_bytes
+            shared.slots[start:start + len(framed)] = framed
+            shared.seq[0] = seq + 1
         return True
 
     def __len__(self) -> int:
-        with self._seq.get_lock():
-            return min(self._seq.value, self.capacity)
+        return min(self.recorded, self.capacity)
 
     @property
     def recorded(self) -> int:
         """Spans ever appended (the ring may have evicted older ones)."""
-        with self._seq.get_lock():
-            return self._seq.value
+        with self._shared.lock:
+            return self._shared.seq[0]
 
     def snapshot(self, limit: int | None = None) -> list[dict]:
         """The retained spans, oldest first (at most ``limit`` newest)."""
-        with self._seq.get_lock():
-            seq = self._seq.value
-            raw = bytes(self._slots)
+        with self._shared.lock:
+            seq = self._shared.seq[0]
+            raw = bytes(self._shared.slots)
         first = max(0, seq - self.capacity)
         if limit is not None:
             first = max(first, seq - max(0, int(limit)))
@@ -195,9 +198,3 @@ class SpanLog:
             if isinstance(record, dict):
                 spans.append(record)
         return spans
-
-    def clear(self) -> None:
-        """Drop every retained span (used on model reload)."""
-        with self._seq.get_lock():
-            self._seq.value = 0
-            self._slots[:] = bytes(len(self._slots))

@@ -219,28 +219,29 @@ class ServingDaemon:
         self._worker_stop = False  # set in children only
         self._supervisor_pid: int | None = None  # set in children at fork
         self._started_at = 0.0
-        self._metrics = RequestMetrics()
         self._http_server: ThreadingHTTPServer | None = None
-        # Fleet-shared fault-tolerance state.  _degraded (the crash-loop
-        # flag any answering process must report) and the robustness
-        # counters are created before run() forks, so every worker
-        # updates the same shared slots.  Admission state is per worker
+        # Fleet-shared counters, created before run() forks so every
+        # worker updates the same shared block: request accounting and
+        # the fault-tolerance counters (crash-loop flag included) cover
+        # the whole daemon whichever process answers, and survive
+        # worker deaths and reloads.  Admission state is per worker
         # instead of one shared counter: each _spawn_worker allocates a
         # shared busy flag the child sets while holding a connection
         # (one connection per worker, so a held connection IS
         # occupancy).  The parent sums flags of live workers only —
         # a SIGKILLed worker's stale flag dies with its table entry,
         # where a global counter would leak an increment forever.
-        self._degraded = multiprocessing.Value("i", 0)
+        self._metrics = RequestMetrics()
         self._robustness = RobustnessCounters()
         self._child_busy: dict[int, object] = {}  # pid -> shared flag
         self._my_busy = None  # this worker's flag (children only)
         # Observability (docs/observability.md).  The span ring buffer
         # is fork-shared like the robustness counters: workers append
         # the spans of traced requests, the parent reads them back out
-        # for `status --traces` / GET /v1/traces.  Drift counters need
-        # the model's language set, so they are created in run() (and
-        # replaced on reload — a new model starts a new baseline).
+        # for `status --traces` / GET /v1/traces.  The ring and the
+        # drift counters describe one model generation, so both are
+        # replaced on reload before the new generation forks; drift
+        # needs the model's language set, so it is created in run().
         self._spans = SpanLog(capacity=int(os.environ.get(
             "REPRO_SERVE_TRACE_CAPACITY", TRACE_CAPACITY)))
         self._drift: DriftCounters | None = None
@@ -332,12 +333,6 @@ class ServingDaemon:
             return None
         return DriftCounters(languages, window_rows=self._drift_window)
 
-    def _observe_drift(self, scores: dict) -> None:
-        """Fold one batch's ``scores_many`` result into drift telemetry."""
-        drift = self._drift
-        if drift is not None:
-            drift.observe(scores)
-
     def _reload_gate(self, current: _ModelState) -> str | None:
         """Why the artifact at ``model_path`` must NOT replace ``current``.
 
@@ -388,16 +383,15 @@ class ServingDaemon:
     def _timed_dispatch(self, message: dict,
                         deadline: float | None = None,
                         transport: str = "unix") -> dict:
-        """:meth:`_dispatch` plus per-worker request accounting.
+        """:meth:`_dispatch` plus daemon-wide request accounting.
 
-        Every answered request lands in this process's
-        :class:`~repro.store.metrics.RequestMetrics` (op counts, error
-        count, latency histogram) — each worker owns its own instance
-        (reset at fork), so ``serve status`` reports the traffic of the
-        worker that answered it.  The metrics object itself is not
-        thread-safe; both callers are already serialized — socket
-        workers are single-threaded processes, and the parent's HTTP
-        handlers dispatch under ``_fork_lock``.
+        Every answered request lands in the one fork-shared
+        :class:`~repro.store.metrics.RequestMetrics` (op counts,
+        transport counts, error count, latency histogram), so ``serve
+        status`` and ``GET /metrics`` report the whole daemon's traffic
+        whichever process answers.  Updates are safe from any process
+        and any thread: each takes the shared block's lock for its
+        slot increments only.
 
         ``deadline`` is the request's expiry on *this process's*
         monotonic clock (converted from the frame header's budget at
@@ -525,7 +519,8 @@ class ServingDaemon:
             # thresholds the identical scores_matrix), so observing
             # drift never costs a second matmul.
             scores = identifier.scores_many(urls)
-            self._observe_drift(scores)
+            if self._drift is not None:
+                self._drift.observe(scores)
             if op == "classify":
                 rows = score_batch(identifier, urls, scores=scores)
                 return ok_response(results=[
@@ -571,7 +566,7 @@ class ServingDaemon:
             # "degraded" = crash-loop containment active (respawns are
             # backing off); requests are still answered by whatever
             # capacity remains, parent included.
-            "state": "degraded" if self._degraded.value else "ok",
+            "state": "degraded" if self._robustness.degraded else "ok",
             "generation": state.generation,
             "workers": self.workers,
             "inflight": self._inflight(),
@@ -637,7 +632,6 @@ class ServingDaemon:
         self._children = {}
         self._child_busy = {}
         self._my_busy = busy_flag
-        self._metrics = RequestMetrics()  # own the worker's request stats
         if self._http_server is not None:
             self._http_server.socket.close()  # inherited fd; never served here
             self._http_server = None
@@ -1280,7 +1274,7 @@ class ServingDaemon:
                         self._backoff_max,
                     )
                     self._respawn_at = now + self._respawn_backoff
-                    self._degraded.value = 1
+                    self._robustness.degraded = True
                     self._log(
                         f"worker {pid} died; crash loop detected "
                         f"({len(self._crash_times)} deaths in "
@@ -1306,7 +1300,7 @@ class ServingDaemon:
         if not self._pending_respawns or time.monotonic() < self._respawn_at:
             return
         count, self._pending_respawns = self._pending_respawns, 0
-        self._degraded.value = 0
+        self._robustness.degraded = False
         self._log(f"backoff expired; respawning {count} worker(s)")
         for _ in range(count):
             self._robustness.bump("worker_respawns")
@@ -1417,12 +1411,13 @@ class ServingDaemon:
         ]
         self._state = state  # new forks and the HTTP thread see it now
         # A new model invalidates the old telemetry baselines: fresh
-        # drift counters (created before the new generation forks, so
-        # its workers share them) and an emptied span ring.  Old-gen
-        # workers still draining hold the previous arrays — their last
-        # few batches age out with them.
+        # drift counters and a fresh span ring, created before the new
+        # generation forks so its workers share them.  Old-gen workers
+        # still draining hold the previous blocks — their last few
+        # batches and spans age out with them.  Request counts span
+        # generations and are never replaced.
         self._drift = self._make_drift(state)
-        self._spans.clear()
+        self._spans = SpanLog(capacity=self._spans.capacity)
         for _ in range(self.workers):
             self._spawn_worker(state.generation)
         for pid in old_children:

@@ -3,42 +3,43 @@
 Two small, dependency-free accumulators:
 
 * :class:`LatencyHistogram` — fixed log-spaced buckets over
-  milliseconds.  Cheap to update on every request (one comparison walk
-  over ~14 bounds), cheap to ship (a list of counts), and **mergeable**
-  — per-worker histograms sum into a fleet view, per-shard histograms
-  sum into a run view.
-* :class:`RequestMetrics` — per-operation request counts, error count,
-  and one latency histogram, with a JSON-ready :meth:`snapshot`.
+  milliseconds.  Cheap to update on every request (one bisection over
+  ~14 bounds), cheap to ship (a list of counts), and **mergeable** —
+  per-shard histograms sum into a run view.
+* :class:`RequestMetrics` — request counts by op and transport, error
+  count, and one latency histogram, with a JSON-ready :meth:`snapshot`.
 
-The serving daemon keeps one :class:`RequestMetrics` per worker process
-(``serve status`` reports the answering worker's block), and the bulk
-engine reuses :class:`LatencyHistogram` to aggregate per-chunk scoring
-latency across its worker pool into the run summary — one histogram
-format everywhere, so dashboards read both the online and the offline
-path with the same code.
+The serving daemon keeps one :class:`RequestMetrics` for its whole
+process tree, and the bulk engine reuses :class:`LatencyHistogram` to
+aggregate per-chunk scoring latency across its worker pool into the run
+summary — one histogram format everywhere, so dashboards read both the
+online and the offline path with the same code.
 
 :class:`RobustnessCounters` is the third accumulator: fleet-wide
 fault-tolerance events (overload rejections, deadline expiries, client
-retries observed, worker respawns).  Unlike per-worker request metrics
-these *must* aggregate across the whole process tree — a rejection
-happens in whichever process answered, and operators alert on the sum —
-so they live in :mod:`multiprocessing` shared memory created before the
-daemon forks its workers.
-
+retries observed, worker respawns) and the crash-loop flag.
 :class:`DriftCounters` is the fourth: per-language decision-rate and
-score-distribution accumulators, also in fork-shared memory, that
-compare current traffic against a frozen baseline window so a stale
-model under shifting traffic is visible in ``serve status`` (and on
-``GET /metrics``) before a bad rollout — the drift half of the
-ROADMAP's N-language item, closing the loop with the hot-reload gate.
+score-distribution accumulators that compare current traffic against a
+frozen baseline window so a stale model under shifting traffic is
+visible in ``serve status`` (and on ``GET /metrics``) before a bad
+rollout — the drift half of the ROADMAP's N-language item, closing the
+loop with the hot-reload gate.
+
+The three daemon accumulators each keep their state in one
+:class:`~repro.obs.shared.SharedBlock` created before the daemon forks
+its workers, so every process bumps the same slots: ``serve status``
+and ``GET /metrics`` report the whole daemon whichever process answers,
+and no count resets when a worker dies.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
+from bisect import bisect_left
 
 import numpy as np
+
+from repro.obs.shared import SharedBlock
 
 __all__ = [
     "BUCKET_BOUNDS_MS",
@@ -58,6 +59,12 @@ BUCKET_BOUNDS_MS: tuple[float, ...] = (
     0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0,
     200.0, 500.0, 1000.0, 2000.0, 5000.0, 10000.0,
 )
+
+
+def _bucket(bounds: tuple[float, ...], ms: float) -> int:
+    """Index of the bucket ``ms`` falls in: the first whose upper bound
+    satisfies ``ms <= bound``, else the overflow bucket at the end."""
+    return bisect_left(bounds, ms)
 
 
 class HistogramBoundsError(ValueError):
@@ -100,11 +107,7 @@ class LatencyHistogram:
         """Record one latency observation (wall seconds)."""
         ms = seconds * 1000.0
         self.total_ms += ms
-        for index, bound in enumerate(self.bounds):
-            if ms <= bound:
-                self.counts[index] += 1
-                return
-        self.counts[-1] += 1
+        self.counts[_bucket(self.bounds, ms)] += 1
 
     def merge(self, other: "LatencyHistogram") -> None:
         """Fold another histogram's observations into this one.
@@ -190,10 +193,12 @@ class RobustnessCounters:
     """Fault-tolerance event counters shared across a process tree.
 
     Create **before** forking workers; every process that inherits the
-    instance increments the same shared slots (each ``Value`` carries
-    its own lock, so bumps from parent and workers never lose updates).
-    The ``robustness`` block of ``serve status`` is :meth:`snapshot`,
-    which therefore reports fleet totals no matter which worker answers.
+    instance bumps the same slots of one shared block under its one
+    lock, so bumps from parent and workers never lose updates.  The
+    ``robustness`` block of ``serve status`` is :meth:`snapshot`, which
+    therefore reports fleet totals no matter which worker answers.
+    :attr:`degraded` is the crash-loop flag the parent raises while it
+    backs off respawns, which any answering process must report.
     """
 
     #: Monotonic event counts, in snapshot order.
@@ -205,22 +210,35 @@ class RobustnessCounters:
     )
 
     def __init__(self) -> None:
-        self._counts = {
-            field: multiprocessing.Value("q", 0)
-            for field in self.COUNT_FIELDS
-        }
-        self._last_crash = multiprocessing.Value("d", 0.0)
+        self._slot = {field: i for i, field in enumerate(self.COUNT_FIELDS)}
+        self._shared = SharedBlock(
+            counts=("q", len(self.COUNT_FIELDS)),
+            last_crash=("d", 1),
+            degraded=("q", 1),
+        )
 
     def bump(self, field: str, by: int = 1) -> None:
         """Atomically add ``by`` to one of :data:`COUNT_FIELDS`."""
-        slot = self._counts[field]
-        with slot.get_lock():
-            slot.value += by
+        slot = self._slot[field]
+        with self._shared.lock:
+            self._shared.counts[slot] += by
 
     def mark_crash(self, when: float | None = None) -> None:
         """Record the wall time of the most recent worker death."""
-        with self._last_crash.get_lock():
-            self._last_crash.value = time.time() if when is None else when
+        stamp = time.time() if when is None else when
+        with self._shared.lock:
+            self._shared.last_crash[0] = stamp
+
+    @property
+    def degraded(self) -> bool:
+        """True while crash-loop containment is backing off respawns."""
+        with self._shared.lock:
+            return bool(self._shared.degraded[0])
+
+    @degraded.setter
+    def degraded(self, value: bool) -> None:
+        with self._shared.lock:
+            self._shared.degraded[0] = int(value)
 
     def snapshot(self) -> dict:
         """JSON-ready fleet view (``last_crash_at`` None until a death).
@@ -230,10 +248,10 @@ class RobustnessCounters:
         dashboards can alert on "a crash in the last N minutes" without
         doing clock arithmetic against the scrape time.
         """
-        view: dict = {
-            field: slot.value for field, slot in self._counts.items()
-        }
-        crash = self._last_crash.value
+        with self._shared.lock:
+            counts = self._shared.counts.tolist()
+            crash = self._shared.last_crash[0]
+        view: dict = dict(zip(self.COUNT_FIELDS, counts))
         view["last_crash_at"] = crash if crash else None
         view["last_crash_age_seconds"] = (
             round(max(0.0, time.time() - crash), 3) if crash else None
@@ -265,7 +283,7 @@ class DriftCounters:
 
     Create **before** forking workers (like
     :class:`RobustnessCounters`); every worker then accumulates into
-    the same shared arrays, so the parent's status block reports fleet
+    the same shared block, so the parent's status block reports fleet
     traffic no matter which process scored it.
 
     The model: traffic fills a *current* window of
@@ -297,119 +315,98 @@ class DriftCounters:
         n = len(self.languages)
         b = len(DRIFT_SCORE_BOUNDS) + 1
         self._n, self._b = n, b
-        self._lock = multiprocessing.Lock()
-        self._rows = multiprocessing.Array("q", 3, lock=False)
-        self._decisions = multiprocessing.Array("q", 3 * n, lock=False)
-        self._score_sums = multiprocessing.Array("d", 3 * n, lock=False)
-        self._score_counts = multiprocessing.Array(
-            "q", 3 * n * b, lock=False
+        # One int64 row per bank: its row count, then positive decisions
+        # per language, then score-bucket counts per language, so a
+        # batch lands as one row addition and a roll is one row copy.
+        width = 1 + n + n * b
+        shared = SharedBlock(
+            counts=("q", 3 * width), sums=("d", 3 * n), windows=("q", 1)
         )
-        self._windows_completed = multiprocessing.Value("Q", 0, lock=False)
+        self._lock = shared.lock
+        self._counts = np.frombuffer(shared.counts, np.int64).reshape(3, -1)
+        self._sums = np.frombuffer(shared.sums, np.float64).reshape(3, -1)
+        self._windows_completed = shared.windows
 
     def observe(self, scores) -> None:
         """Fold one scored batch into the current window.
 
         ``scores`` maps language code (or anything ``str()``-able to
         one, e.g. a :class:`~repro.core.types.Language`) to that
-        language's per-URL score list — exactly the shape
-        ``scores_many`` returns.  Unknown languages are ignored, so a
-        caller can feed a superset without pre-filtering.  One lock
-        acquisition per *batch*, far off the per-URL hot path.
+        language's per-URL score list, one score per URL in every list
+        — exactly the shape ``scores_many`` returns.  Unknown languages
+        are ignored, so a caller can feed a superset without
+        pre-filtering.  The batch is reduced to one delta row before the
+        lock is taken: one acquisition per *batch*, far off the per-URL
+        hot path.
         """
-        staged: list[tuple[int, int, float, list[int]]] = []
-        rows = 0
+        indexes: list[int] = []
+        lists: list = []
         for code, values in scores.items():
             index = self._index.get(self._code(code))
-            if index is None:
-                continue
-            rows = max(rows, len(values))
-            staged.append((index, *self._reduce(values)))
-        if not staged or rows == 0:
+            if index is not None:
+                indexes.append(index)
+                lists.append(values)
+        if not indexes:
+            return
+        matrix = np.asarray(lists, dtype=np.float64)  # (languages, urls)
+        rows = matrix.shape[1]
+        if rows == 0:
             return
         n, b = self._n, self._b
+        at = np.asarray(indexes)
+        counts = np.zeros(1 + n + n * b, dtype=np.int64)
+        counts[0] = rows
+        counts[1 + at] = (matrix > 0.0).sum(axis=1)
+        buckets = np.searchsorted(DRIFT_SCORE_BOUNDS, matrix, side="left")
+        counts[1 + n:] = np.bincount(
+            (buckets + (at * b)[:, None]).ravel(), minlength=n * b
+        )
+        sums = np.zeros(n)
+        sums[at] = matrix.sum(axis=1)
         with self._lock:
-            for index, positives, total, bucket_counts in staged:
-                slot = _DRIFT_CURRENT * n + index
-                self._decisions[slot] += positives
-                self._score_sums[slot] += total
-                base = slot * b
-                for bucket, count in enumerate(bucket_counts):
-                    if count:
-                        self._score_counts[base + bucket] += count
-            self._rows[_DRIFT_CURRENT] += rows
-            if self._rows[_DRIFT_CURRENT] >= self.window_rows:
+            self._counts[_DRIFT_CURRENT] += counts
+            self._sums[_DRIFT_CURRENT] += sums
+            if self._counts[_DRIFT_CURRENT, 0] >= self.window_rows:
                 self._roll_locked()
-
-    @staticmethod
-    def _reduce(values) -> tuple[int, float, list[int]]:
-        """One language's batch -> (positives, score sum, bucket counts)."""
-        buckets = [0] * (len(DRIFT_SCORE_BOUNDS) + 1)
-        array = np.asarray(values, dtype=np.float64)
-        positions = np.searchsorted(DRIFT_SCORE_BOUNDS, array, side="left")
-        for bucket, count in zip(*np.unique(positions, return_counts=True)):
-            buckets[int(bucket)] = int(count)
-        return int((array > 0.0).sum()), float(array.sum()), buckets
 
     def _roll_locked(self) -> None:
         """Complete the current window (caller holds the lock)."""
-        n, b = self._n, self._b
         banks = [_DRIFT_WINDOW]
-        if self._rows[_DRIFT_BASELINE] == 0:
+        if self._counts[_DRIFT_BASELINE, 0] == 0:
             banks.append(_DRIFT_BASELINE)
-        for bank in banks:
-            self._rows[bank] = self._rows[_DRIFT_CURRENT]
-            for i in range(n):
-                self._decisions[bank * n + i] = \
-                    self._decisions[_DRIFT_CURRENT * n + i]
-                self._score_sums[bank * n + i] = \
-                    self._score_sums[_DRIFT_CURRENT * n + i]
-            for i in range(n * b):
-                self._score_counts[bank * n * b + i] = \
-                    self._score_counts[_DRIFT_CURRENT * n * b + i]
-        self._rows[_DRIFT_CURRENT] = 0
-        for i in range(n):
-            self._decisions[_DRIFT_CURRENT * n + i] = 0
-            self._score_sums[_DRIFT_CURRENT * n + i] = 0.0
-        for i in range(n * b):
-            self._score_counts[_DRIFT_CURRENT * n * b + i] = 0
-        self._windows_completed.value += 1
+        self._counts[banks] = self._counts[_DRIFT_CURRENT]
+        self._sums[banks] = self._sums[_DRIFT_CURRENT]
+        self._counts[_DRIFT_CURRENT] = 0
+        self._sums[_DRIFT_CURRENT] = 0.0
+        self._windows_completed[0] += 1
 
     def reset(self) -> None:
         """Forget everything — a reloaded model starts a new baseline."""
         with self._lock:
-            for i in range(3):
-                self._rows[i] = 0
-            for i in range(3 * self._n):
-                self._decisions[i] = 0
-                self._score_sums[i] = 0.0
-            for i in range(3 * self._n * self._b):
-                self._score_counts[i] = 0
-            self._windows_completed.value = 0
+            self._counts[:] = 0
+            self._sums[:] = 0.0
+            self._windows_completed[0] = 0
 
-    def _bank_view(self, bank: int) -> dict:
-        n, b = self._n, self._b
-        rows = self._rows[bank]
-        view: dict = {
+    def _bank_view(self, counts: np.ndarray, sums: np.ndarray) -> dict:
+        """One bank's JSON-ready view from its copied counts and sums."""
+        n = self._n
+        rows = int(counts[0])
+        decisions = counts[1:1 + n].tolist()
+        return {
             "rows": rows,
-            "decisions": {},
-            "decision_rate": {},
-            "score_mean": {},
-            "score_counts": {},
+            "decisions": dict(zip(self.languages, decisions)),
+            "decision_rate": {
+                code: count / rows if rows else None
+                for code, count in zip(self.languages, decisions)
+            },
+            "score_mean": {
+                code: total / rows if rows else None
+                for code, total in zip(self.languages, sums.tolist())
+            },
+            "score_counts": dict(zip(
+                self.languages, counts[1 + n:].reshape(n, self._b).tolist()
+            )),
         }
-        for i, code in enumerate(self.languages):
-            decisions = self._decisions[bank * n + i]
-            view["decisions"][code] = decisions
-            view["decision_rate"][code] = (
-                decisions / rows if rows else None
-            )
-            view["score_mean"][code] = (
-                self._score_sums[bank * n + i] / rows if rows else None
-            )
-            base = (bank * n + i) * b
-            view["score_counts"][code] = list(
-                self._score_counts[base:base + b]
-            )
-        return view
 
     def snapshot(self) -> dict:
         """JSON-ready drift view: banks, per-language deltas, headline.
@@ -424,10 +421,13 @@ class DriftCounters:
         2 = disjoint).
         """
         with self._lock:
-            baseline = self._bank_view(_DRIFT_BASELINE)
-            window = self._bank_view(_DRIFT_WINDOW)
-            current = self._bank_view(_DRIFT_CURRENT)
-            windows_completed = int(self._windows_completed.value)
+            counts = self._counts.copy()
+            sums = self._sums.copy()
+            windows_completed = self._windows_completed[0]
+        baseline, window, current = (
+            self._bank_view(counts[bank], sums[bank])
+            for bank in (_DRIFT_BASELINE, _DRIFT_WINDOW, _DRIFT_CURRENT)
+        )
         recent, recent_name = (
             (window, "window") if windows_completed > 1 else
             (current, "current")
@@ -477,20 +477,40 @@ class DriftCounters:
 
 
 class RequestMetrics:
-    """Per-process request accounting: counts by op, errors, latency.
+    """Request accounting for a whole daemon: counts by op and
+    transport, errors, latency.
 
-    One instance per daemon worker (reset at fork, so every worker
-    reports its own traffic).  :meth:`observe` wraps one dispatched
-    request; :meth:`snapshot` is the ``requests`` block of
-    ``serve status``.
+    Create once, **before** forking workers: every process bumps the
+    same slots of one shared block, so :meth:`snapshot` — the
+    ``requests`` block of ``serve status`` — covers every request the
+    daemon answered since it started, whichever process answers, and
+    no count resets when a worker dies or a generation reloads.
+    :meth:`observe` wraps one dispatched request.  Op labels are
+    bounded: :data:`OPS` are counted by name and any other op under
+    ``invalid``, so clients cannot mint new series.
     """
+
+    #: The ops the daemon serves, then the bucket for everything else.
+    OPS = (
+        "ping", "status", "traces", "reload", "stop",
+        "classify", "score", "decisions", "invalid",
+    )
+    #: The listeners a request can arrive on.
+    TRANSPORTS = ("unix", "tcp", "http")
 
     def __init__(self) -> None:
         self.started_at = time.time()
-        self.by_op: dict[str, int] = {}
-        self.by_transport: dict[str, int] = {}
-        self.errors = 0
-        self.latency = LatencyHistogram()
+        self._op_slot = {op: i for i, op in enumerate(self.OPS)}
+        self._transport_slot = {
+            transport: i for i, transport in enumerate(self.TRANSPORTS)
+        }
+        self._shared = SharedBlock(
+            ops=("q", len(self.OPS)),
+            transports=("q", len(self.TRANSPORTS)),
+            errors=("q", 1),
+            latency=("q", len(BUCKET_BOUNDS_MS) + 1),
+            latency_ms=("d", 1),
+        )
 
     def observe(self, op: str, seconds: float, ok: bool = True,
                 transport: str | None = None) -> None:
@@ -500,25 +520,40 @@ class RequestMetrics:
         "tcp", "http"), so operators can see per-front-door traffic in
         ``serve status`` when a daemon exposes several at once.
         """
-        self.by_op[op] = self.by_op.get(op, 0) + 1
-        if transport is not None:
-            self.by_transport[transport] = \
-                self.by_transport.get(transport, 0) + 1
-        if not ok:
-            self.errors += 1
-        self.latency.observe(seconds)
+        op_slot = self._op_slot.get(op, self._op_slot["invalid"])
+        transport_slot = (
+            None if transport is None else self._transport_slot[transport]
+        )
+        ms = seconds * 1000.0
+        bucket = _bucket(BUCKET_BOUNDS_MS, ms)
+        shared = self._shared
+        with shared.lock:
+            shared.ops[op_slot] += 1
+            if transport_slot is not None:
+                shared.transports[transport_slot] += 1
+            if not ok:
+                shared.errors[0] += 1
+            shared.latency[bucket] += 1
+            shared.latency_ms[0] += ms
 
-    @property
-    def total(self) -> int:
-        return sum(self.by_op.values())
+    @staticmethod
+    def _nonzero(names: tuple[str, ...], counts: list[int]) -> dict:
+        return {name: n for name, n in sorted(zip(names, counts)) if n}
 
     def snapshot(self) -> dict:
         """JSON-ready view for status blocks and progress reporting."""
+        shared = self._shared
+        with shared.lock:
+            ops = shared.ops.tolist()
+            transports = shared.transports.tolist()
+            errors = shared.errors[0]
+            counts = shared.latency.tolist()
+            total_ms = shared.latency_ms[0]
         return {
-            "total": self.total,
-            "errors": self.errors,
-            "by_op": dict(sorted(self.by_op.items())),
-            "by_transport": dict(sorted(self.by_transport.items())),
+            "total": sum(ops),
+            "errors": errors,
+            "by_op": self._nonzero(self.OPS, ops),
+            "by_transport": self._nonzero(self.TRANSPORTS, transports),
             "since": self.started_at,
-            "latency_ms": self.latency.snapshot(),
+            "latency_ms": LatencyHistogram(counts, total_ms).snapshot(),
         }

@@ -108,13 +108,6 @@ class TestSpanLog:
         assert "stages" not in span
         assert not log.append({"blob": "y" * 200})
 
-    def test_clear_empties_the_ring(self):
-        log = SpanLog(capacity=4)
-        log.append({"n": 1})
-        log.clear()
-        assert log.snapshot() == []
-        assert len(log) == 0
-
     def test_forked_workers_share_one_ring(self):
         log = SpanLog(capacity=64)
         workers = [

@@ -190,9 +190,8 @@ class TestLifecycle:
                     b.value if b else None for b in best
                 ]
 
-                # Per-worker request accounting: one persistent
-                # connection lands every op above on one worker, whose
-                # status block must count them all with latencies.
+                # Daemon-wide request accounting: the status block
+                # counts every op above, with latencies.
                 requests = client.status()["requests"]
                 assert requests["errors"] == 0
                 for op in ("status", "decisions", "score", "classify"):

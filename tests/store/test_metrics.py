@@ -101,6 +101,67 @@ class TestRequestMetrics:
         assert snapshot["errors"] == 1
         assert snapshot["latency_ms"]["count"] == 3
 
+    def test_unknown_ops_share_the_invalid_label(self):
+        # Op strings come from clients: every distinct unknown one must
+        # not become its own key (and its own Prometheus series).
+        metrics = RequestMetrics()
+        metrics.observe("classify", 0.001, transport="unix")
+        for n in range(200):
+            metrics.observe(f"no-such-op-{n:03d}-" + "x" * 200, 0.001,
+                            ok=False, transport="tcp")
+        snapshot = metrics.snapshot()
+        assert snapshot["by_op"] == {"classify": 1, "invalid": 200}
+        assert snapshot["by_transport"] == {"tcp": 200, "unix": 1}
+        assert snapshot["total"] == 201 and snapshot["errors"] == 200
+
+    def test_latency_buckets_follow_the_histogram_rule(self):
+        # One rule for both histograms (the first bucket with
+        # ms <= bound), probed at and around every bound.
+        metrics, histogram = RequestMetrics(), LatencyHistogram()
+        samples = [bound / 1000.0 for bound in BUCKET_BOUNDS_MS]
+        samples += [0.0, 0.00049, 0.0011, 99.0]
+        for seconds in samples:
+            metrics.observe("ping", seconds)
+            histogram.observe(seconds)
+        latency = metrics.snapshot()["latency_ms"]
+        assert latency["counts"] == histogram.counts
+        assert latency["mean_ms"] == pytest.approx(
+            histogram.total_ms / len(samples)
+        )
+
+    def test_forked_workers_accumulate_into_one_block(self):
+        # More workers than cores, each observing without pause: a lost
+        # update anywhere would break the exact totals.
+        metrics = RequestMetrics()
+        workers = [
+            multiprocessing.Process(
+                target=_observe_requests, args=(metrics, 500)
+            )
+            for _ in range(6)
+        ]
+        for process in workers:
+            process.start()
+        for process in workers:
+            process.join(timeout=60)
+            assert not process.is_alive() and process.exitcode == 0
+        snapshot = metrics.snapshot()
+        assert snapshot["by_op"] == {"classify": 6 * 500, "ping": 6 * 500}
+        assert snapshot["by_transport"] == {"tcp": 6 * 500, "unix": 6 * 500}
+        assert snapshot["errors"] == 6 * 500
+        assert snapshot["latency_ms"]["count"] == 6 * 1000
+
+
+def _observe_requests(metrics: RequestMetrics, count: int) -> None:
+    for _ in range(count):
+        metrics.observe("classify", 0.002, transport="unix")
+        metrics.observe("ping", 0.0001, ok=False, transport="tcp")
+
+
+def _bump_robustness(counters: RobustnessCounters, count: int) -> None:
+    for _ in range(count):
+        counters.bump("overload_rejections")
+        counters.bump("retries_observed", by=2)
+
 
 class TestRobustnessCrashAge:
     def test_no_crash_reports_none_for_both_fields(self):
@@ -125,6 +186,40 @@ class TestRobustnessCrashAge:
         counters = RobustnessCounters()
         counters.mark_crash(time.time() + 60.0)  # clock skew
         assert counters.snapshot()["last_crash_age_seconds"] == 0.0
+
+
+class TestRobustnessSharing:
+    def test_forked_workers_accumulate_into_one_block(self):
+        counters = RobustnessCounters()
+        workers = [
+            multiprocessing.Process(
+                target=_bump_robustness, args=(counters, 500)
+            )
+            for _ in range(6)
+        ]
+        for process in workers:
+            process.start()
+        for process in workers:
+            process.join(timeout=60)
+            assert not process.is_alive() and process.exitcode == 0
+        snapshot = counters.snapshot()
+        assert snapshot["overload_rejections"] == 6 * 500
+        assert snapshot["retries_observed"] == 6 * 500 * 2
+        assert snapshot["worker_respawns"] == 0
+
+    def test_degraded_flag_crosses_the_fork(self):
+        counters = RobustnessCounters()
+        assert counters.degraded is False
+        process = multiprocessing.Process(
+            target=setattr, args=(counters, "degraded", True)
+        )
+        process.start()
+        process.join(timeout=30)
+        assert process.exitcode == 0
+        assert counters.degraded is True
+        counters.degraded = False
+        assert counters.degraded is False
+        assert "degraded" not in counters.snapshot()  # status shape kept
 
 
 def _drift_observe_batches(drift: DriftCounters, batches: int) -> None:

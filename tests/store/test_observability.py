@@ -3,16 +3,20 @@ Prometheus exposition on ``GET /metrics``, the span ring on
 ``GET /v1/traces``, per-language drift telemetry in ``serve status``,
 and trace ids stamped onto the structured JSON event log.
 
-One daemon boot serves the whole module (tracing is per-client, so a
+One daemon boot serves most of the module (tracing is per-client, so a
 traced and an untraced client share it); assertions follow the path a
 single traced classify takes: client → wire frame → worker span →
-ring buffer → scrape → log line.
+ring buffer → scrape → log line.  Daemon-wide accounting across
+workers and transports, and the reload rule, get daemons of their own.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import os
+import signal
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -24,6 +28,7 @@ from repro.obs.prom import CONTENT_TYPE as PROM_CONTENT_TYPE
 from repro.store import save_identifier
 from repro.store.client import AsyncRemoteIdentifier, DaemonClient
 from repro.store.daemon import start_daemon, stop_daemon
+from repro.store.wire import PROTOCOL_VERSION, recv_frame, send_message
 
 from ..obs.test_prom import parse_exposition
 
@@ -158,8 +163,8 @@ class TestHttpExposition:
         socket_path, base = obs_daemon
         with DaemonClient(socket_path, tracing=True) as client:
             client.classify(URLS)
-        # Request counters are per-process: the scrape endpoint lives in
-        # the parent, so drive one batch through the HTTP frontend too.
+        # Request counters cover the whole daemon; one batch through the
+        # HTTP frontend puts the third transport in the scrape too.
         request = urllib.request.Request(
             f"{base}/v1/classify",
             data=json.dumps({"urls": URLS[:3]}).encode(),
@@ -242,3 +247,169 @@ class TestJsonEventLog:
         (request,) = matching
         assert request["op"] == "ping" and request["ok"] is True
         assert request["role"] == "worker"
+
+
+class TestBoundedOpLabels:
+    def test_unknown_ops_add_no_label_besides_invalid(self, obs_daemon):
+        socket_path, _ = obs_daemon
+        with DaemonClient(socket_path) as client:
+            before = client.status()["requests"]["by_op"]
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+            raw.settimeout(10.0)
+            raw.connect(str(socket_path))
+            for n in range(200):
+                op = f"no-such-op-{n:03d}-" + "x" * 200
+                send_message(raw, {"v": PROTOCOL_VERSION, "op": op})
+                answer, _ = recv_frame(raw)
+                assert answer["error"]["code"] == "unknown-op"
+        with DaemonClient(socket_path) as client:
+            after = client.status()["requests"]["by_op"]
+        assert set(after) - set(before) <= {"invalid"}
+        assert after["invalid"] - before.get("invalid", 0) == 200
+
+
+@pytest.fixture
+def fleet_daemon(fitted, tmp_path, sockpath):
+    """Two workers behind unix, TCP and HTTP front doors at once."""
+    model_path = tmp_path / "fleet.urlmodel"
+    socket_path = sockpath("fleet.sock")
+    save_identifier(fitted, model_path)
+    start_daemon(model_path, socket_path, workers=2, http_port=0,
+                 tcp="127.0.0.1:0")
+    try:
+        with DaemonClient(socket_path) as client:
+            status = client.status()
+        tcp = (status["tcp"]["host"], status["tcp"]["port"])
+        yield socket_path, tcp, f"http://127.0.0.1:{status['http_port']}"
+    finally:
+        stop_daemon(socket_path)
+
+
+def _scrape_counts(base: str) -> dict:
+    """The parent's scrape of the request and respawn counters, keyed
+    by (name, *label values)."""
+    with urllib.request.urlopen(f"{base}/metrics") as response:
+        _, samples = parse_exposition(response.read().decode("utf-8"))
+    return {
+        (name, *labels.values()): value
+        for name, labels, value in samples
+        if name in ("repro_requests_total", "repro_requests_transport_total",
+                    "repro_worker_respawns_total")
+    }
+
+
+def _worker_statuses(socket_path) -> dict:
+    """Each worker's own status block, by pid: a held connection pins
+    its worker, so the second connection lands on the other one."""
+    with DaemonClient(socket_path) as first, \
+            DaemonClient(socket_path) as second:
+        statuses = [first.status(), second.status()]
+    assert [status["role"] for status in statuses] == ["worker"] * 2
+    return {status["pid"]: status for status in statuses}
+
+
+class TestFleetWideAccounting:
+    def test_every_process_reports_the_whole_daemon(self, fleet_daemon):
+        socket_path, tcp, base = fleet_daemon
+        for endpoint, connections in ((socket_path, 5), (tcp, 3)):
+            for _ in range(connections):
+                with DaemonClient(endpoint) as client:
+                    client.classify(URLS[:2])
+        for _ in range(2):
+            request = urllib.request.Request(
+                f"{base}/v1/classify",
+                data=json.dumps({"urls": URLS[:2]}).encode(),
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            with urllib.request.urlopen(request) as response:
+                assert json.loads(response.read())["ok"]
+
+        # The parent answers the scrape, yet counts every worker's
+        # unix and TCP traffic next to its own HTTP traffic.
+        scrape = _scrape_counts(base)
+        assert scrape[("repro_requests_total", "classify")] == 10
+        assert scrape[("repro_requests_transport_total", "tcp")] == 3
+        assert scrape[("repro_requests_transport_total", "http")] == 2
+        statuses = _worker_statuses(socket_path)
+        assert len(statuses) == 2
+        for status in statuses.values():
+            assert status["requests"]["by_op"]["classify"] == 10
+            assert status["requests"]["by_transport"]["tcp"] == 3
+            assert status["requests"]["by_transport"]["http"] == 2
+
+        # A worker's death takes none of the counts with it.
+        victim = min(statuses)
+        os.kill(victim, signal.SIGKILL)
+        deadline = time.time() + 30
+        while _scrape_counts(base)[("repro_worker_respawns_total",)] < 1:
+            assert time.time() < deadline, "the worker was never respawned"
+            time.sleep(0.05)
+        after = _scrape_counts(base)
+        for key, value in scrape.items():
+            assert after[key] >= value, key
+        respawned = _worker_statuses(socket_path)
+        assert victim not in respawned
+        for status in respawned.values():
+            assert status["requests"]["by_op"]["classify"] == 10
+
+
+@pytest.fixture(scope="module")
+def refitted(small_train):
+    """A second model with its own weights (and checksum) to reload to."""
+    train = small_train.subsample(0.3, seed=6)
+    return LanguageIdentifier("words", "NB", seed=0).fit(train)
+
+
+def _status_of_generation(socket_path, generation: int) -> dict:
+    """Poll fresh connections until a worker of ``generation`` answers."""
+    deadline = time.time() + 30
+    while True:
+        with DaemonClient(socket_path) as client:
+            status = client.status()
+        if status["generation"] == generation:
+            return status
+        assert time.time() < deadline, f"generation {generation} never came"
+        time.sleep(0.1)
+
+
+class TestReloadRule:
+    def test_reload_renews_spans_and_drift_but_keeps_scrape_counts(
+        self, fitted, refitted, tmp_path, sockpath
+    ):
+        model_path = tmp_path / "reload.urlmodel"
+        socket_path = sockpath("reload.sock")
+        save_identifier(fitted, model_path)
+        start_daemon(model_path, socket_path, workers=1)
+        try:
+            with DaemonClient(socket_path, tracing=True) as client:
+                client.classify(URLS)
+                status = client.status()
+            assert status["traces"]["recorded"] >= 1
+            assert status["drift"]["current"]["rows"] == len(URLS)
+            classified = status["requests"]["by_op"]["classify"]
+
+            save_identifier(refitted, model_path)
+            with DaemonClient(socket_path) as client:
+                client.reload()
+            status = _status_of_generation(socket_path, 2)
+            # The new generation forked over a fresh ring and fresh
+            # drift banks; request counts span generations.
+            assert status["traces"]["recorded"] == 0
+            drift = status["drift"]
+            assert drift["windows_completed"] == 0
+            assert drift["baseline"]["rows"] == drift["current"]["rows"] == 0
+            assert status["requests"]["by_op"]["classify"] == classified
+
+            with DaemonClient(socket_path, tracing=True) as client:
+                client.classify(URLS[:4])
+                trace_id = client.last_trace["trace_id"]
+                spans = client.traces()
+                status = client.status()
+            assert [span["trace"] for span in spans] == [trace_id]
+            assert spans[0]["pid"] == status["pid"]
+            assert status["generation"] == 2
+            assert status["drift"]["current"]["rows"] == 4
+            assert status["requests"]["by_op"]["classify"] == classified + 1
+        finally:
+            stop_daemon(socket_path)
