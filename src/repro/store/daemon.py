@@ -15,8 +15,11 @@ a model load, a process start or cold caches per batch.
   across requests, so the memoized tokenizer and the interned-row cache
   warm up once and stay warm;
 * ``--http`` additionally serves the same operations over plain HTTP
-  (stdlib :mod:`http.server` only) for curl-friendly probing and
-  load-balancer health checks;
+  (stdlib :mod:`http.server` parsing only) for curl-friendly probing
+  and load-balancer health checks.  Workers inherit that listener too
+  and answer it like the socket, so the parent only supervises: it
+  forks, respawns and reloads workers, and sheds load when every
+  worker is busy, but never scores a batch;
 * ``SIGHUP`` (or the ``reload`` operation) hot-reloads the artifact
   path **gated by rollout metadata**: the replacement must be a valid
   identifier artifact carrying a ``model.rollout`` stamp at least as
@@ -46,11 +49,11 @@ import select
 import signal
 import socket
 import sys
-import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 from repro.obs.events import EventLogger, json_log_enabled
@@ -67,7 +70,9 @@ from repro.store.metrics import (
 )
 from repro.store.serve import score_batch
 from repro.store.wire import (
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+    RETRYABLE_CODES,
     ConnectionClosed,
     FrameTooLargeError,
     WireError,
@@ -84,10 +89,10 @@ DEFAULT_WORKERS = 2
 #: Seconds between the supervision loop's housekeeping passes.
 SUPERVISE_INTERVAL = 0.2
 
-#: Seconds a worker allows one frame's bytes to trickle in or out once
-#: transfer has started.  Idle waiting *between* frames is separate
-#: (select at :data:`SUPERVISE_INTERVAL`), so this only cuts off peers
-#: that stall mid-frame.
+#: Seconds a worker allows one frame's (or HTTP request's) bytes to
+#: trickle in or out once transfer has started.  Idle waiting *between*
+#: requests is separate (select at :data:`SUPERVISE_INTERVAL`), so this
+#: only cuts off peers that stall mid-request.
 FRAME_IO_TIMEOUT = 30.0
 
 #: Seconds a graceful shutdown waits for workers before SIGKILL.
@@ -97,6 +102,16 @@ DRAIN_TIMEOUT = 10.0
 #: answer one late frame with a typed ``shutting-down`` error instead
 #: of resetting it mid-conversation.
 DRAIN_NOTIFY_SECONDS = 1.0
+
+#: Seconds an HTTP keep-alive connection may sit idle between requests
+#: before its worker closes it.  A held connection is a worker's whole
+#: capacity, so a scraper or a connection pool that keeps one open
+#: between requests must not hold a worker for long (HTTP clients
+#: reconnect on close).
+HTTP_IDLE_SECONDS = 2.0
+
+#: The ops that score URLs: never answered by the supervising parent.
+BATCH_OPS = ("classify", "score", "decisions")
 
 #: Upper bound on one batch request's URL count.  The frame cap already
 #: bounds bytes; this bounds *work* — a maximal batch must not be able
@@ -211,15 +226,15 @@ class ServingDaemon:
         self.tcp_spec = parse_tcp_spec(tcp) if tcp is not None else None
         self.tcp_address: tuple[str, int] | None = None
         self._state: _ModelState | None = None
-        self._listener: socket.socket | None = None
-        self._tcp_listener: socket.socket | None = None
+        #: Every bound front door, each mapped to its transport name
+        #: (``unix`` always, ``tcp`` and ``http`` when configured).
+        self._listeners: dict[socket.socket, str] = {}
         self._children: dict[int, int] = {}  # pid -> generation
         self._stop_requested = False
         self._hup_requested = False
         self._worker_stop = False  # set in children only
         self._supervisor_pid: int | None = None  # set in children at fork
         self._started_at = 0.0
-        self._http_server: ThreadingHTTPServer | None = None
         # Fleet-shared counters, created before run() forks so every
         # worker updates the same shared block: request accounting and
         # the fault-tolerance counters (crash-loop flag included) cover
@@ -270,13 +285,6 @@ class ServingDaemon:
         self._respawn_backoff = 0.0
         self._respawn_at = 0.0  # monotonic instant the backoff expires
         self._pending_respawns = 0
-        # Serializes os.fork() against the HTTP threads: a fork while a
-        # thread holds an I/O or logging lock would hand the child a
-        # lock nobody in it will ever release.  Also serializes HTTP
-        # batch dispatch, whose shared CompiledIdentifier row cache is
-        # not thread-safe (socket workers are single-threaded processes
-        # and need neither).
-        self._fork_lock = threading.Lock()
 
     # -- logging ------------------------------------------------------------------
 
@@ -378,7 +386,7 @@ class ServingDaemon:
             )
         return None
 
-    # -- request dispatch (shared by socket workers and the HTTP thread) -----------
+    # -- request dispatch (every transport, workers and the shedding parent) -------
 
     def _timed_dispatch(self, message: dict,
                         deadline: float | None = None,
@@ -389,9 +397,14 @@ class ServingDaemon:
         :class:`~repro.store.metrics.RequestMetrics` (op counts,
         transport counts, error count, latency histogram), so ``serve
         status`` and ``GET /metrics`` report the whole daemon's traffic
-        whichever process answers.  Updates are safe from any process
-        and any thread: each takes the shared block's lock for its
-        slot increments only.
+        whichever process answers.  Updates are safe from any process:
+        each takes the shared block's lock for its slot increments only.
+
+        A batch that reached the supervising parent, over any
+        transport, is refused here with ``overloaded`` before any work
+        or accounting (it is counted in ``overload_rejections`` only):
+        the parent answers only while every worker is busy, and it
+        never scores.
 
         ``deadline`` is the request's expiry on *this process's*
         monotonic clock (converted from the frame header's budget at
@@ -401,6 +414,10 @@ class ServingDaemon:
         pretending the caller got the answer in time.
         """
         op = message.get("op")
+        if self._is_worker:
+            faults.maybe_kill("worker-kill", op=op)
+        elif op in BATCH_OPS:
+            return self._overloaded()
         started = time.perf_counter()
         attempt = message.get("attempt")
         if isinstance(attempt, int) and attempt > 1:
@@ -432,6 +449,14 @@ class ServingDaemon:
             transport=transport,
         )
         return response
+
+    def _overloaded(self) -> dict:
+        """The typed, retryable refusal of work that reached the parent."""
+        self._robustness.bump("overload_rejections")
+        return error_response(
+            "overloaded",
+            f"all {self.workers} workers are busy; retry with backoff",
+        )
 
     def _dispatch(self, message: dict) -> dict:
         """Answer one request against the current model state."""
@@ -490,7 +515,7 @@ class ServingDaemon:
                 )
             return ok_response(signalled=signal.Signals(signum).name,
                                pid=target)
-        if op in ("classify", "score", "decisions"):
+        if op in BATCH_OPS:
             urls = message.get("urls")
             if not isinstance(urls, list) or any(
                 not isinstance(url, str) for url in urls
@@ -614,27 +639,21 @@ class ServingDaemon:
     def _spawn_worker(self, generation: int) -> int:
         """Fork one worker of ``generation`` over the current mapping.
 
-        The fork is serialized against the HTTP threads via
-        ``_fork_lock`` so the child never inherits a mid-critical-
-        section lock; the child releases its inherited copy on exiting
-        the ``with`` block.
+        The parent is single-threaded, so the fork can never hand the
+        child a lock some other thread held.
         """
         busy_flag = multiprocessing.Value("i", 0)  # shared across the fork
-        with self._fork_lock:
-            pid = os.fork()
-            if pid:
-                self._children[pid] = generation
-                self._child_busy[pid] = busy_flag
-                return pid
-        # Child: serve the listener until told to drain.
+        pid = os.fork()
+        if pid:
+            self._children[pid] = generation
+            self._child_busy[pid] = busy_flag
+            return pid
+        # Child: serve the listeners until told to drain.
         self._is_worker = True
         self._supervisor_pid = os.getppid()
         self._children = {}
         self._child_busy = {}
         self._my_busy = busy_flag
-        if self._http_server is not None:
-            self._http_server.socket.close()  # inherited fd; never served here
-            self._http_server = None
         signal.signal(signal.SIGTERM, self._worker_sigterm)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGHUP, signal.SIG_IGN)
@@ -649,22 +668,11 @@ class ServingDaemon:
     def _worker_sigterm(self, signum, frame) -> None:
         self._worker_stop = True
 
-    def _listeners(self) -> list[socket.socket]:
-        """Every bound front door (Unix always, TCP when configured)."""
-        return [
-            listener
-            for listener in (self._listener, self._tcp_listener)
-            if listener is not None
-        ]
-
-    def _transport_of(self, listener: socket.socket) -> str:
-        return "tcp" if listener is self._tcp_listener else "unix"
-
     def _worker_loop(self) -> None:
-        listeners = self._listeners()
+        listeners = list(self._listeners)
         assert listeners
-        # Non-blocking accept + select: one worker waits on *both* front
-        # doors at once, and a sibling winning the race for a pending
+        # Non-blocking accept + select: one worker waits on every front
+        # door at once, and a sibling winning the race for a pending
         # connection surfaces as BlockingIOError, never a stall.
         # settimeout is per socket *object*, so this worker's setting
         # never disturbs the parent or its siblings.
@@ -682,15 +690,15 @@ class ServingDaemon:
                 continue
             except OSError:
                 break  # a listener closed under us during shutdown
-            if not readable:
-                continue
+            if not readable or self._worker_stop:
+                continue  # a draining worker leaves new connections
             try:
                 connection, _ = readable[0].accept()
             except (BlockingIOError, socket.timeout, InterruptedError):
                 continue  # a sibling won the race
             except OSError:
                 break  # listener closed under us during shutdown
-            transport = self._transport_of(readable[0])
+            transport = self._listeners[readable[0]]
             if transport == "tcp":
                 connection.setsockopt(
                     socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
@@ -702,9 +710,39 @@ class ServingDaemon:
             self._my_busy.value = 1
             try:
                 with connection:
-                    self._serve_connection(connection, transport)
+                    connection.settimeout(FRAME_IO_TIMEOUT)
+                    if transport == "http":
+                        self._serve_http(connection)
+                    else:
+                        self._serve_connection(connection, transport)
             finally:
                 self._my_busy.value = 0
+
+    def _await_request(self, connection: socket.socket,
+                       idle_seconds: float = float("inf")) -> bool:
+        """Wait at a request boundary until the next request's first
+        bytes (or the peer's close) arrive; False means close instead.
+
+        The drain flag is polled only here, while idle between
+        requests, never by timing out a request mid-transfer (a short
+        read would desync the stream).  A draining worker keeps waiting
+        :data:`DRAIN_NOTIFY_SECONDS` so one late request gets a typed
+        ``shutting-down`` answer instead of a reset; a connection idle
+        for ``idle_seconds`` is closed.
+        """
+        give_up = time.monotonic() + idle_seconds
+        draining = False
+        while True:
+            if self._worker_stop and not draining:
+                draining = True
+                give_up = min(give_up, time.monotonic() + DRAIN_NOTIFY_SECONDS)
+            if time.monotonic() >= give_up:
+                return False
+            readable, _, _ = select.select(
+                [connection], [], [], SUPERVISE_INTERVAL
+            )
+            if readable:
+                return True
 
     def _serve_connection(self, connection: socket.socket,
                           transport: str = "unix") -> None:
@@ -727,25 +765,12 @@ class ServingDaemon:
         on a full stop, surfaces the typed error when the retry budget
         runs out).
 
-        The drain flag is polled only while *idle between frames*
-        (``select`` below), never by timing out a frame mid-transfer —
-        a short read would desync the length-prefixed stream.  Once a
-        frame starts, it gets :data:`FRAME_IO_TIMEOUT` to complete;
-        a peer stalling longer than that loses the connection.
+        The drain flag is polled only while idle between frames
+        (:meth:`_await_request`).  Once a frame starts, it gets
+        :data:`FRAME_IO_TIMEOUT` to complete; a peer stalling longer
+        than that loses the connection.
         """
-        connection.settimeout(FRAME_IO_TIMEOUT)
-        drain_until: float | None = None
-        while True:
-            if self._worker_stop:
-                if drain_until is None:
-                    drain_until = time.monotonic() + DRAIN_NOTIFY_SECONDS
-                elif time.monotonic() >= drain_until:
-                    return  # notify window over; close at the boundary
-            readable, _, _ = select.select(
-                [connection], [], [], SUPERVISE_INTERVAL
-            )
-            if not readable:
-                continue  # idle at a frame boundary; re-check drain flag
+        while self._await_request(connection):
             try:
                 frame = recv_frame_ex(connection)
             except TimeoutError:
@@ -783,7 +808,6 @@ class ServingDaemon:
                     trace=trace_echo,
                 )
                 return
-            faults.maybe_kill("worker-kill", op=op)
             deadline = (
                 time.monotonic() + frame.deadline_ms / 1000.0
                 if frame.deadline_ms is not None else None
@@ -895,229 +919,19 @@ class ServingDaemon:
 
     # -- HTTP front-end ------------------------------------------------------------
 
-    def _bind_http(self) -> None:
-        """Bind the HTTP listener and resolve ``http_port`` (no threads
-        yet — workers fork after this, so their status blocks report
-        the real port; the serving thread starts post-fork via
-        :meth:`_start_http_thread`)."""
-        daemon = self
+    def _serve_http(self, connection: socket.socket) -> None:
+        """Answer HTTP on one accepted connection (:class:`_HttpHandler`).
 
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            # _reply writes headers and body as two segments; with Nagle
-            # on, the body waits out the client's delayed ACK (~40 ms)
-            # on every back-to-back keep-alive request.
-            disable_nagle_algorithm = True
-
-            def log_message(self, format, *args):  # noqa: A002
-                daemon._log(f"http {self.address_string()} {format % args}")
-
-            def _reply(self, status: int, payload: dict | str,
-                       content_type: str | None = None) -> None:
-                body = (
-                    payload.encode("utf-8")
-                    if isinstance(payload, str)
-                    else (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-                )
-                self.send_response(status)
-                self.send_header(
-                    "Content-Type",
-                    content_type or (
-                        "text/plain" if isinstance(payload, str)
-                        else "application/json"
-                    ),
-                )
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def do_GET(self):  # noqa: N802 - http.server API
-                with daemon._fork_lock:
-                    if self.path == "/healthz":
-                        self._reply(200, "ok\n")
-                    elif self.path == "/v1/status":
-                        self._reply(200, ok_response(**daemon._status_block()))
-                    elif self.path == "/metrics":
-                        # The Prometheus scrape target: the same status
-                        # block, rendered by the shared zero-dependency
-                        # encoder (`serve status --prom` renders the
-                        # identical text client-side).
-                        self._reply(
-                            200,
-                            render_prometheus(daemon._status_block()),
-                            content_type=PROM_CONTENT_TYPE,
-                        )
-                    elif self.path.rstrip("?") == "/v1/traces" or \
-                            self.path.startswith("/v1/traces?"):
-                        self._do_traces()
-                    elif self.path.startswith("/v1/query/"):
-                        self._do_query()
-                    else:
-                        self._reply(
-                            404, error_response("unknown-op", self.path)
-                        )
-
-            def _do_traces(self) -> None:
-                """Recent spans from the fork-shared ring buffer."""
-                from urllib.parse import parse_qs, urlparse
-
-                params = {
-                    key: values[-1]
-                    for key, values in
-                    parse_qs(urlparse(self.path).query).items()
-                }
-                limit: int | None = None
-                if "limit" in params:
-                    try:
-                        limit = int(params["limit"])
-                        if limit < 1:
-                            raise ValueError
-                    except ValueError:
-                        self._reply(400, error_response(
-                            "bad-request",
-                            f"limit must be >= 1, got {params['limit']!r}",
-                        ))
-                        return
-                self._reply(200, ok_response(
-                    traces=daemon._spans.snapshot(limit=limit),
-                    recorded=daemon._spans.recorded,
-                    capacity=daemon._spans.capacity,
-                ))
-
-            def _do_query(self) -> None:
-                """Read-only result-index routes (``--query-db``).
-
-                GET /v1/query/{status,counts,hist,lookup,search,rows}
-                with URL query parameters; pagination reuses the
-                index's own ``{score}|{rowid}|{fingerprint}`` keyset
-                cursors, so a cursor refusal here is byte-for-byte the
-                refusal the ``repro query`` CLI gives.
-                """
-                from urllib.parse import parse_qs, urlparse
-
-                if daemon.query_db is None:
-                    self._reply(404, error_response(
-                        "unknown-op",
-                        f"{self.path}: this daemon serves no result "
-                        "index (start with --query-db)",
-                    ))
-                    return
-                from repro.query import QueryError, open_index
-
-                parsed = urlparse(self.path)
-                op = parsed.path.rsplit("/", 1)[-1]
-                params = {
-                    key: values[-1]
-                    for key, values in parse_qs(parsed.query).items()
-                }
-                language = params.get("language")
-                limit = params.get("limit")
-                cursor = params.get("cursor")
-                try:
-                    with open_index(daemon.query_db) as index:
-                        if op == "status":
-                            payload = index.status()
-                        elif op == "counts":
-                            payload = {"counts": index.counts(language)}
-                        elif op == "hist":
-                            payload = index.histogram(
-                                language,
-                                bins=int(params.get("bins", 20)),
-                            )
-                        elif op == "lookup":
-                            if "url" not in params:
-                                self._reply(400, error_response(
-                                    "bad-request",
-                                    "lookup requires ?url=",
-                                ))
-                                return
-                            payload = {"rows": index.lookup(
-                                params["url"],
-                                prefix=params.get("prefix") in ("1", "true"),
-                                limit=limit,
-                            )}
-                        elif op == "search":
-                            if "q" not in params:
-                                self._reply(400, error_response(
-                                    "bad-request",
-                                    "search requires ?q=",
-                                ))
-                                return
-                            payload = index.search(
-                                params["q"], limit=limit, cursor=cursor,
-                            ).snapshot()
-                        elif op == "rows":
-                            payload = index.page(
-                                language, limit=limit, cursor=cursor,
-                            ).snapshot()
-                        else:
-                            self._reply(404, error_response(
-                                "unknown-op", parsed.path
-                            ))
-                            return
-                except (QueryError, ValueError) as error:
-                    self._reply(
-                        400, error_response("bad-request", str(error))
-                    )
-                    return
-                self._reply(200, ok_response(**payload))
-
-            def do_POST(self):  # noqa: N802 - http.server API
-                with daemon._fork_lock:
-                    self._do_post_locked()
-
-            def _do_post_locked(self) -> None:
-                op = self.path.rsplit("/", 1)[-1]
-                if self.path != f"/v1/{op}" or op not in (
-                    "classify", "score", "decisions",
-                ):
-                    self._reply(404, error_response("unknown-op", self.path))
-                    return
-                length = int(self.headers.get("Content-Length") or 0)
-                from repro.store.wire import MAX_FRAME_BYTES
-
-                if length > MAX_FRAME_BYTES:
-                    self._reply(413, error_response(
-                        "frame-too-large",
-                        f"body announces {length} bytes; "
-                        f"limit {MAX_FRAME_BYTES}",
-                    ))
-                    return
-                try:
-                    body = json.loads(self.rfile.read(length) or b"{}")
-                    if not isinstance(body, dict):
-                        raise ValueError("body must be a JSON object")
-                except (ValueError, json.JSONDecodeError) as error:
-                    self._reply(400, error_response("bad-request", str(error)))
-                    return
-                # The path, not the body, decides the op — a body "op"
-                # must never widen a batch endpoint into stop/reload.
-                response = daemon._timed_dispatch(
-                    {**body, "v": PROTOCOL_VERSION, "op": op},
-                    transport="http",
-                )
-                self._reply(200 if response.get("ok") else 400, response)
-
-        server = ThreadingHTTPServer(("127.0.0.1", self.http_port), Handler)
-        server.daemon_threads = True
-        self.http_port = server.server_address[1]  # resolve port 0
-        self._http_server = server
-
-    def _start_http_thread(self) -> None:
-        """Serve the bound HTTP listener from a parent daemon thread.
-
-        Batch endpoints answer from the parent's mapping (swapped
-        atomically on reload), and ``/healthz`` gives load balancers a
-        poll target that does not consume a socket worker.
+        The boundary that must keep running: a peer that goes away
+        mid-answer ends only its connection, and a failing route is
+        logged, never allowed to take down a worker or the parent.
         """
-        assert self._http_server is not None
-        thread = threading.Thread(
-            target=self._http_server.serve_forever,
-            name="repro-serve-http",
-            daemon=True,
-        )
-        thread.start()
-        self._log(f"http front-end on 127.0.0.1:{self.http_port}")
+        try:
+            _HttpHandler(connection, self)
+        except OSError:
+            pass  # the peer went away mid-answer
+        except Exception:  # noqa: BLE001 - keep this process serving
+            self._log(f"http connection failed:\n{traceback.format_exc()}")
 
     # -- the supervising parent ----------------------------------------------------
 
@@ -1142,20 +956,17 @@ class ServingDaemon:
         listener.listen(128)
         return listener
 
-    def _bind_tcp(self) -> socket.socket:
-        """Bind the TCP listener and resolve ``tcp_address``.
+    def _bind_inet(self, transport: str,
+                   address: tuple[str, int]) -> tuple[str, int]:
+        """Bind the TCP or HTTP listener; returns the bound address.
 
         Bound before workers fork so every worker inherits the listener
-        and every status block reports the kernel-resolved port (spec
-        port ``0`` means "pick one for me").
+        and every status block reports the kernel-resolved port (port
+        ``0`` means "pick one for me").
         """
-        assert self.tcp_spec is not None
-        listener = socket.create_server(
-            self.tcp_spec, backlog=128, reuse_port=False
-        )
-        host, port = listener.getsockname()[:2]
-        self.tcp_address = (host, port)
-        return listener
+        listener = socket.create_server(address, backlog=128)
+        self._listeners[listener] = transport
+        return listener.getsockname()[:2]
 
     def run(self) -> int:
         """Serve until told to stop; returns the process exit code.
@@ -1167,15 +978,17 @@ class ServingDaemon:
         self._started_at = time.time()
         self._state = self._load_state(generation=1)
         self._drift = self._make_drift(self._state)  # pre-fork: shared
-        self._listener = self._bind()
+        self._listeners[self._bind()] = "unix"
         if self.tcp_spec is not None:
-            self._tcp_listener = self._bind_tcp()
+            self.tcp_address = self._bind_inet("tcp", self.tcp_spec)
+        if self.http_port is not None:
+            self.http_port = self._bind_inet(
+                "http", ("127.0.0.1", self.http_port)
+            )[1]
         self.pid_path.write_text(f"{os.getpid()}\n")
         signal.signal(signal.SIGTERM, self._parent_signal)
         signal.signal(signal.SIGINT, self._parent_signal)
         signal.signal(signal.SIGHUP, self._parent_signal)
-        if self.http_port is not None:
-            self._bind_http()  # resolves the port workers will report
         self._log(
             f"serving {self._state.identifier.name} "
             f"(checksum {self._state.checksum[:12]}…) from {self.model_path} "
@@ -1194,20 +1007,17 @@ class ServingDaemon:
                 f"tcp front door on "
                 f"{self.tcp_address[0]}:{self.tcp_address[1]}"
             )
+        if self.http_port is not None:
+            self._log(f"http front-end on 127.0.0.1:{self.http_port}")
         for _ in range(self.workers):
             self._spawn_worker(self._state.generation)
-        if self._http_server is not None:
-            # Thread starts only after the initial forks; later forks
-            # (reload, respawn) are serialized against the HTTP threads
-            # via _fork_lock.
-            self._start_http_thread()
         # The parent is the admission valve: when every worker is busy
         # (or dead), it accepts the connections nobody else will and
         # answers with typed `overloaded` instead of letting callers
         # hang in the listen backlog.  Its accept must never block —
         # a worker may win the race for a pending connection at any
         # moment — hence timeout 0 on the parent's socket objects.
-        for listener in self._listeners():
+        for listener in self._listeners:
             listener.settimeout(0)
         try:
             while not self._stop_requested:
@@ -1335,52 +1145,46 @@ class ServingDaemon:
 
     def _shed_load(self) -> None:
         """Answer pending connections while saturated: typed
-        ``overloaded`` for work, real answers for ping/status.
+        ``overloaded`` for work, real answers for health and status.
 
         Never silent queuing — a caller that would previously have sat
         in the listen backlog behind busy workers now gets a retryable
-        refusal within one supervise tick.  Ping and status are
-        answered for real (from the parent) so health checks and
-        operators can still see a saturated or degraded daemon; one
-        frame per connection, then close, so the parent never becomes
-        a long-lived serving path.
+        refusal within one supervise tick.  Health and status requests
+        (wire ``ping``/``status``/``traces``/``stop``/``reload``, HTTP
+        ``/healthz``, ``/v1/status``, ``/metrics``, ``/v1/traces``) are
+        answered for real, so health checks and operators can still
+        see a saturated or degraded daemon; batch work is refused by
+        :meth:`_timed_dispatch`.  One request per connection, then
+        close, so the parent never becomes a long-lived serving path.
         """
         budget = 64
-        for listener in self._listeners():
-            transport = self._transport_of(listener)
+        for listener, transport in self._listeners.items():
             while budget > 0:
                 try:
                     connection, _ = listener.accept()
-                except (BlockingIOError, socket.timeout, OSError):
+                except OSError:
                     break  # this listener's backlog is drained
                 budget -= 1
                 with connection:
-                    try:
-                        connection.settimeout(1.0)
-                        frame = recv_frame_ex(connection)
-                    except (WireError, OSError, TimeoutError):
+                    connection.settimeout(1.0)
+                    if transport == "http":
+                        self._serve_http(connection)
                         continue
-                    message = frame.message
-                    op = message.get("op")
-                    if op in ("classify", "score", "decisions"):
-                        self._robustness.bump("overload_rejections")
-                        response = error_response(
-                            "overloaded",
-                            f"all {self.workers} workers are busy; "
-                            "retry with backoff",
-                        )
-                    else:
-                        deadline = (
-                            time.monotonic() + frame.deadline_ms / 1000.0
-                            if frame.deadline_ms is not None else None
-                        )
-                        with self._fork_lock:
-                            response = self._timed_dispatch(
-                                message, deadline=deadline,
-                                transport=transport,
-                            )
+                    try:
+                        frame = recv_frame_ex(connection)
+                    except (WireError, OSError):
+                        continue
+                    deadline = (
+                        time.monotonic() + frame.deadline_ms / 1000.0
+                        if frame.deadline_ms is not None else None
+                    )
                     self._send_best_effort(
-                        connection, response, op=op,
+                        connection,
+                        self._timed_dispatch(
+                            frame.message, deadline=deadline,
+                            transport=transport,
+                        ),
+                        op=frame.message.get("op"),
                         correlation_id=frame.correlation_id,
                         trace=(
                             (frame.trace_id, new_span_id())
@@ -1409,7 +1213,7 @@ class ServingDaemon:
             for pid, generation in self._children.items()
             if generation == self._state.generation
         ]
-        self._state = state  # new forks and the HTTP thread see it now
+        self._state = state  # new forks serve it
         # A new model invalidates the old telemetry baselines: fresh
         # drift counters and a fresh span ring, created before the new
         # generation forks so its workers share them.  Old-gen workers
@@ -1442,8 +1246,6 @@ class ServingDaemon:
     def _shutdown(self) -> None:
         """Drain workers, then remove every file the daemon created."""
         self._log("shutting down")
-        if self._http_server is not None:
-            self._http_server.shutdown()
         for pid in list(self._children):
             self._terminate(pid, signal.SIGTERM)
         deadline = time.time() + DRAIN_TIMEOUT
@@ -1454,7 +1256,7 @@ class ServingDaemon:
             self._log(f"worker {pid} did not drain; killing")
             self._terminate(pid, signal.SIGKILL)
         self._reap(respawn=False)
-        for listener in self._listeners():
+        for listener in self._listeners:
             listener.close()
         for path in (self.socket_path, self.pid_path):
             try:
@@ -1464,6 +1266,264 @@ class ServingDaemon:
         self._log("stopped")
         self._event("daemon-stop", uptime_seconds=round(
             time.time() - self._started_at, 3))
+
+
+class _HttpHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 on one accepted connection, answered by the process
+    that accepted it; constructing the handler serves the connection.
+
+    A worker answers requests strictly in order until the peer closes,
+    the connection idles past :data:`HTTP_IDLE_SECONDS`, or the worker
+    drains.  Between requests it waits like the wire does
+    (:meth:`ServingDaemon._await_request`), unless the next request is
+    already buffered.  The shedding parent answers one request, then
+    closes, as it does a wire connection.
+    """
+
+    protocol_version = "HTTP/1.1"
+    # _reply writes headers and body as two segments; with Nagle on,
+    # the body waits out the client's delayed ACK (~40 ms) on every
+    # back-to-back keep-alive request.
+    disable_nagle_algorithm = True
+
+    def __init__(self, connection: socket.socket,
+                 daemon: ServingDaemon) -> None:
+        self.daemon = daemon
+        super().__init__(connection, connection.getpeername(), None)
+
+    def handle(self) -> None:
+        if not self.daemon._is_worker:
+            self.handle_one_request()
+            return
+        self.close_connection = False
+        while not self.close_connection:
+            if not self._buffered() and not self.daemon._await_request(
+                self.connection, HTTP_IDLE_SECONDS
+            ):
+                return
+            self.handle_one_request()
+
+    def _buffered(self) -> bool:
+        """True when the next request is already in the read buffer
+        (pipelined behind the last one), where ``select`` cannot see it."""
+        timeout = self.connection.gettimeout()
+        self.connection.settimeout(0)
+        try:
+            return bool(self.rfile.peek(1))
+        finally:
+            self.connection.settimeout(timeout)
+
+    def log_message(self, format, *args):  # noqa: A002
+        self.daemon._log(f"http {self.address_string()} {format % args}")
+
+    def _reply(self, status: int, payload: dict | str,
+               content_type: str | None = None, close: bool = False) -> None:
+        body = (
+            payload.encode("utf-8")
+            if isinstance(payload, str)
+            else (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+        )
+        self.send_response(status)
+        self.send_header(
+            "Content-Type",
+            content_type or (
+                "text/plain" if isinstance(payload, str)
+                else "application/json"
+            ),
+        )
+        self.send_header("Content-Length", str(len(body)))
+        if close or not self.daemon._is_worker or self.daemon._worker_stop:
+            # The parent answers one request per connection, and a
+            # draining worker none after this one.
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _answer(self, response: dict) -> None:
+        """Reply with a wire response: 200, 503 for the retryable
+        refusals (``overloaded``, ``shutting-down``), 400 otherwise."""
+        if response.get("ok"):
+            status = 200
+        elif response["error"]["code"] in RETRYABLE_CODES:
+            status = 503
+        else:
+            status = 400
+        self._reply(status, response)
+
+    def _draining(self) -> bool:
+        """Refuse a request that arrived while this worker drains."""
+        if not self.daemon._worker_stop:
+            return False
+        self._answer(error_response(
+            "shutting-down", "worker is draining; retry on a new connection"
+        ))
+        return True
+
+    def do_GET(self):  # noqa: N802 - http.server API
+        daemon = self.daemon
+        if self._draining():
+            return
+        if self.path == "/healthz":
+            self._reply(200, "ok\n")
+        elif self.path == "/v1/status":
+            self._reply(200, ok_response(**daemon._status_block()))
+        elif self.path == "/metrics":
+            # The Prometheus scrape target: the same status block,
+            # rendered by the shared zero-dependency encoder (`serve
+            # status --prom` renders the identical text client-side).
+            self._reply(
+                200,
+                render_prometheus(daemon._status_block()),
+                content_type=PROM_CONTENT_TYPE,
+            )
+        elif self.path.rstrip("?") == "/v1/traces" or \
+                self.path.startswith("/v1/traces?"):
+            self._do_traces()
+        elif self.path.startswith("/v1/query/"):
+            if daemon._is_worker:
+                self._do_query()
+            else:
+                self._answer(daemon._overloaded())
+        else:
+            self._reply(404, error_response("unknown-op", self.path))
+
+    def _do_traces(self) -> None:
+        """Recent spans from the fork-shared ring buffer."""
+        from urllib.parse import parse_qs, urlparse
+
+        params = {
+            key: values[-1]
+            for key, values in parse_qs(urlparse(self.path).query).items()
+        }
+        limit: int | None = None
+        if "limit" in params:
+            try:
+                limit = int(params["limit"])
+                if limit < 1:
+                    raise ValueError
+            except ValueError:
+                self._reply(400, error_response(
+                    "bad-request",
+                    f"limit must be >= 1, got {params['limit']!r}",
+                ))
+                return
+        spans = self.daemon._spans
+        self._reply(200, ok_response(
+            traces=spans.snapshot(limit=limit),
+            recorded=spans.recorded,
+            capacity=spans.capacity,
+        ))
+
+    def _do_query(self) -> None:
+        """Read-only result-index routes (``--query-db``).
+
+        GET /v1/query/{status,counts,hist,lookup,search,rows} with URL
+        query parameters; pagination reuses the index's own
+        ``{score}|{rowid}|{fingerprint}`` keyset cursors, so a cursor
+        refusal here is byte-for-byte the refusal the ``repro query``
+        CLI gives.
+        """
+        from urllib.parse import parse_qs, urlparse
+
+        query_db = self.daemon.query_db
+        if query_db is None:
+            self._reply(404, error_response(
+                "unknown-op",
+                f"{self.path}: this daemon serves no result index "
+                "(start with --query-db)",
+            ))
+            return
+        from repro.query import QueryError, open_index
+
+        parsed = urlparse(self.path)
+        op = parsed.path.rsplit("/", 1)[-1]
+        params = {
+            key: values[-1]
+            for key, values in parse_qs(parsed.query).items()
+        }
+        language = params.get("language")
+        limit = params.get("limit")
+        cursor = params.get("cursor")
+        try:
+            with open_index(query_db) as index:
+                if op == "status":
+                    payload = index.status()
+                elif op == "counts":
+                    payload = {"counts": index.counts(language)}
+                elif op == "hist":
+                    payload = index.histogram(
+                        language, bins=int(params.get("bins", 20)),
+                    )
+                elif op == "lookup":
+                    if "url" not in params:
+                        self._reply(400, error_response(
+                            "bad-request", "lookup requires ?url=",
+                        ))
+                        return
+                    payload = {"rows": index.lookup(
+                        params["url"],
+                        prefix=params.get("prefix") in ("1", "true"),
+                        limit=limit,
+                    )}
+                elif op == "search":
+                    if "q" not in params:
+                        self._reply(400, error_response(
+                            "bad-request", "search requires ?q=",
+                        ))
+                        return
+                    payload = index.search(
+                        params["q"], limit=limit, cursor=cursor,
+                    ).snapshot()
+                elif op == "rows":
+                    payload = index.page(
+                        language, limit=limit, cursor=cursor,
+                    ).snapshot()
+                else:
+                    self._reply(404, error_response(
+                        "unknown-op", parsed.path
+                    ))
+                    return
+        except (QueryError, ValueError) as error:
+            self._reply(400, error_response("bad-request", str(error)))
+            return
+        self._reply(200, ok_response(**payload))
+
+    def do_POST(self):  # noqa: N802 - http.server API
+        op = self.path.rsplit("/", 1)[-1]
+        if self.path != f"/v1/{op}" or op not in BATCH_OPS:
+            # The body stays unread, so the stream cannot go on.
+            self._reply(404, error_response("unknown-op", self.path),
+                        close=True)
+            return
+        announced = (self.headers.get("Content-Length") or "0").strip()
+        if not (announced.isascii() and announced.isdigit()):
+            # Unread body of unknown length: the stream cannot go on.
+            self._reply(400, error_response(
+                "bad-request",
+                f"Content-Length must be a byte count, got {announced!r}",
+            ), close=True)
+            return
+        length = int(announced)
+        if length > MAX_FRAME_BYTES:
+            self._reply(413, error_response(
+                "frame-too-large",
+                f"body announces {length} bytes; limit {MAX_FRAME_BYTES}",
+            ), close=True)
+            return
+        try:
+            body = json.loads(self.rfile.read(length) or b"{}")
+            if not isinstance(body, dict):
+                raise ValueError("body must be a JSON object")
+        except ValueError as error:
+            self._reply(400, error_response("bad-request", str(error)))
+            return
+        if self._draining():
+            return
+        # The path, not the body, decides the op — a body "op" must
+        # never widen a batch endpoint into stop/reload.
+        self._answer(self.daemon._timed_dispatch(
+            {**body, "v": PROTOCOL_VERSION, "op": op}, transport="http",
+        ))
 
 
 # -- process management (the CLI's serve start/stop/status/reload) ----------------

@@ -286,8 +286,9 @@ def fleet_daemon(fitted, tmp_path, sockpath):
 
 
 def _scrape_counts(base: str) -> dict:
-    """The parent's scrape of the request and respawn counters, keyed
-    by (name, *label values)."""
+    """One scrape of the request and respawn counters, keyed by (name,
+    *label values); whichever process answers it reports the whole
+    daemon."""
     with urllib.request.urlopen(f"{base}/metrics") as response:
         _, samples = parse_exposition(response.read().decode("utf-8"))
     return {
@@ -325,8 +326,8 @@ class TestFleetWideAccounting:
             with urllib.request.urlopen(request) as response:
                 assert json.loads(response.read())["ok"]
 
-        # The parent answers the scrape, yet counts every worker's
-        # unix and TCP traffic next to its own HTTP traffic.
+        # One worker answers the scrape, yet counts every worker's
+        # unix, TCP and HTTP traffic.
         scrape = _scrape_counts(base)
         assert scrape[("repro_requests_total", "classify")] == 10
         assert scrape[("repro_requests_transport_total", "tcp")] == 3

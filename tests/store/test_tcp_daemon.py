@@ -1,19 +1,23 @@
-"""The TCP front door, held to the Unix-socket daemon's contract.
+"""The TCP and HTTP front doors, held to the Unix-socket daemon's contract.
 
 One parametrized ``transport`` fixture runs the existing lifecycle and
 robustness scenarios — oracle byte-parity, SIGHUP reload, saturation
 shedding, SIGTERM drain, worker-kill chaos — unmodified against both
-front doors of the *same* daemon (every daemon here listens on its
-Unix socket and on TCP at once, which is exactly the deployment shape
-``serve start --tcp`` produces).  On top of the shared matrix:
+wire front doors of the *same* daemon (every daemon here listens on its
+Unix socket, on TCP and on HTTP at once, which is exactly the
+deployment shape ``serve start --tcp --http`` produces).  The same
+scenarios then run over HTTP, which workers answer like the wire while
+the supervising parent only sheds.  On top of the shared matrix:
 keep-alive pipelining with correlation-id echo over raw sockets, the
 ``repro+tcp://`` resolver route, ``parse_tcp_spec`` grammar, and the
-HTTP front-end's batch answers over keep-alive connections.
+HTTP front-end's batch answers, keep-alive and idle limit.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
 import signal
 import socket
 import threading
@@ -32,7 +36,9 @@ from repro.store.client import (
     RetryPolicy,
 )
 from repro.store.daemon import (
+    HTTP_IDLE_SECONDS,
     parse_tcp_spec,
+    pidfile_for,
     signal_daemon,
     start_daemon,
     stop_daemon,
@@ -80,13 +86,13 @@ def transport(request):
 
 @pytest.fixture
 def live_daemon(oracle_pair, sockpath, transport, tmp_path):
-    """Factory for dual-listener daemons, yielding per-transport
+    """Factory for unix + TCP + HTTP daemons, yielding per-transport
     endpoints.
 
     Returned records carry ``endpoint`` (what :class:`DaemonClient`
     dials for the parametrized transport), ``socket_path`` (for
-    signals/stop), and ``pid``.  Started *inside* the test so chaos
-    scenarios can arm faults in the environment first.
+    signals/stop), ``http_port`` and ``pid``.  Started *inside* the
+    test so chaos scenarios can arm faults in the environment first.
     """
     model_path, first, _ = oracle_pair
     started = []
@@ -95,10 +101,11 @@ def live_daemon(oracle_pair, sockpath, transport, tmp_path):
         socket_path = sockpath(f"d{len(started)}.sock")
         pid = start_daemon(
             model or model_path, socket_path, workers=workers,
-            tcp="127.0.0.1:0",
+            tcp="127.0.0.1:0", http_port=0,
         )
         with DaemonClient(socket_path) as client:
-            tcp_block = client.status()["tcp"]
+            status = client.status()
+        tcp_block = status["tcp"]
         assert tcp_block["host"] == "127.0.0.1" and tcp_block["port"] > 0
         endpoint = (
             socket_path if transport == "unix"
@@ -106,7 +113,7 @@ def live_daemon(oracle_pair, sockpath, transport, tmp_path):
         )
         record = SimpleNamespace(
             pid=pid, socket_path=socket_path, endpoint=endpoint,
-            tcp_port=tcp_block["port"],
+            tcp_port=tcp_block["port"], http_port=status["http_port"],
         )
         started.append(record)
         return record
@@ -128,6 +135,36 @@ def raw_connect(record, transport):
         raw = socket.create_connection(("127.0.0.1", record.tcp_port))
     raw.settimeout(30.0)
     return raw
+
+
+def http_request(port, method, path, body=None, keep_alive=False,
+                 timeout=30.0):
+    """``(status, headers, body bytes)`` of one request on a fresh
+    connection.  ``Connection: close`` unless ``keep_alive``, so the
+    answering worker is free again as soon as it has replied."""
+    connection = http.client.HTTPConnection("127.0.0.1", port,
+                                            timeout=timeout)
+    try:
+        connection.request(
+            method, path,
+            body=None if body is None else json.dumps(body),
+            headers={} if keep_alive else {"Connection": "close"},
+        )
+        response = connection.getresponse()
+        return response.status, response.headers, response.read()
+    finally:
+        connection.close()
+
+
+def read_response(reader):
+    """``(status, headers, body)`` of one HTTP/1.1 response read off a
+    raw socket's buffered reader; header names are lower-cased."""
+    status = int(reader.readline().split()[1])
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, reader.read(int(headers["content-length"]))
 
 
 class TestTransportMatrix:
@@ -303,6 +340,151 @@ class TestTransportMatrix:
             assert frame.correlation_id is None
 
 
+class TestHttpChaos:
+    """The chaos matrix over HTTP: workers answer it, the parent sheds.
+
+    Wire calls that pin or inspect the daemon go over its unix socket.
+    """
+
+    @pytest.fixture
+    def transport(self):
+        return "unix"
+
+    def test_saturated_daemon_sheds_with_503_overloaded(
+        self, live_daemon, oracle_pair, test_urls, tmp_path, monkeypatch
+    ):
+        _, first, _ = oracle_pair
+        arm_faults(
+            monkeypatch, tmp_path,
+            "slow-handler:op=decisions,seconds=2.5,times=1",
+        )
+        record = live_daemon(workers=1)
+        slow_result = {}
+
+        def slow_call():
+            with DaemonClient(record.endpoint, retry=FAST) as client:
+                slow_result["decisions"] = client.decisions(test_urls)
+
+        pinned = threading.Thread(target=slow_call)
+        pinned.start()
+        time.sleep(0.6)
+        port = record.http_port
+        status, headers, body = http_request(
+            port, "POST", "/v1/classify", {"urls": test_urls[:2]},
+            keep_alive=True,
+        )
+        assert status == 503
+        assert json.loads(body)["error"]["code"] == "overloaded"
+        assert headers["Connection"] == "close"  # one request, then close
+        # Health and status stay observable from the parent.
+        assert http_request(port, "GET", "/healthz")[2] == b"ok\n"
+        answer = json.loads(http_request(port, "GET", "/v1/status")[2])
+        assert answer["role"] == "parent"
+        assert answer["robustness"]["overload_rejections"] >= 1
+        pinned.join(timeout=30)
+        assert not pinned.is_alive()
+        assert slow_result["decisions"] == sparse_oracle(first, test_urls)
+
+    def test_worker_sigkill_mid_request_drops_the_connection(
+        self, live_daemon, oracle_pair, test_urls, tmp_path, monkeypatch
+    ):
+        _, first, _ = oracle_pair
+        arm_faults(
+            monkeypatch, tmp_path, "worker-kill:op=classify,times=1"
+        )
+        record = live_daemon(workers=2)
+        with pytest.raises(ConnectionError):  # no response at all
+            http_request(record.http_port, "POST", "/v1/classify",
+                         {"urls": test_urls})
+        deadline = time.time() + 10
+        while True:
+            with DaemonClient(record.endpoint, retry=FAST) as client:
+                robustness = client.status()["robustness"]
+            if robustness["worker_respawns"] >= 1:
+                break
+            assert time.time() < deadline, "the worker was never respawned"
+            time.sleep(0.05)
+        status, _, body = http_request(
+            record.http_port, "POST", "/v1/classify", {"urls": test_urls}
+        )
+        assert status == 200
+        rows = json.loads(body)["results"]
+        oracle = sparse_oracle(first, test_urls)
+        assert {
+            language: [language in row["positives"] for row in rows]
+            for language in oracle
+        } == oracle
+
+    def test_sigterm_drains_an_in_flight_batch(
+        self, live_daemon, oracle_pair, test_urls, tmp_path, monkeypatch
+    ):
+        _, first, _ = oracle_pair
+        arm_faults(
+            monkeypatch, tmp_path,
+            "slow-handler:op=decisions,seconds=1.2,times=1",
+        )
+        record = live_daemon(workers=1)
+        outcome = {}
+
+        def in_flight():
+            outcome["answer"] = http_request(
+                record.http_port, "POST", "/v1/decisions",
+                {"urls": test_urls}, keep_alive=True,
+            )
+
+        request = threading.Thread(target=in_flight)
+        request.start()
+        time.sleep(0.5)
+        signal_daemon(record.socket_path, signal.SIGTERM)
+        request.join(timeout=30)
+        assert not request.is_alive()
+        status, headers, body = outcome["answer"]
+        assert status == 200
+        assert headers["Connection"] == "close"
+        assert json.loads(body)["decisions"] == sparse_oracle(
+            first, test_urls
+        )
+        deadline = time.time() + 30
+        while time.time() < deadline and pidfile_for(
+            record.socket_path
+        ).exists():
+            time.sleep(0.1)
+
+    def test_sighup_reload_serves_the_new_oracle(
+        self, live_daemon, oracle_pair, test_urls, tmp_path
+    ):
+        model_path, first, second = oracle_pair
+        private = tmp_path / "reload.urlmodel"
+        private.write_bytes(model_path.read_bytes())
+        record = live_daemon(model=private)
+
+        def get_status():
+            return json.loads(
+                http_request(record.http_port, "GET", "/v1/status")[2]
+            )
+
+        def decisions():
+            status, _, body = http_request(
+                record.http_port, "POST", "/v1/decisions",
+                {"urls": test_urls},
+            )
+            assert status == 200, body
+            return json.loads(body)["decisions"]
+
+        first_checksum = get_status()["model"]["checksum"]
+        assert decisions() == sparse_oracle(first, test_urls)
+        save_identifier(second, private)
+        signal_daemon(record.socket_path, signal.SIGHUP)
+        deadline = time.time() + 30
+        while time.time() < deadline:
+            status = get_status()
+            if status["model"]["checksum"] != first_checksum:
+                break
+            time.sleep(0.1)
+        assert status["model"]["name"] == "RE/words"
+        assert decisions() == sparse_oracle(second, test_urls)
+
+
 class TestTcpSpecGrammar:
     def test_host_port_forms(self):
         assert parse_tcp_spec("127.0.0.1:7707") == ("127.0.0.1", 7707)
@@ -440,3 +622,137 @@ class TestHttpBatches:
             connection.close()
         # The first request opens the connection; time the next 20.
         assert statistics.median(latencies[1:]) < 0.010, latencies
+
+
+class TestHttpServedByWorkers:
+    """HTTP is answered by workers, one connection each, like the wire;
+    the supervising parent stays single-threaded and never stalls."""
+
+    @pytest.fixture
+    def transport(self):
+        return "unix"
+
+    def test_a_free_worker_answers(self, live_daemon):
+        record = live_daemon(workers=2)
+        status = json.loads(
+            http_request(record.http_port, "GET", "/v1/status")[2]
+        )
+        assert status["role"] == "worker"
+        assert status["pid"] != record.pid
+
+    def test_the_supervisor_runs_one_thread(self, live_daemon, test_urls):
+        record = live_daemon(workers=2)
+        port = record.http_port
+        assert http_request(port, "POST", "/v1/classify",
+                            {"urls": test_urls})[0] == 200
+        with socket.create_connection(("127.0.0.1", port)) as held:
+            held.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert read_response(held.makefile("rb"))[0] == 200
+            assert os.listdir(f"/proc/{record.pid}/task") == [
+                str(record.pid)
+            ]
+
+    def test_a_stalled_body_stalls_neither_respawn_nor_health(
+        self, live_daemon
+    ):
+        """A POST whose body never completes holds one worker; killing
+        the other must still be repaired, and health must still answer,
+        promptly."""
+        record = live_daemon(workers=2)
+        base = f"http://127.0.0.1:{record.http_port}"
+        with socket.create_connection(
+            ("127.0.0.1", record.http_port)
+        ) as stalled:
+            stalled.sendall(
+                b"POST /v1/classify HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 100\r\n\r\n{\"urls\":"
+            )
+            time.sleep(0.3)  # let a worker take the stalled request
+            with DaemonClient(record.endpoint) as client:
+                free = client.status()
+            assert free["role"] == "worker"
+            os.kill(free["pid"], signal.SIGKILL)
+            deadline = time.monotonic() + 5.0
+            while True:
+                with urllib.request.urlopen(
+                    f"{base}/v1/status", timeout=1.0
+                ) as response:
+                    status = json.loads(response.read())
+                if status["robustness"]["worker_respawns"] >= 1:
+                    break
+                assert time.monotonic() < deadline, "no respawn within 5 s"
+                time.sleep(0.05)
+            with urllib.request.urlopen(
+                f"{base}/healthz", timeout=1.0
+            ) as response:
+                assert response.read() == b"ok\n"
+            with urllib.request.urlopen(
+                f"{base}/metrics", timeout=1.0
+            ) as response:
+                assert b"repro_worker_respawns_total 1" in response.read()
+
+    @pytest.mark.parametrize("announced", ["abc", "-1"])
+    def test_malformed_content_length_is_a_typed_400(
+        self, live_daemon, announced
+    ):
+        record = live_daemon(workers=1)
+        with socket.create_connection(
+            ("127.0.0.1", record.http_port), timeout=5.0
+        ) as raw:
+            raw.sendall(
+                b"POST /v1/classify HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: " + announced.encode() + b"\r\n\r\n"
+                b'{"urls": []}'
+            )
+            status, headers, body = read_response(raw.makefile("rb"))
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert json.loads(body)["error"]["code"] == "bad-request"
+
+    def test_pipelined_posts_are_answered_in_order(
+        self, live_daemon, test_urls
+    ):
+        """Both requests arrive in one segment, so the second already
+        sits in the handler's read buffer when the first is answered."""
+        record = live_daemon(workers=1)
+        batches = [test_urls[:3], test_urls[3:5]]
+        requests = b"".join(
+            b"POST /v1/classify HTTP/1.1\r\nHost: x\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+            for body in (
+                json.dumps({"urls": batch}).encode() for batch in batches
+            )
+        )
+        with socket.create_connection(
+            ("127.0.0.1", record.http_port), timeout=10.0
+        ) as raw:
+            raw.sendall(requests)
+            reader = raw.makefile("rb")
+            for batch in batches:
+                status, _, body = read_response(reader)
+                assert status == 200
+                assert [
+                    row["url"] for row in json.loads(body)["results"]
+                ] == batch
+
+    def test_an_idle_keepalive_connection_holds_its_worker_until_the_limit(
+        self, live_daemon, test_urls
+    ):
+        record = live_daemon(workers=1)
+        with socket.create_connection(
+            ("127.0.0.1", record.http_port),
+            timeout=HTTP_IDLE_SECONDS + 5.0,
+        ) as idle:
+            idle.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            reader = idle.makefile("rb")
+            assert read_response(reader)[0] == 200
+            answered = time.monotonic()
+            no_retry = RetryPolicy(retries=0, backoff=0.01)
+            with DaemonClient(record.endpoint, retry=no_retry) as client:
+                with pytest.raises(DaemonRequestError) as caught:
+                    client.classify(test_urls[:2])
+            assert caught.value.code == "overloaded"
+            assert time.monotonic() - answered < HTTP_IDLE_SECONDS
+            assert reader.read() == b""  # the worker closed it: EOF
+        with DaemonClient(record.endpoint, retry=FAST) as client:
+            assert len(client.classify(test_urls[:2])) == 2
