@@ -26,9 +26,8 @@ FLAGS = {
 
 def hint(identifier: LanguageIdentifier, url: str, preferred: Language) -> str:
     """The hint a browser would render next to a link."""
-    scores = identifier.scores(url)
-    best = max(scores, key=scores.get)
-    if scores[best] <= 0:
+    best = identifier.classify(url)
+    if best is None:
         return "(language unknown)"
     if best is preferred:
         return f"{FLAGS[best]}"

@@ -6,8 +6,9 @@ whatever the backend: a trainable
 :class:`~repro.store.ServingIdentifier`, or a daemon-backed
 :class:`~repro.store.client.RemoteIdentifier`.  The protocol is
 structural (:pep:`544`): backends implement it natively on
-:class:`~repro.core.pipeline.IdentifierBase`, and third-party backends
-need no inheritance, only the methods.
+:class:`~repro.core.pipeline.IdentifierBase`, which derives both batch
+primitives (and ``predict``) from one ``(n, k)`` ``scores_matrix`` per
+batch, and third-party backends need no inheritance, only the methods.
 
 Lifecycle: predictors are context managers.  ``close()`` releases any
 backend connection (a daemon socket); for in-process backends it is a
@@ -35,7 +36,7 @@ DEFAULT_CHUNK_SIZE = 512
 class Predictor(Protocol):
     """A model that turns URLs into language decisions.
 
-    The two batch primitives every backend must score natively are
+    The two batch primitives every backend must answer are
     :meth:`decisions` and :meth:`scores_many` — their outputs are held
     to the sparse-oracle equivalence contract (byte-identical
     decisions, scores within 1e-9) regardless of backend.  ``predict``

@@ -2,25 +2,31 @@
 
 These dataclasses are the facade's half of the contract: every
 :class:`~repro.api.Predictor` answers ``predict`` with a
-:class:`BatchResult` (per-URL :class:`Prediction` rows plus the
-:class:`ModelInfo` provenance of the model that produced them) and
+:class:`BatchResult` (the batch's score matrix plus the
+:class:`ModelInfo` provenance of the model that produced it) and
 ``capabilities`` with a :class:`Capabilities` block, no matter which
 backend — in-process, memory-mapped artifact, or remote daemon — did
 the scoring.
 
-Only :mod:`repro.languages` is imported here, so these types are safe
-to use from any layer without cycles.
+Only numpy and :mod:`repro.languages` are imported here, so these types
+are safe to use from any layer without cycles.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cache, cached_property
+from typing import TYPE_CHECKING, Optional
+
+import numpy as np
 
 from repro.languages import Language
 
-__all__ = ["BatchResult", "Capabilities", "ModelInfo", "Prediction"]
+if TYPE_CHECKING:
+    from numpy.typing import NDArray
+
+__all__ = ["BatchResult", "Capabilities", "ModelInfo", "Prediction", "argmax_labels"]
 
 
 @dataclass(frozen=True)
@@ -92,56 +98,105 @@ class Prediction:
 
     def tsv(self) -> str:
         """The CLI's output row: ``best <TAB> binary-yes <TAB> url``
-        with ``-`` placeholders — byte-identical to what the serving
-        layer's :meth:`repro.store.serve.ServedUrl.tsv` emits."""
+        with ``-`` placeholders."""
         best = self.best.value if self.best is not None else "-"
         positives = ",".join(language.value for language in self.positives)
         return f"{best}\t{positives or '-'}\t{self.url}"
 
 
-@dataclass(frozen=True)
-class BatchResult:
-    """One batch of predictions, column-major like the scoring kernel.
+def argmax_labels(
+    matrix: NDArray[np.float64], languages: Sequence[Language]
+) -> tuple[Optional[Language], ...]:
+    """Each row's best label: the language (a column of ``matrix``,
+    named by ``languages``) of the row's first maximum, or ``None`` when
+    that maximum is not positive.  The one tie rule: ``argmax`` returns
+    the first maximum, so ties go to the model's earliest language.
+    """
+    columns = np.where(matrix.max(axis=1) > 0.0, matrix.argmax(axis=1), -1)
+    labels = (*languages, None)  # column -1 is "no language"
+    return tuple(labels[column] for column in columns.tolist())
 
-    ``scores`` / ``decisions`` are keyed by language exactly as the
-    underlying identifier's ``scores_many`` / ``decisions`` return them
-    (the equivalence-oracle shape), ``best`` is row-aligned with
-    ``urls``, and ``model`` records which model answered.  Iterate (or
-    index) to get row-major :class:`Prediction` views.
+
+@cache
+def _positives_table(
+    languages: tuple[Language, ...],
+) -> tuple[tuple[Language, ...], ...]:
+    """Every subset of ``languages`` as a code-sorted tuple, indexed by
+    its bitmask (bit ``j`` set when column ``j`` answered yes): at most
+    32 entries, built once per language tuple."""
+    by_code = sorted(languages, key=lambda language: language.value)
+    return tuple(
+        tuple(language for language in by_code
+              if mask >> languages.index(language) & 1)
+        for mask in range(1 << len(languages))
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class BatchResult:
+    """One scored batch: ``matrix[i, j]`` is the decision score of
+    ``urls[i]`` for ``model.languages[j]``.
+
+    Every other field is a view of the matrix, derived once on first
+    use: ``scores`` / ``decisions`` (``score > 0``) keyed by language
+    in the model's order, the equivalence-oracle shape of
+    ``scores_many`` / ``decisions``; ``best`` (:func:`argmax_labels`)
+    and code-sorted ``positives``, row-aligned with ``urls``.  Iterate
+    (or index) to get row-major :class:`Prediction` values.  Results
+    are equal when their URLs, models and matrices are.
     """
 
     urls: tuple[str, ...]
-    scores: Mapping[Language, list[float]]
-    decisions: Mapping[Language, list[bool]]
-    best: tuple[Optional[Language], ...]
+    matrix: NDArray[np.float64]
     model: ModelInfo
+
+    def __post_init__(self) -> None:
+        expected = (len(self.urls), len(self.model.languages))
+        if self.matrix.shape != expected:
+            raise ValueError(f"score matrix {self.matrix.shape} is not "
+                             f"URLs x languages {expected}")
+
+    @cached_property
+    def scores(self) -> dict[Language, list[float]]:
+        return dict(zip(self.model.languages, self.matrix.T.tolist()))
+
+    @cached_property
+    def decisions(self) -> dict[Language, list[bool]]:
+        return dict(zip(self.model.languages, (self.matrix.T > 0.0).tolist()))
+
+    @cached_property
+    def best(self) -> tuple[Optional[Language], ...]:
+        return argmax_labels(self.matrix, self.model.languages)
+
+    @cached_property
+    def positives(self) -> tuple[tuple[Language, ...], ...]:
+        table = _positives_table(self.model.languages)
+        # Bit j of a row's mask is column j's decision: one byte holds
+        # the five languages.
+        masks = np.packbits(self.matrix > 0.0, axis=1, bitorder="little")
+        return tuple(table[mask] for mask in masks[:, 0].tolist())
+
+    @cached_property
+    def _rows(self) -> tuple[Prediction, ...]:
+        languages = self.model.languages
+        return tuple(
+            Prediction(url, best, positives, dict(zip(languages, row)))
+            for url, best, positives, row in zip(
+                self.urls, self.best, self.positives, self.matrix.tolist()
+            )
+        )
 
     def __len__(self) -> int:
         return len(self.urls)
 
     def __getitem__(self, row: int) -> Prediction:
-        if row < 0:
-            row += len(self.urls)
-        if not 0 <= row < len(self.urls):
-            raise IndexError(f"batch of {len(self.urls)} has no row {row}")
-        return Prediction(
-            url=self.urls[row],
-            best=self.best[row],
-            positives=tuple(
-                sorted(
-                    (
-                        language
-                        for language in self.decisions
-                        if self.decisions[language][row]
-                    ),
-                    key=lambda language: language.value,
-                )
-            ),
-            scores={
-                language: values[row] for language, values in self.scores.items()
-            },
-        )
+        return self._rows[row]
 
     def __iter__(self) -> Iterator[Prediction]:
-        for row in range(len(self.urls)):
-            yield self[row]
+        return iter(self._rows)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BatchResult):
+            return NotImplemented
+        return (self.urls, self.model) == (other.urls, other.model) and bool(
+            np.array_equal(self.matrix, other.matrix))

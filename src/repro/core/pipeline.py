@@ -35,7 +35,9 @@ Fitted compiled models persist to a versioned, memory-mappable artifact
 via :mod:`repro.store` (``ModelStore`` / ``save_identifier``), which N
 serving processes load zero-copy — one shared read-only weight matrix
 instead of N pickled clones.
-Batch entry points — :meth:`LanguageIdentifier.decisions`,
+Batch entry points — :meth:`LanguageIdentifier.scores_matrix` and
+everything derived from it: :meth:`~LanguageIdentifier.predict`,
+:meth:`~LanguageIdentifier.decisions`,
 :meth:`~LanguageIdentifier.evaluate`, :meth:`~LanguageIdentifier.confusion`,
 :meth:`~LanguageIdentifier.scores_many`,
 :meth:`~LanguageIdentifier.classify_many` — ride the compiled path;
@@ -65,7 +67,13 @@ from repro.algorithms import BinaryClassifier, make_classifier
 from repro.algorithms.cctld import CcTldLabeler
 from repro.algorithms.compiled import CompiledScorer
 from repro.api.protocol import DEFAULT_CHUNK_SIZE
-from repro.api.types import BatchResult, Capabilities, ModelInfo, Prediction
+from repro.api.types import (
+    BatchResult,
+    Capabilities,
+    ModelInfo,
+    Prediction,
+    argmax_labels,
+)
 from repro.corpus.records import Corpus, balanced_binary_indices
 from repro.evaluation.confusion import ConfusionMatrix, confusion_matrix
 from repro.evaluation.metrics import BinaryMetrics, evaluate_binary
@@ -112,6 +120,12 @@ def make_extractor(name: str, **kwargs) -> FeatureExtractor:
 ROW_CACHE_SIZE = 1 << 16
 
 
+def stack_scores(scores: Mapping[Language, Sequence[float]]) -> np.ndarray:
+    """The ``(n, k)`` score matrix of a ``scores_many``-shaped map, its
+    columns in the map's order."""
+    return np.array(list(scores.values()), dtype=np.float64).T
+
+
 def best_labels(
     scores: Mapping[Language, Sequence[float]],
 ) -> list[Language | None]:
@@ -121,34 +135,9 @@ def best_labels(
     score is not positive (every binary classifier said no).  Ties go to
     the language that comes first in ``scores`` — the model's language
     order, :data:`~repro.languages.LANGUAGES` for every stock backend —
-    so every path that derives a best label agrees on tied rows.
+    through :func:`~repro.api.types.argmax_labels`, the one tie rule.
     """
-    languages = tuple(scores)
-    out: list[Language | None] = []
-    for row in zip(*scores.values()):
-        top = max(row)
-        out.append(languages[row.index(top)] if top > 0.0 else None)
-    return out
-
-
-def batch_result(
-    urls: Sequence[str],
-    scores: Mapping[Language, list[float]],
-    model: ModelInfo,
-) -> BatchResult:
-    """A :class:`~repro.api.BatchResult` derived from one score pass:
-    decisions are ``score > 0`` (the rule every backend's ``decisions``
-    implements) and best labels come from :func:`best_labels`."""
-    return BatchResult(
-        urls=tuple(urls),
-        scores=scores,
-        decisions={
-            language: [value > 0.0 for value in values]
-            for language, values in scores.items()
-        },
-        best=tuple(best_labels(scores)),
-        model=model,
-    )
+    return list(argmax_labels(stack_scores(scores), tuple(scores)))
 
 
 class CompiledIdentifier:
@@ -387,22 +376,6 @@ class CompiledIdentifier:
                 )
         return out
 
-    def scores_many(self, urls: Sequence[str]) -> dict[Language, list[float]]:
-        """Per-language decision scores (one matmul for the batch)."""
-        matrix = self.scores_matrix(urls)
-        return {
-            language: matrix[:, column].tolist()
-            for column, language in enumerate(self.scorers)
-        }
-
-    def decisions(self, urls: Sequence[str]) -> dict[Language, list[bool]]:
-        """Per-language ``score > 0`` decisions for the batch."""
-        matrix = self.scores_matrix(urls)
-        return {
-            language: (matrix[:, column] > 0.0).tolist()
-            for column, language in enumerate(self.scorers)
-        }
-
 
 class IdentifierBase(abc.ABC):
     """The prediction/evaluation surface shared by every identifier.
@@ -412,10 +385,9 @@ class IdentifierBase(abc.ABC):
     :class:`~repro.store.ServingIdentifier` that serving workers
     reconstruct from a memory-mapped model file, and the daemon-backed
     :class:`~repro.store.client.RemoteIdentifier`.  All answer the same
-    questions; everything here is derived from the two batch primitives
-    :meth:`decisions` and :meth:`scores_many`, so subclasses only supply
-    those (plus, optionally, a higher-fidelity single-URL
-    :meth:`scores`).
+    questions; everything here is derived from the one batch primitive
+    :meth:`scores_matrix`, so subclasses only supply that (plus,
+    optionally, a higher-fidelity single-URL :meth:`scores`).
 
     Every subclass natively satisfies the public
     :class:`repro.api.Predictor` protocol — :meth:`predict` /
@@ -433,13 +405,14 @@ class IdentifierBase(abc.ABC):
     def predict(self, urls: Sequence[str]) -> BatchResult:
         """Score one batch into a typed :class:`~repro.api.BatchResult`.
 
-        One :meth:`scores_many` pass (a single matmul on compiled
-        backends, one request on remote ones) yields the scores, the
-        per-language decisions and the best labels (:func:`batch_result`).
+        One :meth:`scores_matrix` pass (a single matmul on compiled
+        backends, one request on remote ones) is the result; the scores,
+        the per-language decisions and the best labels derive from it.
         """
-        urls = list(urls)
-        scores = self.scores_many(urls)
-        return batch_result(urls, scores, self.capabilities().model)
+        urls = tuple(urls)
+        return BatchResult(
+            urls, self.scores_matrix(urls), self.capabilities().model
+        )
 
     def predict_iter(
         self, urls: Iterable[str], chunk_size: int = DEFAULT_CHUNK_SIZE
@@ -483,12 +456,17 @@ class IdentifierBase(abc.ABC):
     # -- the batch primitives ------------------------------------------------------
 
     @abc.abstractmethod
-    def decisions(self, urls: Sequence[str]) -> dict[Language, list[bool]]:
-        """Per-language binary decisions for a batch of URLs."""
+    def scores_matrix(self, urls: Sequence[str]) -> np.ndarray:
+        """``(n_urls, n_languages)`` decision scores for a batch of URLs,
+        columns in ``capabilities().model.languages`` order."""
 
-    @abc.abstractmethod
+    def decisions(self, urls: Sequence[str]) -> dict[Language, list[bool]]:
+        """Per-language binary decisions (``score > 0``) for a batch."""
+        return self.predict(urls).decisions
+
     def scores_many(self, urls: Sequence[str]) -> dict[Language, list[float]]:
         """Per-language decision scores for a batch of URLs."""
+        return self.predict(urls).scores
 
     def scores(self, url: str) -> dict[Language, float]:
         """Per-language decision scores (larger = more confident yes).
@@ -510,11 +488,10 @@ class IdentifierBase(abc.ABC):
         :func:`best_labels`), served by the compiled backend when present.
 
         Callers that already hold this batch's :meth:`scores_many`
-        result (the CLI prints labels *and* per-language answers) pass
-        it via ``scores`` to avoid a second scoring pass.
+        result pass it via ``scores`` to avoid a second scoring pass.
         """
         if scores is None:
-            scores = self.scores_many(urls)
+            return list(self.predict(urls).best)
         return best_labels(scores)
 
     def predict_languages(self, url: str) -> set[Language]:
@@ -750,60 +727,35 @@ class LanguageIdentifier(IdentifierBase):
 
     # -- prediction -----------------------------------------------------------------
 
-    def decisions(self, urls: Sequence[str]) -> dict[Language, list[bool]]:
-        """Per-language binary decisions for a batch of URLs.
+    def scores_matrix(self, urls: Sequence[str]) -> np.ndarray:
+        """``(n_urls, 5)`` decision scores, columns in
+        :data:`~repro.languages.LANGUAGES` order.
 
         On the compiled backend the whole batch is scored with one
         CSR×dense matrix product; on the sparse path feature extraction
         still happens once per URL and is shared by all five binary
-        classifiers.
+        classifiers; the TLD baselines score ±1.
         """
         self._require_fitted()
-        if self._labeler is not None:
-            labels = self._labeler.label_many(urls)
-            return {
-                language: [label == language for label in labels]
-                for language in LANGUAGES
-            }
         if self._compiled is not None:
-            return self._compiled.decisions(urls)
-        return self._sparse_decisions(urls)
+            return self._compiled.scores_matrix(urls)
+        if self._labeler is not None:
+            rows = [[1.0 if label == language else -1.0 for language in LANGUAGES]
+                    for label in self._labeler.label_many(urls)]
+        else:
+            assert self.extractor is not None
+            rows = [[self.classifiers[language].decision_score(vector)
+                     for language in LANGUAGES]
+                    for vector in self.extractor.extract_many(urls)]
+        return np.array(rows, dtype=np.float64).reshape(len(rows), len(LANGUAGES))
 
     def _sparse_decisions(self, urls: Sequence[str]) -> dict[Language, list[bool]]:
         """The string-keyed reference path (equivalence oracle for the
-        compiled backend; also what non-linear algorithms use)."""
+        compiled backend)."""
         assert self.extractor is not None
         vectors = self.extractor.extract_many(urls)
         return {
             language: self.classifiers[language].predict_many(vectors)
-            for language in LANGUAGES
-        }
-
-    def scores_many(self, urls: Sequence[str]) -> dict[Language, list[float]]:
-        """Per-language decision scores for a batch of URLs.
-
-        The batch counterpart of :meth:`scores`; compiled-backend
-        identifiers answer it with a single matrix product, which is the
-        triage entry point for the crawler and the CLI.
-        """
-        self._require_fitted()
-        if self._labeler is not None:
-            labels = self._labeler.label_many(urls)
-            return {
-                language: [
-                    1.0 if label == language else -1.0 for label in labels
-                ]
-                for language in LANGUAGES
-            }
-        if self._compiled is not None:
-            return self._compiled.scores_many(urls)
-        assert self.extractor is not None
-        vectors = self.extractor.extract_many(urls)
-        return {
-            language: [
-                self.classifiers[language].decision_score(vector)
-                for vector in vectors
-            ]
             for language in LANGUAGES
         }
 

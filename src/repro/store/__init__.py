@@ -18,8 +18,9 @@ Layers, bottom to top:
 * :mod:`repro.store.registry` — the :class:`ModelStore` directory of
   named artifacts (save/load/list/verify), surfacing rollout metadata
   per :class:`ModelHandle`.
-* :mod:`repro.store.serve` — the served row shape (:class:`ServedUrl`)
-  and the per-batch kernel that produces it (:func:`score_batch`).
+* :mod:`repro.store.serve` — :func:`score_batch`, the daemon's
+  ``classify`` rows (:class:`~repro.api.Prediction` values without
+  scores) from one :class:`~repro.api.BatchResult`.
 * :mod:`repro.store.metrics` — request counts and latency histograms
   shared by the daemon's status block and ``repro.bulk`` progress
   reporting.
@@ -62,7 +63,7 @@ from repro.store.format import (
     write_artifact,
 )
 from repro.store.registry import ARTIFACT_SUFFIX, ModelHandle, ModelStore
-from repro.store.serve import ServedUrl, score_batch
+from repro.store.serve import score_batch
 
 __all__ = [
     "ARTIFACT_SUFFIX",
@@ -81,7 +82,6 @@ __all__ = [
     "ModelStore",
     "QUANTIZED_SCORE_TOLERANCE",
     "RemoteIdentifier",
-    "ServedUrl",
     "ServingDaemon",
     "ServingIdentifier",
     "is_artifact",

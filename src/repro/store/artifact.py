@@ -404,13 +404,10 @@ class ServingIdentifier(IdentifierBase):
             remote=False,
         )
 
-    def decisions(self, urls):
-        """Per-language binary decisions — one matmul for the batch."""
-        return self._compiled.decisions(urls)
-
-    def scores_many(self, urls):
-        """Per-language decision scores — one matmul for the batch."""
-        return self._compiled.scores_many(urls)
+    def scores_matrix(self, urls):
+        """``(n_urls, n_languages)`` decision scores — one matmul for the
+        batch, columns in the artifact's language order."""
+        return self._compiled.scores_matrix(urls)
 
 
 def load_identifier(path: str | os.PathLike) -> ServingIdentifier:

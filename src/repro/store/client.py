@@ -44,11 +44,12 @@ import socket
 import time
 from dataclasses import dataclass
 
-from repro.api.types import BatchResult, Capabilities, ModelInfo
-from repro.core.pipeline import IdentifierBase, batch_result
+import numpy as np
+
+from repro.api.types import BatchResult, Capabilities, ModelInfo, Prediction
+from repro.core.pipeline import IdentifierBase
 from repro.languages import LANGUAGES, Language
 from repro.obs.trace import start_trace
-from repro.store.serve import ServedUrl
 from repro.store.wire import (
     MAX_CORRELATION_ID,
     PROTOCOL_VERSION,
@@ -212,11 +213,11 @@ class RequestPlan:
 # -- response decoding, shared by the sync and async clients -----------------------
 
 
-def _served_rows(response: dict) -> list[ServedUrl]:
-    """The rows of a ``classify`` response, in input order."""
+def _served_rows(response: dict) -> list[Prediction]:
+    """The rows of a ``classify`` response, in input order (no scores)."""
     return [
-        ServedUrl(url=row["url"], best=row["best"],
-                  positives=tuple(row["positives"]))
+        Prediction(row["url"], row["best"] and Language(row["best"]),
+                   tuple(map(Language, row["positives"])))
         for row in response["results"]
     ]
 
@@ -240,6 +241,12 @@ def _spans(response: dict) -> list[dict]:
 def _by_language(codes: dict[str, list]) -> dict[Language, list]:
     """A code-keyed map re-keyed by :class:`~repro.languages.Language`."""
     return {Language.coerce(code): values for code, values in codes.items()}
+
+
+def _score_matrix(codes: dict[str, list], model: ModelInfo) -> np.ndarray:
+    """A ``score`` response as the ``(n, k)`` matrix ``model`` names."""
+    columns = [codes[language.value] for language in model.languages]
+    return np.array(columns, dtype=np.float64).T
 
 
 def _remote_capabilities(status: dict, source: str) -> Capabilities:
@@ -443,9 +450,10 @@ class DaemonClient(_ClientBase):
         name/checksum/rollout metadata, cache occupancy."""
         return self.request("status")
 
-    def classify(self, urls) -> list[ServedUrl]:
-        """Batch triage: one :class:`~repro.store.serve.ServedUrl` per
-        input URL, in input order (same rows ``repro classify`` prints)."""
+    def classify(self, urls) -> list[Prediction]:
+        """Batch triage: one :class:`~repro.api.Prediction` (best label
+        and positives, no scores) per input URL, in input order — the
+        rows ``repro classify`` prints."""
         return _served_rows(self.request("classify", urls=list(urls)))
 
     def score(self, urls) -> dict[str, list[float]]:
@@ -543,11 +551,12 @@ class RemoteIdentifier(IdentifierBase):
         self._capabilities = None
         self.client.close()
 
-    def decisions(self, urls):
-        return _by_language(self.client.decisions(urls))
+    def scores_matrix(self, urls):
+        return _score_matrix(self.client.score(urls), self.capabilities().model)
 
-    def scores_many(self, urls):
-        return _by_language(self.client.score(urls))
+    def decisions(self, urls):
+        """One ``decisions`` request: no scores cross the wire."""
+        return _by_language(self.client.decisions(urls))
 
 
 class AsyncDaemonClient(_ClientBase):
@@ -807,8 +816,9 @@ class AsyncDaemonClient(_ClientBase):
         """The answering worker's status block."""
         return await self.request("status")
 
-    async def aclassify(self, urls) -> list[ServedUrl]:
-        """Batch triage, one :class:`ServedUrl` per input URL in order."""
+    async def aclassify(self, urls) -> list[Prediction]:
+        """Batch triage, one :class:`~repro.api.Prediction` (without
+        scores) per input URL in order."""
         return _served_rows(await self.request("classify", urls=list(urls)))
 
     async def ascore(self, urls) -> dict[str, list[float]]:
@@ -842,10 +852,10 @@ class AsyncRemoteIdentifier:
 
     The async twin of :class:`RemoteIdentifier`: holds no weights, one
     request per batch call, scores round-tripping bit-identically
-    through JSON.  ``apredict`` derives decisions and best labels from
-    one score pass through :func:`repro.core.pipeline.batch_result`,
-    the code the sync ``predict`` uses, so sync and async predictions
-    over the same daemon are byte-identical.
+    through JSON.  ``apredict`` builds its
+    :class:`~repro.api.BatchResult` from one score pass exactly as the
+    sync ``predict`` does, so sync and async predictions over the same
+    daemon are byte-identical.
     """
 
     def __init__(self, client: AsyncDaemonClient) -> None:
@@ -888,10 +898,10 @@ class AsyncRemoteIdentifier:
     async def apredict(self, urls) -> BatchResult:
         """One score pass into a :class:`repro.api.BatchResult`, built
         exactly like the sync ``predict``."""
-        urls = list(urls)
-        scores = await self.ascores_many(urls)
-        capabilities = await self.acapabilities()
-        return batch_result(urls, scores, capabilities.model)
+        urls = tuple(urls)
+        codes = await self.client.ascore(urls)
+        model = (await self.acapabilities()).model
+        return BatchResult(urls, _score_matrix(codes, model), model)
 
     async def aclose(self) -> None:
         """Drop the connection and the cached capability block."""

@@ -42,6 +42,7 @@ protocol spec, hot-reload semantics, and capacity planning.
 
 from __future__ import annotations
 
+import io
 import json
 import multiprocessing
 import os
@@ -68,7 +69,6 @@ from repro.store.metrics import (
     RequestMetrics,
     RobustnessCounters,
 )
-from repro.store.serve import score_batch
 from repro.store.wire import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -112,6 +112,12 @@ HTTP_IDLE_SECONDS = 2.0
 
 #: The ops that score URLs: never answered by the supervising parent.
 BATCH_OPS = ("classify", "score", "decisions")
+
+#: Seconds one shed pass of the supervising parent may spend reading
+#: requests, shared by every connection it accepts: a peer that
+#: trickles its request a byte at a time costs the pass this much at
+#: most, and then the parent goes back to reaping and respawning.
+SHED_READ_SECONDS = 1.0
 
 #: Upper bound on one batch request's URL count.  The frame cap already
 #: bounds bytes; this bounds *work* — a maximal batch must not be able
@@ -174,6 +180,33 @@ def _utc_now() -> str:
     from datetime import datetime, timezone
 
     return datetime.now(timezone.utc).isoformat(timespec="microseconds")
+
+
+class _ShedReader(io.RawIOBase):
+    """Reads from one connection the shedding parent accepted, against
+    the shed pass's one deadline.
+
+    Each read waits at most for what remains of the pass's budget, and
+    raises ``TimeoutError`` once it is spent.  It is the socket
+    :func:`~repro.store.wire.recv_frame_ex` reads a wire request from
+    and, buffered, the ``rfile`` :class:`_HttpHandler` parses HTTP from.
+    """
+
+    def __init__(self, connection: socket.socket, deadline: float) -> None:
+        self._connection = connection
+        self._deadline = deadline
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        remaining = self._deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError("the shed pass's read budget is spent")
+        self._connection.settimeout(remaining)
+        return self._connection.recv_into(buffer)
+
+    recv = io.RawIOBase.read
 
 
 @dataclass
@@ -538,29 +571,30 @@ class ServingDaemon:
         assert self._state is not None
         identifier = self._state.identifier
         try:
-            # One scores_many pass answers every batch op *and* feeds
-            # the drift counters — decisions are score > 0 on the same
-            # matrix (byte-identical to identifier.decisions, which
-            # thresholds the identical scores_matrix), so observing
-            # drift never costs a second matmul.
-            scores = identifier.scores_many(urls)
+            # One BatchResult answers every batch op *and* hands the
+            # drift counters its matrix columns, so observing drift
+            # never costs a second matmul.
+            result = identifier.predict(urls)
             if self._drift is not None:
-                self._drift.observe(scores)
+                self._drift.observe(
+                    dict(zip(result.model.languages, result.matrix.T))
+                )
             if op == "classify":
-                rows = score_batch(identifier, urls, scores=scores)
+                # Language is a str enum: json writes each as its code.
                 return ok_response(results=[
-                    {"url": row.url, "best": row.best,
-                     "positives": list(row.positives)}
-                    for row in rows
+                    {"url": url, "best": best, "positives": positives}
+                    for url, best, positives in zip(
+                        result.urls, result.best, result.positives
+                    )
                 ])
             if op == "score":
                 return ok_response(scores={
                     language.value: values
-                    for language, values in scores.items()
+                    for language, values in result.scores.items()
                 })
             return ok_response(decisions={
-                language.value: [value > 0.0 for value in values]
-                for language, values in scores.items()
+                language.value: values
+                for language, values in result.decisions.items()
             })
         except Exception as error:  # noqa: BLE001 - keep the worker alive
             self._log(f"internal error answering {op!r}: {error!r}")
@@ -919,15 +953,17 @@ class ServingDaemon:
 
     # -- HTTP front-end ------------------------------------------------------------
 
-    def _serve_http(self, connection: socket.socket) -> None:
-        """Answer HTTP on one accepted connection (:class:`_HttpHandler`).
+    def _serve_http(self, connection: socket.socket,
+                    reader: _ShedReader | None = None) -> None:
+        """Answer HTTP on one accepted connection (:class:`_HttpHandler`),
+        reading through ``reader`` when the shedding parent passes one.
 
         The boundary that must keep running: a peer that goes away
         mid-answer ends only its connection, and a failing route is
         logged, never allowed to take down a worker or the parent.
         """
         try:
-            _HttpHandler(connection, self)
+            _HttpHandler(connection, self, reader)
         except OSError:
             pass  # the peer went away mid-answer
         except Exception:  # noqa: BLE001 - keep this process serving
@@ -1156,8 +1192,12 @@ class ServingDaemon:
         see a saturated or degraded daemon; batch work is refused by
         :meth:`_timed_dispatch`.  One request per connection, then
         close, so the parent never becomes a long-lived serving path.
+        Every read in the pass shares one :data:`SHED_READ_SECONDS`
+        budget (:class:`_ShedReader`), so peers that trickle their
+        requests cannot hold the parent away from its workers.
         """
         budget = 64
+        reads_end = time.monotonic() + SHED_READ_SECONDS
         for listener, transport in self._listeners.items():
             while budget > 0:
                 try:
@@ -1167,11 +1207,12 @@ class ServingDaemon:
                 budget -= 1
                 with connection:
                     connection.settimeout(1.0)
+                    reader = _ShedReader(connection, reads_end)
                     if transport == "http":
-                        self._serve_http(connection)
+                        self._serve_http(connection, reader)
                         continue
                     try:
-                        frame = recv_frame_ex(connection)
+                        frame = recv_frame_ex(reader)
                     except (WireError, OSError):
                         continue
                     deadline = (
@@ -1286,10 +1327,19 @@ class _HttpHandler(BaseHTTPRequestHandler):
     # back-to-back keep-alive request.
     disable_nagle_algorithm = True
 
-    def __init__(self, connection: socket.socket,
-                 daemon: ServingDaemon) -> None:
+    def __init__(self, connection: socket.socket, daemon: ServingDaemon,
+                 reader: _ShedReader | None = None) -> None:
         self.daemon = daemon
+        self._reader = reader
         super().__init__(connection, connection.getpeername(), None)
+
+    def setup(self) -> None:
+        super().setup()
+        if self._reader is not None:
+            # An unclosed socket file would keep the connection open
+            # past its close().
+            self.rfile.close()
+            self.rfile = io.BufferedReader(self._reader)
 
     def handle(self) -> None:
         if not self.daemon._is_worker:

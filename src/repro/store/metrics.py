@@ -330,14 +330,14 @@ class DriftCounters:
     def observe(self, scores) -> None:
         """Fold one scored batch into the current window.
 
-        ``scores`` maps language code (or anything ``str()``-able to
-        one, e.g. a :class:`~repro.core.types.Language`) to that
-        language's per-URL score list, one score per URL in every list
-        — exactly the shape ``scores_many`` returns.  Unknown languages
-        are ignored, so a caller can feed a superset without
-        pre-filtering.  The batch is reduced to one delta row before the
-        lock is taken: one acquisition per *batch*, far off the per-URL
-        hot path.
+        ``scores`` maps a language code or
+        :class:`~repro.languages.Language` to its per-URL scores: the
+        lists ``scores_many`` returns, or the columns of a
+        :class:`~repro.api.BatchResult` matrix, as the daemon passes
+        them.  Unknown languages are ignored, so a caller can feed a
+        superset without pre-filtering.  The batch is reduced to one
+        delta row before the lock is taken: one acquisition per *batch*,
+        far off the per-URL hot path.
         """
         indexes: list[int] = []
         lists: list = []

@@ -1,10 +1,11 @@
-"""The served row shape and the per-batch kernel behind it.
+"""The daemon's ``classify`` rows, from one scored batch.
 
-:func:`score_batch` turns one batch of URLs into :class:`ServedUrl`
-rows — the best label plus every language whose binary classifier
-answered yes — from a single ``scores_many`` matmul.  The daemon's
-``classify`` operation (:mod:`repro.store.daemon`) answers with these
-rows, and :class:`~repro.store.client.DaemonClient` hands them back.
+:func:`score_batch` turns one batch of URLs into the rows the daemon's
+``classify`` operation (:mod:`repro.store.daemon`) answers with — the
+best label and the positive languages of each URL, as
+:class:`~repro.api.Prediction` values without scores — from one
+:class:`~repro.api.BatchResult`.  :class:`~repro.store.client.DaemonClient`
+hands the same rows back.
 
 Scoring a file is ``repro classify`` (in process, streamed) or
 ``repro bulk`` (checkpointed, fanned out over worker processes); a
@@ -14,54 +15,32 @@ stream of batches against warm caches is a daemon plus
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from typing import NamedTuple
+from collections.abc import Mapping, Sequence
+from dataclasses import replace
 
-from repro.core.pipeline import IdentifierBase
-
-
-class ServedUrl(NamedTuple):
-    """One scored URL: the single best label (or ``None``) plus every
-    language whose binary classifier answered yes."""
-
-    url: str
-    best: str | None
-    positives: tuple[str, ...]
-
-    def tsv(self) -> str:
-        """The CLI's output row: ``best <TAB> binary-yes <TAB> url``,
-        with ``-`` placeholders.  ``classify`` and the serve front-ends
-        all emit this format, so they stay diff-compatible."""
-        return f"{self.best or '-'}\t{','.join(self.positives) or '-'}\t{self.url}"
+from repro.api.types import BatchResult, Prediction
+from repro.core.pipeline import IdentifierBase, stack_scores
+from repro.languages import Language
 
 
 def score_batch(
-    identifier: IdentifierBase, urls: Sequence[str], scores=None
-) -> list[ServedUrl]:
-    """Score one batch with ``identifier`` (a single matmul when compiled).
+    identifier: IdentifierBase,
+    urls: Sequence[str],
+    scores: Mapping[Language, Sequence[float]] | None = None,
+) -> list[Prediction]:
+    """The ``classify`` answer's rows for one batch, in input order.
 
-    One ``scores_many`` pass yields both the best label and the
-    per-language yes/no answers, in input order.  A caller that already
-    holds the batch's ``scores_many`` result (the daemon does, to feed
-    its drift counters) passes it as ``scores`` to skip the re-score.
+    A caller that already holds the batch's ``scores_many`` map passes
+    it as ``scores`` to skip the re-score; its keys name the columns.
     """
     if scores is None:
-        scores = identifier.scores_many(urls)
-    best = identifier.classify_many(urls, scores=scores)
-    results = []
-    for row, url in enumerate(urls):
-        positives = tuple(
-            sorted(
-                language.value
-                for language in scores
-                if scores[language][row] > 0.0
-            )
+        result = identifier.predict(urls)
+    else:
+        model = replace(identifier.capabilities().model, languages=tuple(scores))
+        result = BatchResult(tuple(urls), stack_scores(scores), model)
+    return [
+        Prediction(url, best, positives)
+        for url, best, positives in zip(
+            result.urls, result.best, result.positives
         )
-        results.append(
-            ServedUrl(
-                url=url,
-                best=best[row].value if best[row] is not None else None,
-                positives=positives,
-            )
-        )
-    return results
+    ]

@@ -129,11 +129,18 @@ class TestCapabilities:
 
 class TestTypedResults:
     def test_prediction_tsv_matches_serving_rows(self, identifier, urls):
-        """The typed rows print byte-identically to the serving layer's
-        ServedUrl rows — the CLI output format is one format."""
-        served = [row.tsv() for row in score_batch(identifier, urls)]
-        predicted = [p.tsv() for p in identifier.predict(urls)]
-        assert predicted == served
+        """The daemon's classify rows are the predict rows without their
+        scores, and print byte-identically — the CLI output format is
+        one format."""
+        served = score_batch(identifier, urls)
+        predicted = list(identifier.predict(urls))
+        assert [(row.url, row.best, row.positives) for row in served] == [
+            (row.url, row.best, row.positives) for row in predicted
+        ]
+        assert all(row.scores == {} for row in served)
+        assert [row.tsv() for row in served] == [
+            row.tsv() for row in predicted
+        ]
 
     def test_batch_result_shape(self, identifier, urls):
         result = identifier.predict(urls)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.pipeline import LanguageIdentifier
@@ -34,12 +35,14 @@ class TestBackendAlternation:
         compiled = fitted.compiled
         urls = small_bundle.odp_test.urls[:60]
         assert compiled.extraction == "fused"
-        fused_first = compiled.decisions(urls)
+        fused_first = compiled.scores_matrix(urls)
         compiled.extraction = "reference"
-        reference = compiled.decisions(urls)
+        reference = compiled.scores_matrix(urls)
         compiled.extraction = "fused"
-        fused_again = compiled.decisions(urls)
-        assert fused_first == reference == fused_again
+        fused_again = compiled.scores_matrix(urls)
+        # Fused scores are bit-equal, so the decisions are too.
+        assert np.array_equal(fused_first, reference)
+        assert np.array_equal(fused_again, reference)
 
     def test_memos_stay_disjoint_per_backend(self, fitted, small_bundle):
         compiled = fitted.compiled
@@ -50,9 +53,9 @@ class TestBackendAlternation:
             small_bundle.odp_test.urls[30:60],
         )
         compiled.extraction = "fused"
-        compiled.decisions(first)
+        compiled.scores_matrix(first)
         compiled.extraction = "reference"
-        compiled.decisions(second)
+        compiled.scores_matrix(second)
         fused_keys = set(compiled._row_caches["fused"])
         reference_keys = set(compiled._row_caches["reference"])
         assert fused_keys == set(first)
@@ -81,12 +84,12 @@ class TestBackendAlternation:
         compiled._row_caches["fused"].clear()
         compiled._row_caches["reference"].clear()
         compiled.extraction = "fused"
-        compiled.decisions(urls)
+        compiled.scores_matrix(urls)
         # The fused path never touches the string-token memo.
         assert tokenize_cached.cache_info().currsize == 0
         assert tokenize_bytes_cached.cache_info().currsize >= len(urls)
         compiled.extraction = "reference"
-        compiled.decisions(urls)
+        compiled.scores_matrix(urls)
         assert tokenize_cached.cache_info().currsize >= len(urls)
         compiled.extraction = "fused"
 
@@ -109,7 +112,7 @@ class TestFallbackAndPickling:
         self, fitted, small_bundle
     ):
         urls = small_bundle.odp_test.urls[:40]
-        fitted.compiled.decisions(urls)
+        fitted.compiled.scores_matrix(urls)
         clone = pickle.loads(pickle.dumps(fitted))
         compiled = clone.compiled
         assert compiled.extraction == "fused"

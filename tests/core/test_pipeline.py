@@ -1,13 +1,13 @@
 """Tests for the end-to-end LanguageIdentifier pipeline."""
 
+import numpy as np
 import pytest
 
-from repro.api import ModelInfo
+from repro.api import BatchResult, ModelInfo
 from repro.core.pipeline import (
     BASELINE_ALGORITHMS,
     FEATURE_SETS,
     LanguageIdentifier,
-    batch_result,
     best_labels,
     make_extractor,
 )
@@ -168,8 +168,10 @@ class TestBestLabels:
         scores = {en: [0.5, -1.0], de: [0.5, 0.0], fr: [0.1, -3.0],
                   es: [-0.2, -1.0], it: [0.0, -0.1]}
         model = ModelInfo(name="m", backend="remote", languages=LANGUAGES)
-        result = batch_result(["u1", "u2"], scores, model)
+        matrix = np.array(list(scores.values())).T
+        result = BatchResult(("u1", "u2"), matrix, model)
         assert result.urls == ("u1", "u2") and result.model is model
+        assert result.scores == scores
         assert result.best == (en, None)
         assert result.decisions == {
             en: [True, False], de: [True, False], fr: [True, False],

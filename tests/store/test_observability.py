@@ -182,8 +182,8 @@ class TestHttpExposition:
         values = {
             name: value for name, labels, value in samples if not labels
         }
-        # The span ring and drift banks are fork-shared, so the parent's
-        # scrape sees the socket workers' traffic.
+        # The span ring and drift banks are fork-shared, so whichever
+        # process answers the scrape sees the socket workers' traffic.
         assert values["repro_trace_spans_total"] >= 1.0
         by_op = {
             labels.get("op"): value

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import open_model
+from repro.api import Prediction, open_model
 from repro.core.pipeline import LanguageIdentifier
+from repro.languages import Language
 from repro.store import save_identifier
-from repro.store.serve import ServedUrl, score_batch
+from repro.store.serve import score_batch
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +45,8 @@ class TestScoring:
             def scores_many(self, urls):
                 raise AssertionError("scores were passed in")
 
-            def classify_many(self, urls, scores=None):
-                return served.classify_many(urls, scores=scores)
+            def capabilities(self):
+                return served.capabilities()
 
         assert score_batch(NoRescore(), urls, scores=scores) == score_batch(
             served, urls
@@ -65,9 +66,12 @@ class TestScoring:
         assert score_batch(open_model(path), []) == []
 
     def test_tsv_row_uses_placeholders(self):
-        assert ServedUrl("http://a.de/x", None, ()).tsv() == "-\t-\thttp://a.de/x"
+        assert Prediction("http://a.de/x", None, ()).tsv() == "-\t-\thttp://a.de/x"
         assert (
-            ServedUrl("http://a.de/x", "de", ("de", "en")).tsv()
+            Prediction(
+                "http://a.de/x", Language.GERMAN,
+                (Language.GERMAN, Language.ENGLISH),
+            ).tsv()
             == "de\tde,en\thttp://a.de/x"
         )
 

@@ -31,6 +31,7 @@ from repro.core.pipeline import LanguageIdentifier
 from repro.store import save_identifier
 from repro.store.client import (
     DaemonClient,
+    DaemonError,
     DaemonRequestError,
     RemoteIdentifier,
     RetryPolicy,
@@ -43,7 +44,7 @@ from repro.store.daemon import (
     start_daemon,
     stop_daemon,
 )
-from repro.store.wire import recv_frame_ex, send_message
+from repro.store.wire import encode_frame, recv_frame_ex, send_message
 from repro.testing.faults import FAULTS_ENV, FAULTS_STATE_ENV
 
 FAST = RetryPolicy(retries=4, backoff=0.01, backoff_max=0.02)
@@ -154,6 +155,82 @@ def http_request(port, method, path, body=None, keep_alive=False,
         return response.status, response.headers, response.read()
     finally:
         connection.close()
+
+
+def respawn_under_a_trickle(record, urls, connect, payload, peers=4):
+    """SIGKILL the only worker while ``peers`` connections trickle
+    ``payload`` to the shedding parent at 0.5 s a byte.
+
+    The worker is first held by the armed slow ``classify``, so the
+    parent sheds, and two pings sent whole over the unix socket must
+    both be answered in that state.  ``connect()`` then dials each
+    trickling connection.  Returns ``(seconds from the kill to the
+    respawn, whether the parent closed every trickling connection
+    unanswered)``; gives up after 5 s without a respawn.
+    """
+    with DaemonClient(record.endpoint) as client:
+        worker = client.status()
+    assert worker["role"] == "worker"
+
+    def pin():
+        try:
+            with DaemonClient(record.endpoint, retry=FAST) as client:
+                client.classify(urls)
+        except DaemonError:
+            pass  # its worker is killed under it
+
+    def trickle(raw):
+        for byte in payload:
+            try:
+                raw.sendall(bytes([byte]))
+            except OSError:
+                return  # the parent closed the connection
+            time.sleep(0.5)
+
+    def cut_off(raw):
+        raw.settimeout(3.0)
+        try:
+            return raw.recv(1) == b""
+        except ConnectionError:
+            return True
+        except TimeoutError:
+            return False
+
+    no_retry = RetryPolicy(retries=0, backoff=0.01)
+    pinned = threading.Thread(target=pin)
+    pinned.start()
+    time.sleep(0.5)  # let the worker take the slow classify
+    pingers = [raw_connect(record, "unix") for _ in range(2)]
+    for pinger in pingers:
+        send_message(pinger, {"op": "ping", "v": 1})
+    for pinger in pingers:
+        with pinger:
+            assert recv_frame_ex(pinger).message["ok"] is True
+    tricklers = [connect() for _ in range(peers)]
+    try:
+        for raw in tricklers:
+            threading.Thread(target=trickle, args=(raw,), daemon=True).start()
+        time.sleep(1.0)
+        os.kill(worker["pid"], signal.SIGKILL)
+        killed = time.monotonic()
+        respawn = None
+        while respawn is None and time.monotonic() - killed < 5.0:
+            try:
+                with DaemonClient(record.endpoint, timeout=0.5,
+                                  retry=no_retry) as client:
+                    status = client.status()
+                if status["robustness"]["worker_respawns"] >= 1:
+                    respawn = time.monotonic() - killed
+            except DaemonError:
+                pass  # the parent is not answering yet
+            time.sleep(0.05)
+        all_cut_off = all([cut_off(raw) for raw in tricklers])
+    finally:
+        for raw in tricklers:
+            raw.close()
+    pinned.join(timeout=30)
+    assert not pinned.is_alive()
+    return respawn, all_cut_off
 
 
 def read_response(reader):
@@ -309,6 +386,25 @@ class TestTransportMatrix:
             status = client.status()
         assert status["robustness"]["retries_observed"] >= 1
 
+    def test_a_trickled_request_stalls_no_respawn(
+        self, live_daemon, test_urls, tmp_path, monkeypatch, transport
+    ):
+        """Wire ``ping``s trickled to the shedding parent a byte per
+        0.5 s cost one shed pass its read budget, not the whole
+        requests: a killed worker is respawned promptly, and the
+        trickling connections are closed unanswered."""
+        arm_faults(
+            monkeypatch, tmp_path,
+            "slow-handler:op=classify,seconds=5,times=1",
+        )
+        record = live_daemon(workers=1)
+        respawn, cut_off = respawn_under_a_trickle(
+            record, test_urls[:2], lambda: raw_connect(record, transport),
+            encode_frame({"op": "ping", "v": 1}),
+        )
+        assert respawn is not None and respawn < 3.0, respawn
+        assert cut_off
+
     def test_keepalive_pipelining_echoes_correlation_ids_in_order(
         self, live_daemon, transport
     ):
@@ -414,6 +510,26 @@ class TestHttpChaos:
             language: [language in row["positives"] for row in rows]
             for language in oracle
         } == oracle
+
+    def test_a_trickled_request_stalls_no_respawn(
+        self, live_daemon, test_urls, tmp_path, monkeypatch
+    ):
+        """``GET /healthz`` trickled to the shedding parent a byte per
+        0.5 s: the same one read budget per shed pass as the wire."""
+        arm_faults(
+            monkeypatch, tmp_path,
+            "slow-handler:op=classify,seconds=5,times=1",
+        )
+        record = live_daemon(workers=1)
+        respawn, cut_off = respawn_under_a_trickle(
+            record, test_urls[:2],
+            lambda: socket.create_connection(
+                ("127.0.0.1", record.http_port), timeout=30.0
+            ),
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+        )
+        assert respawn is not None and respawn < 3.0, respawn
+        assert cut_off
 
     def test_sigterm_drains_an_in_flight_batch(
         self, live_daemon, oracle_pair, test_urls, tmp_path, monkeypatch

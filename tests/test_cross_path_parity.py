@@ -1,14 +1,16 @@
 """One batch, every answering path, one answer.
 
-Wherever a URL is scored — in process on the compiled or the sparse
-backend, through the daemon over its Unix socket, TCP or HTTP, through
-the async client, by a bulk run or by the CLI — it must get the same
-best label and the same positive languages.  One seeded adversarial
-batch (:func:`repro.testing.urlgen.adversarial_urls`) is scored on every
-path by a rank-order model: its compiled and sparse scores are
-bit-identical, and its top scores tie often, so the tie rule is pinned
-too — a tied row's best label is the earliest tied language in
-:data:`~repro.languages.LANGUAGES`.
+Wherever a URL is scored — in process on the compiled (fused or
+reference extraction) or the sparse backend, off a float32 artifact,
+through the daemon over its Unix socket, TCP or HTTP, through the async
+client, by a bulk run into any sink or by the CLI — it must get the
+same best label and the same positive languages, and every path that
+answers ``decisions`` must answer the sparse oracle's map exactly.  One
+seeded adversarial batch (:func:`repro.testing.urlgen.adversarial_urls`)
+is scored on every path by a rank-order model: its compiled and sparse
+scores are bit-identical, and its top scores tie often, so the tie rule
+is pinned too — a tied row's best label is the earliest tied language
+in :data:`~repro.languages.LANGUAGES`.
 """
 
 from __future__ import annotations
@@ -19,15 +21,22 @@ import json
 import urllib.request
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro import bulk
+from repro.api import BatchResult, ModelInfo, open_model
 from repro.cli import main
 from repro.core.pipeline import LanguageIdentifier
 from repro.languages import LANGUAGES
-from repro.store import save_identifier
-from repro.store.client import AsyncRemoteIdentifier, DaemonClient
-from repro.store.daemon import start_daemon, stop_daemon
+from repro.query import open_index
+from repro.store import load_identifier, save_identifier, score_batch
+from repro.store.client import (
+    AsyncRemoteIdentifier,
+    DaemonClient,
+    RemoteIdentifier,
+)
+from repro.store.daemon import MAX_BATCH_URLS, start_daemon, stop_daemon
 from repro.testing.urlgen import adversarial_urls
 
 URLS = adversarial_urls(2000, seed=0)
@@ -44,6 +53,15 @@ def models(small_train, tmp_path_factory):
     artifact = tmp_path_factory.mktemp("parity") / "ro.urlmodel"
     save_identifier(compiled, artifact)
     return compiled, sparse, artifact
+
+
+@pytest.fixture(scope="module")
+def float32_artifact(models, tmp_path_factory):
+    """The same model saved with float32 weights."""
+    compiled, _, _ = models
+    path = tmp_path_factory.mktemp("parity-f32") / "ro-f32.urlmodel"
+    save_identifier(compiled, path, dtype="float32")
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +92,11 @@ def from_predictions(result) -> list[tuple]:
     ]
 
 
-def from_rows(rows) -> list[tuple]:
-    return [(row.url, row.best, tuple(row.positives)) for row in rows]
+def from_jsonl(text: str) -> list[tuple]:
+    rows = [json.loads(line) for line in text.split("\n") if line]
+    return [
+        (row["url"], row["best"], tuple(row["positives"])) for row in rows
+    ]
 
 
 def from_tsv(text: str) -> list[tuple]:
@@ -92,14 +113,17 @@ def from_tsv(text: str) -> list[tuple]:
     return out
 
 
-def paths(models, daemon, tmp_path, monkeypatch):
+def paths(models, float32_artifact, daemon, tmp_path, monkeypatch):
     """Every answering path: ``name -> urls -> [(url, best, positives)]``."""
     compiled, sparse, artifact = models
+    reference = load_identifier(artifact)
+    reference.compiled.extraction = "reference"
+    float32 = open_model(float32_artifact)
 
     def over(endpoint):
         def classify(urls):
             with DaemonClient(endpoint) as client:
-                return from_rows(client.classify(urls))
+                return from_predictions(client.classify(urls))
         return classify
 
     def http(urls):
@@ -118,15 +142,32 @@ def paths(models, daemon, tmp_path, monkeypatch):
                 return await model.apredict(urls)
         return from_predictions(asyncio.run(run()))
 
-    def bulk_tsv(urls):
-        shard = tmp_path / f"shard-{len(urls)}.txt"
-        shard.write_text("".join(url + "\n" for url in urls), encoding="utf-8")
-        report = bulk.run(artifact, shard, tmp_path / f"run-{len(urls)}",
-                          workers=1, sink="tsv")
-        return from_tsv("".join(
-            (tmp_path / f"run-{len(urls)}" / name).read_text(encoding="utf-8")
-            for name in report.outputs if name.endswith(".tsv")
-        ))
+    def bulk_into(sink):
+        def answer(urls):
+            name = f"{sink}-{len(urls)}"
+            shard = tmp_path / f"shard-{name}.txt"
+            shard.write_text(
+                "".join(url + "\n" for url in urls), encoding="utf-8"
+            )
+            run_dir = tmp_path / f"run-{name}"
+            report = bulk.run(artifact, shard, run_dir, workers=1, sink=sink)
+            text = "".join(
+                (run_dir / output).read_text(encoding="utf-8")
+                for output in report.outputs
+            )
+            rows = from_tsv(text) if sink == "tsv" else from_jsonl(text)
+            if sink == "sqlite":
+                with open_index(run_dir) as index:
+                    for url, best, positives in rows:
+                        found = index.lookup(url)
+                        assert found, url
+                        assert all(
+                            (row["best"], tuple(row["positives"]))
+                            == (best, positives)
+                            for row in found
+                        ), url
+            return rows
+        return answer
 
     def cli(urls):
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
@@ -137,12 +178,21 @@ def paths(models, daemon, tmp_path, monkeypatch):
 
     return {
         "compiled": lambda urls: from_predictions(compiled.predict(urls)),
+        "compiled-reference": lambda urls: from_predictions(
+            reference.predict(urls)
+        ),
+        "float32": lambda urls: from_predictions(float32.predict(urls)),
         "sparse": lambda urls: from_predictions(sparse.predict(urls)),
+        "score_batch": lambda urls: from_predictions(
+            score_batch(compiled, urls)
+        ),
         "unix": over(daemon.socket),
         "tcp": over(daemon.tcp),
         "http": http,
         "async": asynchronous,
-        "bulk-tsv": bulk_tsv,
+        "bulk-tsv": bulk_into("tsv"),
+        "bulk-jsonl": bulk_into("jsonl"),
+        "bulk-sqlite": bulk_into("sqlite"),
         "cli": cli,
     }
 
@@ -156,12 +206,14 @@ def line_safe(url: str) -> bool:
 
 
 def test_every_path_gives_the_same_answer(
-    models, daemon, tmp_path, monkeypatch
+    models, float32_artifact, daemon, tmp_path, monkeypatch
 ):
     compiled, _, _ = models
     expected = from_predictions(compiled.predict(URLS))
-    for name, answer in paths(models, daemon, tmp_path, monkeypatch).items():
-        if name == "bulk-tsv":
+    for name, answer in paths(
+        models, float32_artifact, daemon, tmp_path, monkeypatch
+    ).items():
+        if name.startswith("bulk-"):
             assert answer([url for url in URLS if line_safe(url)]) == [
                 row for row in expected if line_safe(row[0])
             ], name
@@ -185,7 +237,153 @@ def test_ties_go_to_the_earliest_language(models):
 
 
 def test_an_empty_batch_answers_empty_everywhere(
-    models, daemon, tmp_path, monkeypatch
+    models, float32_artifact, daemon, tmp_path, monkeypatch
 ):
-    for name, answer in paths(models, daemon, tmp_path, monkeypatch).items():
+    for name, answer in paths(
+        models, float32_artifact, daemon, tmp_path, monkeypatch
+    ).items():
         assert answer([]) == [], name
+
+
+def canonical(decisions) -> str:
+    """A decisions map as sorted-key JSON: the same bytes exactly when
+    the languages, the order of every list and every ``true``/``false``
+    agree."""
+    return json.dumps(
+        {getattr(code, "value", code): values
+         for code, values in decisions.items()},
+        sort_keys=True,
+    )
+
+
+def test_every_decisions_path_answers_the_sparse_oracle(models, daemon):
+    compiled, sparse, _ = models
+    oracle = canonical(sparse._sparse_decisions(URLS))
+
+    def remote(endpoint):
+        with RemoteIdentifier.connect(endpoint) as model:
+            return model.decisions(URLS)
+
+    async def adecisions():
+        async with AsyncRemoteIdentifier.connect(daemon.socket) as model:
+            return await model.adecisions(URLS)
+
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{daemon.http}/v1/decisions",
+        data=json.dumps({"urls": URLS}).encode(), method="POST",
+    )
+    with urllib.request.urlopen(request) as response:
+        http = json.loads(response.read())["decisions"]
+    answers = {
+        "compiled": compiled.decisions(URLS),
+        "sparse": sparse.decisions(URLS),
+        "unix": remote(daemon.socket),
+        "tcp": remote(daemon.tcp),
+        "async": asyncio.run(adecisions()),
+        "http": http,
+        "compiled predict": compiled.predict(URLS).decisions,
+        "sparse predict": sparse.predict(URLS).decisions,
+    }
+    for name, decisions in answers.items():
+        assert canonical(decisions) == oracle, name
+
+
+@pytest.fixture(scope="module")
+def nb_daemon(small_train, tmp_path_factory):
+    """``(identifier, socket, http port)`` of an NB/words model and a
+    daemon serving it; NB scores a maximal batch in a fraction of a
+    second, where rank-order takes several."""
+    identifier = LanguageIdentifier("words", "NB", seed=0).fit(small_train)
+    directory = tmp_path_factory.mktemp("parity-nb")
+    save_identifier(identifier, directory / "nb.urlmodel")
+    socket_path = directory / "nb.sock"
+    start_daemon(directory / "nb.urlmodel", socket_path, workers=1,
+                 http_port=0)
+    with DaemonClient(socket_path) as client:
+        http_port = client.status()["http_port"]
+    yield identifier, socket_path, http_port
+    stop_daemon(socket_path)
+
+
+def test_a_maximal_batch_gives_the_same_answer(nb_daemon):
+    """One ``MAX_BATCH_URLS`` batch: in process, over the unix socket
+    and over HTTP."""
+    identifier, socket_path, http_port = nb_daemon
+    urls = [URLS[i % len(URLS)] for i in range(MAX_BATCH_URLS)]
+    expected = from_predictions(identifier.predict(urls))
+    with DaemonClient(socket_path) as client:
+        assert from_predictions(client.classify(urls)) == expected
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{http_port}/v1/classify",
+        data=json.dumps({"urls": urls}).encode(), method="POST",
+    )
+    with urllib.request.urlopen(request) as response:
+        rows = json.loads(response.read())["results"]
+    assert [
+        (row["url"], row["best"], tuple(row["positives"])) for row in rows
+    ] == expected
+
+
+class TestBatchResultOverAHandBuiltMatrix:
+    """Every derived field of :class:`~repro.api.BatchResult`, from a
+    matrix whose answers are known."""
+
+    model = ModelInfo(name="m", backend="compiled", languages=LANGUAGES)
+
+    def result(self, rows, urls=None):
+        matrix = np.array(rows, dtype=np.float64).reshape(-1, len(LANGUAGES))
+        if urls is None:
+            urls = tuple(f"u{i}" for i in range(len(matrix)))
+        return BatchResult(urls, matrix, self.model)
+
+    def test_all_32_positive_masks_give_code_sorted_positives(self):
+        masks = range(1 << len(LANGUAGES))
+        result = self.result([
+            [1.0 if mask >> bit & 1 else -1.0 for bit in range(5)]
+            for mask in masks
+        ])
+        for mask, positives in zip(masks, result.positives):
+            expected = sorted(
+                (language for bit, language in enumerate(LANGUAGES)
+                 if mask >> bit & 1),
+                key=lambda language: language.value,
+            )
+            assert positives == tuple(expected)
+            assert result[mask].positives == tuple(expected)
+        assert [row.positives for row in result] == list(result.positives)
+
+    def test_a_tied_row_goes_to_the_earliest_language(self):
+        en, de, fr, es, it = LANGUAGES
+        result = self.result([
+            [0.5, 2.0, 2.0, -1.0, 2.0],
+            [3.0, -1.0, -1.0, -1.0, 3.0],
+        ])
+        assert result.best == (de, en)
+        assert result.positives == ((de, en, fr, it), (en, it))
+        assert [row.best for row in result] == [de, en]
+
+    def test_an_all_non_positive_row_has_no_best_and_no_positives(self):
+        result = self.result([[0.0, -0.5, -1.0, 0.0, -3.0]])
+        assert result.best == (None,)
+        assert result.positives == ((),)
+        assert result.decisions == {language: [False] for language in LANGUAGES}
+        assert result[0].tsv() == "-\t-\tu0"
+
+    def test_an_empty_batch(self):
+        result = self.result([])
+        assert len(result) == 0 and list(result) == []
+        assert result.best == () and result.positives == ()
+        assert result.scores == {language: [] for language in LANGUAGES}
+        assert result.decisions == {language: [] for language in LANGUAGES}
+
+    def test_two_results_of_one_batch_are_equal(self, models):
+        compiled, _, _ = models
+        first, second = compiled.predict(URLS), compiled.predict(URLS)
+        assert first is not second and first == second
+        assert first != compiled.predict(URLS[:-1])
+        hand_built = self.result([[1.0, -1.0, 0.5, 0.0, -2.0]])
+        assert hand_built == self.result([[1.0, -1.0, 0.5, 0.0, -2.0]])
+        assert hand_built != self.result([[1.0, -1.0, 0.5, 0.0, -1.0]])
+        assert hand_built != self.result(
+            [[1.0, -1.0, 0.5, 0.0, -2.0]], urls=("other",)
+        )
