@@ -578,12 +578,13 @@ def test_query_index_overhead(model_files, tmp_path_factory, context, benchmark)
     The sqlite sink pays twice relative to TSV: its shards are jsonl
     (full score vectors + provenance, roughly 2x the TSV run by
     itself), and the parent re-parses every committed shard into the
-    result database (rows + FTS5) as commits land.  At this bench
+    result database (rows + FTS5) as commits land, one transaction
+    per commit group of up to 16 shards.  At this bench
     scale — where vectorized scoring runs at ~70k URLs/s and the
     fixed costs dominate — the indexed run lands around 2–4x the TSV
     wall clock; the recorded ``overhead_vs_tsv`` tracks that ratio so
     a regression in the ingest path (e.g. an accidental per-shard
-    table scan) shows up as a jump, and ``check_bench.py`` gates the
+    scan of the ``shards`` or ``results`` table) shows up as a jump, and ``check_bench.py`` gates the
     absolute ``best_seconds`` against the committed baseline.
     Interleaved best-of-N, byte-parity of the index's aggregates
     against the run's own summary asserted before recording.

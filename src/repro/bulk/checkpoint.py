@@ -19,22 +19,25 @@ run back up after a crash, a SIGKILL, or a deliberate stop.
 one line per committed shard, ``<crc32 hex> <JSON {"entry", "shard"}>``,
 carrying that shard's whole manifest entry (summary included).
 
-Durability protocol: committing a shard appends its record and fsyncs
-the journal — one record, whatever the shard count, where rewriting
-the manifest per shard cost time in proportion to the shards planned.
-The manifest is only ever replaced **atomically** (write to a temp
-file, ``fsync``, ``os.replace``): when the run is planned, and when it
-is *compacted* on resume and at the end of every run.  Compaction
-writes the full state durably before it deletes the journal, so a kill
-between the two steps only leaves records to replay that the manifest
-already holds.  :meth:`RunManifest.load` replays the journal up to the
-first torn or checksum-failing record, so a kill at any instant loses
-at most the shards that were mid-flight, never the record of finished
-work — and every reader (resume, ``bulk verify``, ``query index``,
-lineage) sees each journaled shard.  Output shards get the same
-treatment (written to ``*.part``, fsynced, renamed), which is why a
-``done`` entry's checksum can be trusted enough to *verify* rather
-than re-score.
+Durability protocol: the engine commits finished shards in groups of
+up to :data:`GROUP_COMMIT_SHARDS` — every shard that finished while
+the previous group was being committed — and appends the group's
+records with one write and one fsync: one record per shard, whatever
+the shard count, where rewriting the manifest per shard cost time in
+proportion to the shards planned.  The manifest is only ever replaced
+**atomically** (write to a temp file, ``fsync``, ``os.replace``): when
+the run is planned, and when it is *compacted* on resume and at the
+end of every run.  Compaction writes the full state durably before it
+deletes the journal, so a kill between the two steps only leaves
+records to replay that the manifest already holds.
+:meth:`RunManifest.load` replays the journal up to the first torn or
+checksum-failing record, so a kill at any instant loses at most the
+shards that were mid-flight or mid-append, never the record of work
+an fsync already covered — and every reader (resume, ``bulk verify``,
+``query index``, lineage) sees each journaled shard.  Output shards
+get the same treatment (written to ``*.part``, fsynced, renamed),
+which is why a ``done`` entry's checksum can be trusted enough to
+*verify* rather than re-score.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from repro.bulk.errors import (
 from repro.bulk.source import Shard
 
 __all__ = [
+    "GROUP_COMMIT_SHARDS",
     "MANIFEST_NAME",
     "MANIFEST_VERSION",
     "RunManifest",
@@ -68,6 +72,10 @@ MANIFEST_NAME = "manifest.json"
 #: version 2 added the completion journal, which version-1 builds
 #: would ignore).
 MANIFEST_VERSION = 2
+
+#: The most finished shards one commit covers: one journal append and
+#: fsync, and (sqlite sink) one result-index transaction.
+GROUP_COMMIT_SHARDS = 16
 
 
 def journal_path(manifest_path: str | os.PathLike) -> Path:
@@ -302,22 +310,28 @@ class RunManifest:
             _fsync_directory(path.parent)
             journal.unlink()
 
-    def journal(self, path: str | os.PathLike, shard_id: str) -> None:
-        """Make ``shard_id``'s entry durable without rewriting the
-        manifest: append one checksummed record to the journal of the
-        manifest at ``path`` and fsync it.
+    def journal(self, path: str | os.PathLike, *shard_ids: str) -> None:
+        """Make the entries of ``shard_ids`` durable without rewriting
+        the manifest: append one checksummed record per shard to the
+        journal of the manifest at ``path``, with one write and one
+        fsync.
 
-        The record holds only this shard's entry, so its cost does not
-        grow with the shards planned or already done.
+        Each record holds only its shard's entry, so the cost does not
+        grow with the shards planned or already done.  A kill mid-write
+        tears at most the group's records; replay keeps the intact
+        ones before the tear.
         """
-        payload = json.dumps(
-            {"entry": self.shards[shard_id], "shard": shard_id},
-            separators=(",", ":"), sort_keys=True,
-        ).encode("utf-8")
+        records = []
+        for shard_id in shard_ids:
+            payload = json.dumps(
+                {"entry": self.shards[shard_id], "shard": shard_id},
+                separators=(",", ":"), sort_keys=True,
+            ).encode("utf-8")
+            records.append(b"%08x %s\n" % (zlib.crc32(payload), payload))
         journal = journal_path(path)
         with open(journal, "ab") as stream:
             created = stream.tell() == 0
-            stream.write(b"%08x %s\n" % (zlib.crc32(payload), payload))
+            stream.write(b"".join(records))
             stream.flush()
             os.fsync(stream.fileno())
         if created:

@@ -22,12 +22,17 @@ The execution model:
    ``chunk_size``-sized :meth:`~repro.api.Predictor.predict` passes —
    one matmul each on the compiled backend.
 3. **Commit.**  A worker writes its shard's rows to ``<output>.part``,
-   fsyncs, renames — then the parent appends the shard's entry, output
-   sha256 included, to the manifest's completion journal and fsyncs
-   it: one record per shard, however many shards the run plans.
-   Outputs are never appended to: a kill leaves either a committed
-   shard or an ignorable ``.part`` file, never a half-trusted output,
-   and a journal record torn by the kill is discarded on replay.
+   fsyncs, renames — then the parent commits finished shards in
+   groups: it blocks for one result, takes every other result already
+   waiting (up to :data:`~repro.bulk.checkpoint.GROUP_COMMIT_SHARDS`),
+   appends their entries, output sha256s included, to the manifest's
+   completion journal with one write and one fsync, ingests them into
+   the result index (sqlite sink) in one transaction, and only then
+   reports them.  One record per shard, however many shards the run
+   plans.  Outputs are never appended to: a kill leaves either a
+   committed shard or an ignorable ``.part`` file, never a
+   half-trusted output, and a journal record torn by the kill is
+   discarded on replay.
 4. **Compact.**  The end of the run writes the full manifest (summary
    included) atomically and deletes the journal.
 
@@ -48,9 +53,15 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.api.protocol import DEFAULT_CHUNK_SIZE, Predictor
-from repro.bulk.checkpoint import MANIFEST_NAME, RunManifest, sha256_file
+from repro.bulk.checkpoint import (
+    GROUP_COMMIT_SHARDS,
+    MANIFEST_NAME,
+    RunManifest,
+    sha256_file,
+)
 from repro.bulk.errors import (
     BulkError,
     ManifestMismatchError,
@@ -62,6 +73,9 @@ from repro.bulk.source import BadRow, Shard, discover_shards, read_rows
 from repro.obs.events import EventLogger
 from repro.store.metrics import LatencyHistogram
 from repro.testing import faults
+
+if TYPE_CHECKING:
+    from multiprocessing.pool import IMapIterator
 
 __all__ = [
     "EVENTS_NAME",
@@ -395,6 +409,32 @@ def _commit_sidecar(sidecar_path: Path, quarantined: list[dict]) -> str:
 # -- parent side ------------------------------------------------------------------
 
 
+def _commit_in_groups(
+    results: IMapIterator[dict], commit_group: Callable[[list[dict]], None]
+) -> None:
+    """Feed ``results`` (a pool's ``imap_unordered`` iterator) to
+    ``commit_group`` a group at a time.
+
+    Blocks for one result, then takes every result already available
+    (``next(timeout=0)``), up to :data:`GROUP_COMMIT_SHARDS`, so the
+    group is whatever finished while the previous one was committing.
+    A worker's exception met while draining still commits the results
+    drained before it, then propagates — a resume re-scores only what
+    never committed.
+    """
+    for first in results:
+        group = [first]
+        try:
+            while len(group) < GROUP_COMMIT_SHARDS:
+                group.append(results.next(timeout=0))
+        except (multiprocessing.TimeoutError, StopIteration):
+            pass
+        except BaseException:
+            commit_group(group)
+            raise
+        commit_group(group)
+
+
 def _output_names(manifest: RunManifest, sink: RowSink) -> dict[str, str]:
     """Deterministic output file per shard: ``part-<ordinal><suffix>``.
 
@@ -596,11 +636,12 @@ def run(
             bytes_pending=bytes_pending,
         )
 
-    # Parent-side result indexing (sqlite sink): ingest each shard the
-    # moment its output commits, so the index trails the journal by at
-    # most one shard.  Workers never see the database — the scoring hot
-    # path pays nothing.  Any gap a kill leaves between journal append
-    # and ingest is healed by the index_run() reconcile below.
+    # Parent-side result indexing (sqlite sink): ingest each commit
+    # group right after its journal fsync, so the index trails the
+    # journal by at most one group.  Workers never see the database —
+    # the scoring hot path pays nothing.  Any gap a kill leaves between
+    # journal append and ingest is healed by the index_run() reconcile
+    # below.
     ordinals = {
         shard_id: ordinal
         for ordinal, shard_id in enumerate(manifest.order)
@@ -615,31 +656,9 @@ def run(
                 (json.dumps(manifest.model, sort_keys=True),),
             )
 
-    def commit(result: dict) -> None:
+    def announce(result: dict) -> None:
+        """Account for one committed shard; emit its event and line."""
         nonlocal scored, rows_scored, rows_quarantined, bytes_done
-        manifest.mark_done(
-            result["shard_id"],
-            output=result["output"],
-            rows=result["rows"],
-            sha256=result["sha256"],
-            seconds=result["seconds"],
-            quarantined=result.get("quarantined", 0),
-            quarantine_file=result.get("quarantine_file"),
-            quarantine_sha256=result.get("quarantine_sha256"),
-        )
-        manifest.shards[result["shard_id"]]["summary"] = result["summary"]
-        if not stdin_run:
-            manifest.journal(manifest_path, result["shard_id"])
-        if index_connection is not None:
-            from repro.query.ingest import ingest_shard
-
-            ingest_shard(
-                index_connection,
-                ordinal=ordinals[result["shard_id"]],
-                shard_id=result["shard_id"],
-                output_path=output_dir / result["output"],
-                sha256=result["sha256"],
-            )
         latency.merge(LatencyHistogram.from_snapshot(result["latency"]))
         scored += 1
         rows_scored += result["rows"]
@@ -681,13 +700,45 @@ def run(
                 f"({rate:.0f}/s){note}"
             )
 
+    def commit_group(results: list[dict]) -> None:
+        for result in results:
+            manifest.mark_done(
+                result["shard_id"],
+                output=result["output"],
+                rows=result["rows"],
+                sha256=result["sha256"],
+                seconds=result["seconds"],
+                quarantined=result.get("quarantined", 0),
+                quarantine_file=result.get("quarantine_file"),
+                quarantine_sha256=result.get("quarantine_sha256"),
+            )
+            manifest.shards[result["shard_id"]]["summary"] = result["summary"]
+        if not stdin_run:
+            manifest.journal(
+                manifest_path, *(result["shard_id"] for result in results)
+            )
+        if index_connection is not None:
+            from repro.query.ingest import ingest_shards
+
+            ingest_shards(index_connection, [
+                (
+                    ordinals[result["shard_id"]],
+                    result["shard_id"],
+                    output_dir / result["output"],
+                    result["sha256"],
+                )
+                for result in results
+            ])
+        for result in results:
+            announce(result)
+
     try:
         if tasks:
             if workers <= 1 or stdin_run or len(tasks) == 1:
                 _initialize_worker(*initargs)
                 try:
                     for task in tasks:
-                        commit(_score_shard(task))
+                        commit_group([_score_shard(task)])
                 finally:
                     state = _worker_state
                     if state is not None:
@@ -698,8 +749,10 @@ def run(
                     initializer=_initialize_worker,
                     initargs=initargs,
                 ) as pool:
-                    for result in pool.imap_unordered(_score_shard, tasks):
-                        commit(result)
+                    _commit_in_groups(
+                        pool.imap_unordered(_score_shard, tasks),
+                        commit_group,
+                    )
     except BaseException as error:
         if events is not None:
             events.emit(
@@ -750,7 +803,7 @@ def run(
 
     if row_sink.indexes_results:
         # Reconcile: converge the index onto the manifest.  Heals the
-        # one-shard gap a kill can leave between journal append and
+        # one-group gap a kill can leave between journal append and
         # ingest, drops rows of shards a resume demoted and re-scored,
         # and is a cheap no-op when the per-commit ingestion above
         # already covered everything.

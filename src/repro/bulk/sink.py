@@ -163,10 +163,12 @@ class SqliteSink(JsonlSink):
     same bytes, same shard sha256s — so the manifest resume/verify
     story is untouched and an interrupted sqlite run can even be
     resumed as ``jsonl`` (or vice versa, modulo the manifest's sink
-    check).  What changes is engine-side: after every shard commit the
-    engine ingests the committed output into ``results.sqlite`` in the
-    run directory, and reconciles the database against the manifest at
-    the end of the run (:func:`repro.query.ingest.index_run`).
+    check).  What changes is engine-side: after every commit group's
+    journal fsync the engine ingests the group's committed outputs
+    into ``results.sqlite`` in the run directory, in one transaction
+    (:func:`repro.query.ingest.ingest_shards`), and reconciles the
+    database against the manifest at the end of the run
+    (:func:`repro.query.ingest.index_run`).
     Workers never touch the database; ingestion is parent-only, so the
     scoring hot path pays nothing.
     """

@@ -8,12 +8,16 @@ range scan no matter how deep into a 100M-row index the reader is.
 ``OFFSET`` pagination would re-scan everything it skips on every page.
 
 Every cursor additionally embeds a 12-hex-digit **index fingerprint**
-(:func:`repro.query.ingest.index_fingerprint`: a per-build random salt
-plus every ingested shard's sha256).  A cursor replayed against a
-rebuilt index, an index that has since ingested more shards, or a
+(:func:`repro.query.ingest.index_fingerprint`: the leading digits of a
+running sum, mod 2**256, of the per-build random salt's sha256 and of
+sha256(salt, shard_id, sha256) for every ingested shard, kept current
+by each ingest transaction).  A cursor replayed against a rebuilt
+index, an index that has since ingested more shards, or a
 hand-tampered cursor is refused with a typed :class:`CursorError`
 instead of silently paging over a different row set — the same refusal
-semantics the daemon's batch cursors established.
+semantics the daemon's batch cursors established.  An index built
+before the sum was kept refuses its older cursors after its next
+ingest, which would refuse them anyway.
 
 Scores ride through :func:`repr` / :func:`float`, which round-trips
 IEEE doubles exactly, so a resumed walk continues at precisely the row

@@ -1,15 +1,18 @@
-"""Shard-by-shard ingestion: committed bulk outputs → the result index.
+"""Group ingestion: committed bulk outputs → the result index.
 
 The bulk engine's durability contract is the input here, not something
 to re-invent: a shard output only exists under its final name after
 the engine fsynced, renamed and checkpointed it with a sha256.  Ingest
-therefore works in whole committed shards — each
-:func:`ingest_shard` call is **one SQLite transaction** that deletes
-any previous rows of that shard, inserts the new ones (table + FTS),
-records the shard's sha256, and recomputes the index fingerprint.  A
-SIGKILL at any instant leaves the database at a shard boundary: either
-the shard is fully in (and recorded), or fully out — exactly the
-atomic-per-shard story the manifest tells for the text outputs.
+therefore works in whole committed shards, a group at a time — each
+:func:`ingest_shards` call is **one SQLite transaction** that, per
+shard, deletes any previous rows of that shard, inserts the new ones
+(table + FTS) and records the shard's sha256, and adds the shard to
+the running index fingerprint kept in ``meta``.  No statement reads
+the whole ``shards`` table, so a shard costs the same however big the
+index already is.  A SIGKILL at any instant leaves the database at a
+group boundary: each shard is either fully in (and recorded), or fully
+out — exactly the atomic-per-shard story the manifest tells for the
+text outputs.
 
 :func:`index_run` is the reconciler both the engine and ``repro query
 index`` call: walk the manifest's ``done`` shards, ingest whatever the
@@ -30,10 +33,15 @@ import io
 import json
 import os
 import sqlite3
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.bulk.checkpoint import MANIFEST_NAME, RunManifest
+from repro.bulk.checkpoint import (
+    GROUP_COMMIT_SHARDS,
+    MANIFEST_NAME,
+    RunManifest,
+)
 from repro.languages import LANGUAGES
 from repro.query.errors import IndexCorruptError, QueryError
 from repro.query.schema import (
@@ -48,11 +56,15 @@ __all__ = [
     "index_fingerprint",
     "index_run",
     "ingest_shard",
+    "ingest_shards",
     "insert_rows",
 ]
 
 #: Language codes in stable (sorted) order, for CSV score columns.
 _CODES = tuple(sorted(language.value for language in LANGUAGES))
+
+#: The running index fingerprint is a sum of sha256 digests mod 2**256.
+_MODULUS = 1 << 256
 
 
 @dataclass
@@ -75,62 +87,127 @@ class IngestReport:
         )
 
 
+def _digest(text: str) -> int:
+    return int.from_bytes(
+        hashlib.sha256(text.encode("utf-8")).digest(), "big"
+    )
+
+
+def _shard_term(salt: str, shard_id: str, sha256: str) -> int:
+    """One ingested shard's addend to the running fingerprint sum."""
+    return _digest(f"{salt}\n{shard_id}:{sha256}")
+
+
+def _running_sum(connection: sqlite3.Connection) -> tuple[str, int | None]:
+    """``(salt, stored running sum)``; the sum is ``None`` in an index
+    written before the sum was kept."""
+    values = dict(connection.execute(
+        "SELECT key, value FROM meta "
+        "WHERE key IN ('salt', 'fingerprint_sum')"
+    ))
+    if "salt" not in values:
+        raise IndexCorruptError("result index carries no salt")
+    total = values.get("fingerprint_sum")
+    return values["salt"], None if total is None else int(total, 16)
+
+
+def _fingerprint_sum(connection: sqlite3.Connection, salt: str) -> int:
+    """The running sum computed from scratch: O(shards)."""
+    total = _digest(salt)
+    for shard_id, sha256 in connection.execute(
+        "SELECT shard_id, sha256 FROM shards"
+    ):
+        total += _shard_term(salt, shard_id, sha256)
+    return total
+
+
 def index_fingerprint(connection: sqlite3.Connection) -> str:
     """The 12-hex-digit identity of this index build's row set.
 
-    Salt (random per database creation) + every ingested shard's
-    sha256, order-independent — so the fingerprint is identical for
-    identical content however ingestion was interleaved, and different
-    for a rebuilt database even when its rows happen to match (the
-    salt differs).  Page cursors embed it; see
-    :mod:`repro.query.cursor`.
+    The leading digits of a sum, mod 2**256, of sha256(salt) and of
+    sha256(salt, shard_id, sha256) for every ingested shard.  The salt
+    is random per database creation, and a sum does not care about
+    order — so the fingerprint is identical for identical content
+    however ingestion was interleaved, and different for a rebuilt
+    database even when its rows happen to match.  Page cursors embed
+    it; see :mod:`repro.query.cursor`.
+
+    This is the from-scratch reference: it reads every ``shards`` row.
+    Ingest keeps the same sum in ``meta`` instead, adding and
+    subtracting one shard's term in the transaction that inserts or
+    drops it.
     """
-    row = connection.execute(
-        "SELECT value FROM meta WHERE key='salt'"
-    ).fetchone()
-    if row is None:
-        raise IndexCorruptError("result index carries no salt")
-    digest = hashlib.sha256(row[0].encode("ascii"))
-    for shard_id, sha256 in connection.execute(
-        "SELECT shard_id, sha256 FROM shards ORDER BY shard_id"
-    ):
-        digest.update(f"\n{shard_id}:{sha256}".encode("utf-8"))
-    return digest.hexdigest()[:12]
+    salt, _ = _running_sum(connection)
+    return f"{_fingerprint_sum(connection, salt) % _MODULUS:064x}"[:12]
 
 
-def _refresh_fingerprint(connection: sqlite3.Connection) -> str:
-    fingerprint = index_fingerprint(connection)
-    connection.execute(
-        "INSERT INTO meta(key, value) VALUES ('fingerprint', ?) "
+def _store_fingerprint(connection: sqlite3.Connection, total: int) -> None:
+    hex_sum = f"{total % _MODULUS:064x}"
+    connection.executemany(
+        "INSERT INTO meta(key, value) VALUES (?, ?) "
         "ON CONFLICT(key) DO UPDATE SET value=excluded.value",
-        (fingerprint,),
+        (("fingerprint_sum", hex_sum), ("fingerprint", hex_sum[:12])),
     )
-    return fingerprint
+
+
+def _row_shape_error(row: object) -> str | None:
+    """What is wrong with a parsed JSONL row, or ``None`` if nothing.
+
+    Element types are compared exactly (``set(map(type, ...))``): JSON
+    decodes to exact ``str``/``int``/``float``, and ``bool`` — a
+    subclass of ``int`` — must not count as a score.
+    """
+    if not isinstance(row, dict):
+        return f"expected a JSON object, got {type(row).__name__}"
+    if not isinstance(row.get("url"), str):
+        return "'url' must be a string"
+    best = row.get("best")
+    if best is not None and not isinstance(best, str):
+        return "'best' must be a string or null"
+    positives = row.get("positives", [])
+    if not isinstance(positives, list) or not (
+        set(map(type, positives)) <= {str}
+    ):
+        return "'positives' must be a list of language codes"
+    scores = row.get("scores", {})
+    if not isinstance(scores, dict) or not (
+        set(map(type, scores.values())) <= {int, float}
+    ):
+        return "'scores' must map language codes to numbers"
+    return None
 
 
 def _parse_jsonl(stream: io.TextIOBase, source: str):
-    """Yield ``(url, best, score, positives, scores_json)`` per row."""
+    """Yield ``(url, best, score, positives, scores_json)`` per row.
+
+    Shard files are outside input by the time ``repro query index``
+    reads them, so each row's shape is checked; a bad row raises
+    :class:`QueryError` naming ``file:line``.
+    """
     for number, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
             continue
         try:
             row = json.loads(line)
-            url = row["url"]
-        except (json.JSONDecodeError, TypeError, KeyError) as error:
+        except json.JSONDecodeError as error:
+            problem: str | None = str(error)
+        else:
+            problem = _row_shape_error(row)
+        if problem is not None:
             raise QueryError(
                 f"{source}:{number} is not an ingestable JSONL row "
-                f"({error}); was this run written with --sink sqlite or "
+                f"({problem}); was this run written with --sink sqlite or "
                 "jsonl?"
-            ) from None
+            )
         best = row.get("best")
-        scores = row.get("scores") or {}
+        scores = row.get("scores", {})
         score = scores.get(best) if best is not None else None
         yield (
-            url,
+            row["url"],
             best,
             score,
-            ",".join(row.get("positives") or []),
+            ",".join(row.get("positives", [])),
             json.dumps(scores, separators=(",", ":")),
         )
 
@@ -149,7 +226,14 @@ def _parse_csv(stream: io.TextIOBase, source: str):
         for code in _CODES:
             cell = row.get(f"score_{code}")
             if cell not in (None, ""):
-                scores[code] = float(cell)
+                try:
+                    scores[code] = float(cell)
+                except ValueError:
+                    raise QueryError(
+                        f"{source}:{number} has a non-numeric score_{code} "
+                        f"cell {cell!r}; was this run written with --sink "
+                        "csv?"
+                    ) from None
         score = scores.get(best) if best is not None else None
         yield (
             url,
@@ -222,32 +306,90 @@ def insert_rows(
     return count
 
 
-def _drop_shard(connection: sqlite3.Connection, shard_id: str) -> None:
+def _drop_shard(connection: sqlite3.Connection, shard_id: str) -> str | None:
     """Remove one shard's rows from the table and the FTS index.
 
     Rows and their ``shards`` entry land in one transaction, so a shard
     with no recorded ordinal has no rows to drop; a recorded one owns
     exactly the id range ``[ordinal x stride, (ordinal+1) x stride)`` —
-    a primary-key range delete, never a table scan.
+    a primary-key range delete, never a table scan.  Returns the
+    dropped shard's recorded sha256 (``None`` when none was recorded);
+    the caller owns the transaction and the fingerprint.
     """
     recorded = connection.execute(
-        "SELECT ordinal FROM shards WHERE shard_id = ?", (shard_id,)
+        "SELECT ordinal, sha256 FROM shards WHERE shard_id = ?", (shard_id,)
     ).fetchone()
-    if recorded is not None:
-        lo = recorded[0] * ROW_ID_STRIDE
-        hi = lo + ROW_ID_STRIDE
-        connection.execute(
-            "INSERT INTO results_fts(results_fts, rowid, url) "
-            "SELECT 'delete', id, url FROM results "
-            "WHERE id >= ? AND id < ?",
-            (lo, hi),
-        )
-        connection.execute(
-            "DELETE FROM results WHERE id >= ? AND id < ?", (lo, hi)
-        )
+    if recorded is None:
+        return None
+    lo = recorded[0] * ROW_ID_STRIDE
+    hi = lo + ROW_ID_STRIDE
+    connection.execute(
+        "INSERT INTO results_fts(results_fts, rowid, url) "
+        "SELECT 'delete', id, url FROM results "
+        "WHERE id >= ? AND id < ?",
+        (lo, hi),
+    )
+    connection.execute(
+        "DELETE FROM results WHERE id >= ? AND id < ?", (lo, hi)
+    )
     connection.execute(
         "DELETE FROM shards WHERE shard_id = ?", (shard_id,)
     )
+    return recorded[1]
+
+
+def ingest_shards(
+    connection: sqlite3.Connection,
+    shards: Iterable[tuple[int, str, str | os.PathLike, str]] = (),
+    *,
+    drop: Iterable[str] = (),
+) -> list[int]:
+    """Ingest a group of committed shard outputs — one atomic transaction.
+
+    ``shards`` yields ``(ordinal, shard_id, output_path, sha256)``;
+    ``drop`` names shards whose rows go.  Idempotent: a shard already
+    recorded under the same sha256 is a no-op; a stale recording (the
+    shard was re-scored) is replaced wholesale.  The running
+    fingerprint in ``meta`` moves by each inserted and dropped shard's
+    term in the same transaction; an index written before the sum was
+    kept gets it computed from its ``shards`` table here, once.  Any
+    error — a malformed row in any shard of the group — rolls the
+    whole group back.  Returns the rows ingested per shard, in order
+    (0 when skipped).
+    """
+    ingested: list[int] = []
+    with connection:
+        connection.execute("BEGIN IMMEDIATE")
+        salt, total = _running_sum(connection)
+        if total is None:
+            total = _fingerprint_sum(connection, salt)
+        for shard_id in drop:
+            dropped = _drop_shard(connection, shard_id)
+            if dropped is not None:
+                total -= _shard_term(salt, shard_id, dropped)
+        for ordinal, shard_id, output_path, sha256 in shards:
+            current = connection.execute(
+                "SELECT sha256 FROM shards WHERE shard_id = ?", (shard_id,)
+            ).fetchone()
+            if current is not None:
+                if current[0] == sha256:
+                    ingested.append(0)
+                    continue
+                _drop_shard(connection, shard_id)
+                total -= _shard_term(salt, shard_id, current[0])
+            output_path = Path(output_path)
+            rows = insert_rows(
+                connection, ordinal, shard_id, _shard_rows(output_path)
+            )
+            connection.execute(
+                "INSERT INTO shards(shard_id, ordinal, output, sha256, rows) "
+                "VALUES (?, ?, ?, ?, ?)",
+                (shard_id, ordinal, output_path.name, sha256, rows),
+            )
+            total += _shard_term(salt, shard_id, sha256)
+            ingested.append(rows)
+        _store_fingerprint(connection, total)
+    return ingested
 
 
 def ingest_shard(
@@ -258,30 +400,11 @@ def ingest_shard(
     output_path: str | os.PathLike,
     sha256: str,
 ) -> int:
-    """Ingest one committed shard output — one atomic transaction.
-
-    Idempotent: a shard already recorded under the same sha256 is a
-    no-op; a stale recording (the shard was re-scored) is replaced
-    wholesale.  Returns the rows ingested (0 when skipped).
-    """
-    current = connection.execute(
-        "SELECT sha256 FROM shards WHERE shard_id = ?", (shard_id,)
-    ).fetchone()
-    if current is not None and current[0] == sha256:
-        return 0
-    output_path = Path(output_path)
-    with connection:
-        _drop_shard(connection, shard_id)
-        rows = insert_rows(
-            connection, ordinal, shard_id, _shard_rows(output_path)
-        )
-        connection.execute(
-            "INSERT INTO shards(shard_id, ordinal, output, sha256, rows) "
-            "VALUES (?, ?, ?, ?, ?)",
-            (shard_id, ordinal, output_path.name, sha256, rows),
-        )
-        _refresh_fingerprint(connection)
-    return rows
+    """Ingest one committed shard output: :func:`ingest_shards` for a
+    group of one.  Returns the rows ingested (0 when skipped)."""
+    return ingest_shards(
+        connection, [(ordinal, shard_id, output_path, sha256)]
+    )[0]
 
 
 def index_run(
@@ -295,11 +418,13 @@ def index_run(
 
     Loads ``manifest.json`` in ``output_dir`` (journal replayed, so a
     killed run's journaled shards count as done), creates the database if
-    needed (``rebuild=True`` starts it over, new salt and all), ingests
-    every ``done`` shard the index is missing or holds stale, and drops
-    shards the manifest no longer vouches for.  Converges in one pass;
-    safe to call any number of times, including while earlier shards
-    of a live run are already ingested.
+    needed (``rebuild=True`` starts it over, new salt and all), drops
+    shards the manifest no longer vouches for, and ingests every
+    ``done`` shard the index is missing or holds stale, in groups of up
+    to :data:`~repro.bulk.checkpoint.GROUP_COMMIT_SHARDS` per
+    transaction.  Converges in one pass; safe to call any number of
+    times, including while earlier shards of a live run are already
+    ingested.
     """
     output_dir = Path(output_dir)
     manifest_path = output_dir / MANIFEST_NAME
@@ -327,50 +452,43 @@ def index_run(
                 "ON CONFLICT(key) DO UPDATE SET value=excluded.value",
                 (json.dumps(manifest.model, sort_keys=True),),
             )
-        ingested = skipped = dropped = 0
-        done = {}
-        for ordinal, shard_id in enumerate(manifest.order):
-            entry = manifest.shards[shard_id]
-            if entry.get("status") == "done":
-                done[shard_id] = (ordinal, entry)
-        for shard_id in [
-            row[0]
-            for row in connection.execute("SELECT shard_id FROM shards")
-        ]:
-            if shard_id not in done:
-                with connection:
-                    _drop_shard(connection, shard_id)
-                    _refresh_fingerprint(connection)
-                dropped += 1
-        for shard_id, (ordinal, entry) in done.items():
-            rows = ingest_shard(
-                connection,
-                ordinal=ordinal,
-                shard_id=shard_id,
-                output_path=output_dir / entry["output"],
-                sha256=entry["sha256"],
-            )
-            if rows:
-                ingested += 1
-                if progress:
+        done = {
+            shard_id: (ordinal, manifest.shards[shard_id])
+            for ordinal, shard_id in enumerate(manifest.order)
+            if manifest.shards[shard_id].get("status") == "done"
+        }
+        recorded = dict(connection.execute(
+            "SELECT shard_id, sha256 FROM shards"
+        ))
+        stale = [shard_id for shard_id in recorded if shard_id not in done]
+        if stale:
+            ingest_shards(connection, drop=stale)
+        todo = [
+            (ordinal, shard_id, output_dir / entry["output"], entry["sha256"])
+            for shard_id, (ordinal, entry) in done.items()
+            if recorded.get(shard_id) != entry["sha256"]
+        ]
+        for start in range(0, len(todo), GROUP_COMMIT_SHARDS):
+            group = todo[start:start + GROUP_COMMIT_SHARDS]
+            counts = ingest_shards(connection, group)
+            if progress:
+                for (_, shard_id, output, _), rows in zip(group, counts):
                     progress(
-                        f"indexed {shard_id}: {rows} rows from "
-                        f"{entry['output']}"
+                        f"indexed {shard_id}: {rows} rows from {output.name}"
                     )
-            else:
-                skipped += 1
         total = connection.execute(
             "SELECT COUNT(*) FROM results"
         ).fetchone()[0]
-        with connection:
-            fingerprint = _refresh_fingerprint(connection)
+        row = connection.execute(
+            "SELECT value FROM meta WHERE key='fingerprint'"
+        ).fetchone()
         return IngestReport(
             db_path=str(path),
-            shards_ingested=ingested,
-            shards_skipped=skipped,
-            shards_dropped=dropped,
+            shards_ingested=len(todo),
+            shards_skipped=len(done) - len(todo),
+            shards_dropped=len(stale),
             rows=total,
-            fingerprint=fingerprint,
+            fingerprint=row[0] if row else index_fingerprint(connection),
         )
     finally:
         connection.close()

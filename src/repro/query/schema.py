@@ -11,10 +11,13 @@ Tables:
 
 ``meta``
     Key/value: schema version, a per-build random salt, the model
-    fingerprint of the run, and the rolling **index fingerprint**
-    (salt + every ingested shard's sha256) that page cursors embed —
-    a cursor replayed against a rebuilt or differently-populated
-    index is refused instead of silently paging over different rows.
+    fingerprint of the run, and the **index fingerprint** that page
+    cursors embed — a cursor replayed against a rebuilt or
+    differently-populated index is refused instead of silently paging
+    over different rows.  ``fingerprint_sum`` holds the salted
+    running sum it is read from (mod 2**256; see
+    :func:`repro.query.ingest.index_fingerprint`), moved by each
+    shard ingested or dropped in that shard's own transaction.
 ``shards``
     One row per ingested shard: id, output file, the output's sha256
     (the same value the run manifest checkpoints), and its row count.

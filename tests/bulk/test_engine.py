@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
 
 import pytest
 
 import repro.bulk as bulk
-from repro.bulk import BulkError, ManifestMismatchError
-from repro.bulk.checkpoint import journal_path
+from repro.bulk import BulkError, ManifestMismatchError, ShardCommitError
+from repro.bulk.checkpoint import GROUP_COMMIT_SHARDS, journal_path
+from repro.bulk.engine import _commit_in_groups
 from repro.core.pipeline import LanguageIdentifier
 from repro.store import save_identifier
 
@@ -81,17 +83,24 @@ class TestCheckpointing:
         manifest_path = tmp_path / "run" / "manifest.json"
         seen = []
 
-        def after_commit(_line):
+        def after_commit(line):
+            journal = journal_path(manifest_path).read_bytes()
+            shard_id = line.split()[1]  # "[n/total] <shard> -> <output>: …"
+            assert b'"shard":"%s"' % shard_id.encode() in journal
             seen.append((
                 manifest_path.stat().st_ino,
                 manifest_path.read_bytes(),
-                journal_path(manifest_path).read_bytes().count(b"\n"),
+                journal.count(b"\n"),
             ))
 
         bulk.run(path, shard_dir, tmp_path / "run", workers=2,
                  progress=after_commit)
         assert len({(inode, plan) for inode, plan, _ in seen}) == 1
-        assert [records for _, _, records in seen] == [1, 2, 3]
+        # A group's records are journaled before its progress lines, so
+        # each line finds at least the records of the lines before it.
+        records = [records for _, _, records in seen]
+        assert len(records) == 3 and records[-1] == 3
+        assert all(count >= line for line, count in enumerate(records, 1))
         # The end of the run compacts: a finished run leaves no journal.
         assert not journal_path(manifest_path).exists()
         assert bulk.RunManifest.load(manifest_path).pending_ids() == []
@@ -172,6 +181,90 @@ class TestCheckpointing:
         with pytest.raises(ManifestMismatchError, match="sink"):
             bulk.run(path, shard_dir, tmp_path / "run", workers=1,
                      resume=True, sink="jsonl")
+
+
+#: A fake pool iterator's "nothing finished yet" step.
+WAIT = object()
+
+
+class FakeResults:
+    """Stands in for ``pool.imap_unordered``: plays ``script`` — results,
+    :data:`WAIT` (a ``next(timeout=0)`` finds nothing ready; a blocking
+    ``next`` waits it out) and exceptions a worker raised."""
+
+    def __init__(self, *script):
+        self.script = list(script)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return self.next()
+
+    def next(self, timeout=None):
+        while self.script and self.script[0] is WAIT:
+            self.script.pop(0)
+            if timeout == 0:
+                raise multiprocessing.TimeoutError
+        if not self.script:
+            raise StopIteration
+        item = self.script.pop(0)
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+
+class TestGroupCommit:
+    def drain(self, results):
+        groups = []
+        _commit_in_groups(results, groups.append)
+        return groups
+
+    def test_a_group_is_what_finished_while_the_last_one_committed(self):
+        assert self.drain(FakeResults("a", "b", WAIT, "c", WAIT, WAIT)) == [
+            ["a", "b"], ["c"],
+        ]
+
+    def test_groups_are_bounded(self):
+        ready = [f"s{number}" for number in range(GROUP_COMMIT_SHARDS + 3)]
+        assert self.drain(FakeResults(*ready)) == [
+            ready[:GROUP_COMMIT_SHARDS], ready[GROUP_COMMIT_SHARDS:],
+        ]
+
+    def test_worker_error_while_draining_commits_the_drained_first(self):
+        groups = []
+        with pytest.raises(ShardCommitError, match="disk full"):
+            _commit_in_groups(
+                FakeResults("a", WAIT, "b", "c", ShardCommitError("disk full"),
+                            "d"),
+                groups.append,
+            )
+        assert groups == [["a"], ["b", "c"]]
+
+    def test_worker_error_on_the_blocking_wait_commits_nothing_new(self):
+        groups = []
+        with pytest.raises(ShardCommitError):
+            _commit_in_groups(
+                FakeResults("a", WAIT, ShardCommitError("gone")),
+                groups.append,
+            )
+        assert groups == [["a"]]
+
+    def test_in_process_runs_commit_groups_of_one(
+        self, bulk_model, corpus, tmp_path, monkeypatch
+    ):
+        path, _ = bulk_model
+        shard_dir, _ = corpus
+        appends = []
+        journal = bulk.RunManifest.journal
+
+        def spy(manifest, manifest_path, *shard_ids):
+            appends.append(shard_ids)
+            journal(manifest, manifest_path, *shard_ids)
+
+        monkeypatch.setattr(bulk.RunManifest, "journal", spy)
+        bulk.run(path, shard_dir, tmp_path / "run", workers=1)
+        assert [len(shard_ids) for shard_ids in appends] == [1, 1, 1]
 
 
 class TestInputsAndHandles:

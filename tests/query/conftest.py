@@ -12,7 +12,6 @@ import pytest
 from repro.bulk import run
 from repro.core.pipeline import LanguageIdentifier
 from repro.query import create_result_db, insert_rows
-from repro.query.ingest import _refresh_fingerprint
 from repro.store import save_identifier
 
 
@@ -81,7 +80,6 @@ def fill_index(connection, *, shards=4, rows_per_shard=25_000):
                 (shard_id, ordinal, f"{shard_id}.jsonl",
                  f"{ordinal:064d}", rows_per_shard),
             )
-            _refresh_fingerprint(connection)
     return connection
 
 

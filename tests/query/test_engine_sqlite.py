@@ -11,8 +11,8 @@ import pytest
 import repro.bulk as bulk
 from repro.bulk import BulkError
 from repro.bulk.checkpoint import journal_path
-from repro.query import open_index
-from repro.query.ingest import _drop_shard, _refresh_fingerprint, index_run
+from repro.query import index_fingerprint, open_index
+from repro.query.ingest import index_run, ingest_shards
 from repro.testing.faults import FAULTS_ENV, FAULTS_STATE_ENV
 from tests.bulk.conftest import (
     committed_by_last_run,
@@ -90,12 +90,14 @@ class TestKillAndResumeParity:
             reference_dir / "results.sqlite"
         )
 
+    @pytest.mark.parametrize("gap", [1, 2])
     def test_ingest_gap_heals_on_resume(
-        self, query_model, query_corpus, sqlite_run, tmp_path
+        self, query_model, query_corpus, sqlite_run, tmp_path, gap
     ):
-        """Simulate a SIGKILL in the window between a shard's manifest
-        save and its ingest: the manifest says done, the database says
-        nothing.  A resume (a no-op for scoring) reconciles the gap."""
+        """Simulate a SIGKILL in the window between a group's journal
+        append and its ingest: the manifest says done, the database says
+        nothing — of the last shard, or of a whole group of the last
+        two.  A resume (a no-op for scoring) reconciles the gap."""
         import shutil
 
         model_path, _ = query_model
@@ -104,11 +106,8 @@ class TestKillAndResumeParity:
         run_dir = tmp_path / "gapped"
         shutil.copytree(reference_dir, run_dir)
         manifest = json.loads((run_dir / "manifest.json").read_text())
-        victim = manifest["order"][-1]
         connection = sqlite3.connect(run_dir / "results.sqlite")
-        with connection:
-            _drop_shard(connection, victim)
-            _refresh_fingerprint(connection)
+        ingest_shards(connection, drop=manifest["order"][-gap:])
         connection.close()
         report = bulk.run(model_path, shard_dir, run_dir, sink="sqlite",
                           workers=1, resume=True)
@@ -116,6 +115,8 @@ class TestKillAndResumeParity:
         assert dump_results(run_dir / "results.sqlite") == dump_results(
             reference_dir / "results.sqlite"
         )
+        with open_index(run_dir) as index:
+            assert index.fingerprint == index_fingerprint(index.connection)
 
     def test_demoted_shard_reingests_to_identical_rows(
         self, query_model, query_corpus, sqlite_run, tmp_path

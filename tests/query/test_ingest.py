@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import re
 import sqlite3
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.languages import LANGUAGES
 from repro.query import (
     QueryError,
     create_result_db,
@@ -15,6 +19,11 @@ from repro.query import (
     ingest_shard,
     open_index,
 )
+from repro.query.ingest import ingest_shards
+
+
+#: Every language code a CSV shard carries a score column for.
+CODES = sorted(language.value for language in LANGUAGES)
 
 
 def write_jsonl(path, rows):
@@ -133,12 +142,33 @@ class TestIngestShard:
             connection.close()
         assert prints[0] != prints[1]
 
-    def test_malformed_jsonl_is_typed_with_location(self, tmp_path):
-        shard = tmp_path / "a.jsonl"
-        shard.write_text('{"url": "http://ok.de"}\nnot json\n')
+    @pytest.mark.parametrize("name, bad_line", [
+        ("a.jsonl", "not json"),
+        ("a.jsonl", '{"url": "http://x.de", "best": "de", "scores": [1.0]}'),
+        ("a.jsonl", '{"url": "http://x.de", "best": ["de"]}'),
+        ("a.jsonl", '{"url": "http://x.de", "positives": [1]}'),
+        ("a.jsonl", '{"url": "http://x.de", "positives": "de"}'),
+        ("a.jsonl", '{"url": "http://x.de", "scores": {"de": "high"}}'),
+        ("a.jsonl", '{"url": "http://x.de", "scores": {"de": true}}'),
+        ("a.jsonl", '{"url": 7}'),
+        ("a.jsonl", '["http://x.de"]'),
+        ("a.csv", "http://x.de,de,de," + ",".join(["abc"] * len(CODES))),
+    ])
+    def test_malformed_jsonl_is_typed_with_location(
+        self, tmp_path, name, bad_line
+    ):
+        shard = tmp_path / name
+        if name.endswith(".csv"):
+            header = ",".join(
+                ["url", "best", "positives"]
+                + [f"score_{code}" for code in CODES]
+            )
+            shard.write_text(f"{header}\n{bad_line}\n")
+        else:
+            shard.write_text(f'{{"url": "http://ok.de"}}\n{bad_line}\n')
         connection = create_result_db(tmp_path / "r.sqlite")
         try:
-            with pytest.raises(QueryError, match=r"a\.jsonl:2"):
+            with pytest.raises(QueryError, match=re.escape(f"{name}:2")):
                 ingest_shard(
                     connection, ordinal=0, shard_id="a",
                     output_path=shard, sha256="x",
@@ -160,6 +190,165 @@ class TestIngestShard:
                     connection, ordinal=0, shard_id="a",
                     output_path=shard, sha256="x",
                 )
+        finally:
+            connection.close()
+
+
+def stored_fingerprint(connection):
+    return connection.execute(
+        "SELECT value FROM meta WHERE key='fingerprint'"
+    ).fetchone()[0]
+
+
+def numbered_shards(shard, count):
+    """``count`` index entries that all read ``shard``'s rows."""
+    return [
+        (ordinal, f"s{ordinal:05d}", shard, f"sha-{ordinal}")
+        for ordinal in range(count)
+    ]
+
+
+@pytest.fixture()
+def small_shard(tmp_path):
+    shard = tmp_path / "a.jsonl"
+    write_jsonl(shard, [
+        jsonl_row(f"http://x.de/{number}", "de", 1.0 + number)
+        for number in range(3)
+    ])
+    return shard
+
+
+class TestRunningFingerprint:
+    def test_ingest_cost_does_not_grow_with_the_index(
+        self, tmp_path, small_shard
+    ):
+        """Same statements at 100 and 2 000 shards, none of them a
+        scan of ``shards`` or a bare scan of ``results``."""
+        issued = {}
+        for size in (100, 2000):
+            connection = create_result_db(tmp_path / f"{size}.sqlite")
+            try:
+                ingest_shards(connection, numbered_shards(small_shard, size))
+                statements = []
+                connection.set_trace_callback(statements.append)
+                try:
+                    ingest_shard(
+                        connection, ordinal=size, shard_id="new",
+                        output_path=small_shard, sha256="sha-new",
+                    )
+                finally:
+                    connection.set_trace_callback(None)
+                # Lines starting with "--" are FTS5's own statements.
+                issued[size] = [
+                    statement for statement in statements
+                    if not statement.startswith("--")
+                ]
+                for statement in issued[size]:
+                    for *_, detail in connection.execute(
+                        "EXPLAIN QUERY PLAN " + statement
+                    ):
+                        assert "SCAN shards" not in detail, statement
+                        if "SCAN results" in detail and (
+                            "results_fts" not in detail
+                        ):
+                            assert "INDEX" in detail, statement
+                assert stored_fingerprint(connection) == (
+                    index_fingerprint(connection)
+                )
+            finally:
+                connection.close()
+        assert len(issued[100]) == len(issued[2000])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(steps=st.lists(
+        st.tuples(
+            st.integers(0, 4),  # shard
+            st.one_of(st.none(), st.integers(0, 2)),  # sha256, None: drop
+            st.booleans(),  # the group ends after this step
+        ),
+        max_size=24,
+    ))
+    def test_running_sum_matches_the_reference(
+        self, tmp_path_factory, steps
+    ):
+        """Any sequence of ingests, re-ingests under a new sha256 and
+        drops, in any grouping, keeps the stored fingerprint equal to
+        the from-scratch one."""
+        directory = tmp_path_factory.mktemp("running-sum")
+        shard = directory / "a.jsonl"
+        write_jsonl(shard, [jsonl_row("http://x.de/1", "de", 2.5)])
+        connection = create_result_db(directory / "r.sqlite")
+        expected = {}
+
+        def commit(group, drops):
+            ingest_shards(connection, group, drop=drops)
+            # A group's drops go first, then its ingests in order.
+            for shard_id in drops:
+                expected.pop(shard_id, None)
+            for _, shard_id, _, sha256 in group:
+                expected[shard_id] = sha256
+            assert stored_fingerprint(connection) == (
+                index_fingerprint(connection)
+            )
+
+        try:
+            group, drops = [], []
+            for shard_number, version, ends_group in steps:
+                shard_id = f"s{shard_number}"
+                if version is None:
+                    drops.append(shard_id)
+                else:
+                    group.append(
+                        (shard_number, shard_id, shard, f"v{version}")
+                    )
+                if ends_group:
+                    commit(group, drops)
+                    group, drops = [], []
+            commit(group, drops)
+            assert dict(connection.execute(
+                "SELECT shard_id, sha256 FROM shards"
+            )) == expected
+        finally:
+            connection.close()
+
+    def test_an_index_written_before_the_sum_gets_it_once(
+        self, tmp_path, small_shard
+    ):
+        """An older index keeps no running sum: its first ingest
+        computes it from the ``shards`` table, once, inside that
+        ingest's transaction — it must not start from zero."""
+        connection = create_result_db(tmp_path / "r.sqlite")
+        try:
+            ingest_shards(connection, numbered_shards(small_shard, 3))
+            with connection:
+                connection.execute(
+                    "DELETE FROM meta WHERE key='fingerprint_sum'"
+                )
+                connection.execute(
+                    "UPDATE meta SET value='0123456789ab' "
+                    "WHERE key='fingerprint'"
+                )
+            statements = []
+            connection.set_trace_callback(statements.append)
+            try:
+                for ordinal in (3, 4):
+                    ingest_shard(
+                        connection, ordinal=ordinal, shard_id=f"s{ordinal}",
+                        output_path=small_shard, sha256=f"sha-{ordinal}",
+                    )
+            finally:
+                connection.set_trace_callback(None)
+            scans = [
+                number for number, statement in enumerate(statements)
+                if statement == "SELECT shard_id, sha256 FROM shards"
+            ]
+            assert len(scans) == 1
+            first_commit = statements.index("COMMIT")
+            assert statements.index("BEGIN IMMEDIATE") < scans[0]
+            assert scans[0] < first_commit
+            assert stored_fingerprint(connection) == (
+                index_fingerprint(connection)
+            )
         finally:
             connection.close()
 
