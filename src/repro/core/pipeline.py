@@ -90,6 +90,7 @@ from repro.features.indexer import (
     build_fused_plan,
 )
 from repro.languages import LANGUAGES, Language
+from repro.urls.tokenizer import tokenize_bytes_cached, tokenize_cached
 
 #: Valid values for ``LanguageIdentifier(backend=...)``.
 BACKENDS = ("auto", "compiled", "sparse")
@@ -246,6 +247,16 @@ class CompiledIdentifier:
             "capacity": ROW_CACHE_SIZE,
             "extraction": self._extraction,
         }
+
+    @property
+    def tokenizer_cache_info(self) -> dict:
+        """``hits``, ``misses`` and ``entries`` of the token memo the
+        active extraction backend tokenises through (the fused path's
+        byte-token memo, or the reference path's string-token one)."""
+        fused = self._extraction == "fused"
+        info = (tokenize_bytes_cached if fused else tokenize_cached).cache_info()
+        return {"hits": info.hits, "misses": info.misses,
+                "entries": info.currsize}
 
     @property
     def stacked_columns(self) -> np.ndarray | None:

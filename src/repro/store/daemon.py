@@ -74,8 +74,10 @@ from repro.store.wire import (
     PROTOCOL_VERSION,
     RETRYABLE_CODES,
     ConnectionClosed,
+    Frame,
     FrameTooLargeError,
     WireError,
+    encode_frame,
     error_response,
     ok_response,
     recv_frame_ex,
@@ -426,7 +428,14 @@ class ServingDaemon:
                         transport: str = "unix") -> dict:
         """:meth:`_dispatch` plus daemon-wide request accounting.
 
-        Every answered request lands in the one fork-shared
+        A request that arrives once this process was told to stop (a
+        draining worker, or the parent mid-shutdown) is refused first,
+        with the typed, retryable ``shutting-down``, before any work or
+        accounting.  A request already past this check when the stop
+        arrives is answered for real: in-flight work completes
+        byte-identically.
+
+        Every other answered request lands in the one fork-shared
         :class:`~repro.store.metrics.RequestMetrics` (op counts,
         transport counts, error count, latency histogram), so ``serve
         status`` and ``GET /metrics`` report the whole daemon's traffic
@@ -446,6 +455,9 @@ class ServingDaemon:
         the caller's budget reports ``deadline-exceeded`` rather than
         pretending the caller got the answer in time.
         """
+        refusal = self._drain_refusal()
+        if refusal is not None:
+            return refusal
         op = message.get("op")
         if self._is_worker:
             faults.maybe_kill("worker-kill", op=op)
@@ -491,6 +503,15 @@ class ServingDaemon:
             f"all {self.workers} workers are busy; retry with backoff",
         )
 
+    def _drain_refusal(self) -> dict | None:
+        """The typed, retryable refusal of a request that arrives once
+        this process was told to stop; None while it serves."""
+        if not (self._worker_stop or self._stop_requested):
+            return None
+        return error_response(
+            "shutting-down", "draining; retry on a new connection"
+        )
+
     def _dispatch(self, message: dict) -> dict:
         """Answer one request against the current model state."""
         if not isinstance(message.get("op"), str):
@@ -501,13 +522,6 @@ class ServingDaemon:
                 f"daemon speaks protocol {PROTOCOL_VERSION}, "
                 f"request carries v={message.get('v')!r}",
             )
-        # Only the parent's stop flag gates dispatch: a *worker* that
-        # began draining mid-request still answers that request for
-        # real (the drain contract — in-flight work completes
-        # byte-identically; only frames arriving after the stop get
-        # the typed refusal, in _serve_connection's post-recv check).
-        if self._stop_requested:
-            return error_response("shutting-down", "daemon is shutting down")
         op = message["op"]
         if op == "ping":
             return ok_response(pid=os.getpid())
@@ -616,9 +630,6 @@ class ServingDaemon:
         state = self._state
         identifier = state.identifier
         compiled = identifier.compiled
-        from repro.urls.tokenizer import tokenize_cached
-
-        cache_info = tokenize_cached.cache_info()
         return {
             "pid": os.getpid(),
             "role": "worker" if self._is_worker else "parent",
@@ -660,11 +671,7 @@ class ServingDaemon:
             },
             "caches": {
                 "interned_rows": compiled.cache_info,
-                "tokenizer": {
-                    "hits": cache_info.hits,
-                    "misses": cache_info.misses,
-                    "entries": cache_info.currsize,
-                },
+                "tokenizer": compiled.tokenizer_cache_info,
             },
         }
 
@@ -793,11 +800,12 @@ class ServingDaemon:
         Drain semantics (graceful stop and the hot-reload handover): a
         retiring worker finishes the request it is answering, then
         keeps the connection open for :data:`DRAIN_NOTIFY_SECONDS` so
-        one late frame gets a typed ``shutting-down`` answer instead of
-        a reset.  ``shutting-down`` is retryable: the client replays on
-        a fresh connection and lands on the replacement generation (or,
-        on a full stop, surfaces the typed error when the retry budget
-        runs out).
+        one late frame gets :meth:`_timed_dispatch`'s typed
+        ``shutting-down`` answer instead of a reset, and closes.
+        ``shutting-down`` is retryable: the client replays on a fresh
+        connection and lands on the replacement generation (or, on a
+        full stop, surfaces the typed error when the retry budget runs
+        out).
 
         The drain flag is polled only while idle between frames
         (:meth:`_await_request`).  Once a frame starts, it gets
@@ -805,81 +813,81 @@ class ServingDaemon:
         than that loses the connection.
         """
         while self._await_request(connection):
-            try:
-                frame = recv_frame_ex(connection)
-            except TimeoutError:
-                return  # peer stalled mid-frame; drop the connection
-            except ConnectionClosed:
-                return
-            except FrameTooLargeError as error:
-                self._send_best_effort(
-                    connection, error_response("frame-too-large", str(error))
-                )
-                return
-            except (WireError, OSError) as error:
-                self._send_best_effort(
-                    connection, error_response("bad-request", str(error))
-                )
-                return
-            received = time.perf_counter()
-            message = frame.message
-            cid = frame.correlation_id
-            op = message.get("op")
-            trace_echo = (
-                (frame.trace_id, new_span_id())
-                if frame.trace_id is not None else None
-            )
-            if self._worker_stop:
-                # The drain-notify answer: typed, retryable, no reset.
-                self._send_best_effort(
-                    connection,
-                    error_response(
-                        "shutting-down",
-                        "worker is draining; retry on a new connection",
-                    ),
-                    op=op,
-                    correlation_id=cid,
-                    trace=trace_echo,
-                )
-                return
-            deadline = (
-                time.monotonic() + frame.deadline_ms / 1000.0
-                if frame.deadline_ms is not None else None
-            )
-            if trace_echo is None:
-                if not self._send_best_effort(
-                    connection,
-                    self._timed_dispatch(
-                        message, deadline=deadline, transport=transport
-                    ),
-                    op=op,
-                    correlation_id=cid,
-                ):
-                    return
-                continue
-            # Traced request: capture per-stage timings (the pipeline
-            # marks extract/matmul inside dispatch), echo the trace id
-            # with this server's span id, and record the finished span
-            # in the fork-shared ring buffer.
-            with capture_stages() as stages:
-                stages["accept"] = time.perf_counter() - received
-                with stage("dispatch"):
-                    response = self._timed_dispatch(
-                        message, deadline=deadline, transport=transport
-                    )
-                with stage("respond"):
-                    sent = self._send_best_effort(
-                        connection, response, op=op, correlation_id=cid,
-                        trace=trace_echo,
-                    )
-            self._record_span(
-                frame, trace_echo[1], transport, response, stages,
-                time.perf_counter() - received,
-            )
-            if not sent:
+            frame = self._read_frame(connection)
+            # A frame read once the drain began is refused, and the
+            # client retries on a new connection: this one ends.
+            stopping = self._worker_stop
+            if (
+                frame is None
+                or not self._answer_frame(connection, frame, transport)
+                or stopping
+            ):
                 return
 
-    def _record_span(self, frame, span_id: int, transport: str,
+    def _read_frame(self, connection: socket.socket,
+                    source: _ShedReader | None = None) -> Frame | None:
+        """Read one request frame off ``connection`` (through ``source``
+        when the shedding parent passes its reader); None means close.
+
+        A peer that is gone, or stalls mid-frame, is closed on silently.
+        An oversized announcement gets ``frame-too-large`` and any other
+        unreadable frame ``bad-request``, both sent best-effort: the
+        stream is out of step, so the connection ends either way.
+        """
+        try:
+            return recv_frame_ex(connection if source is None else source)
+        except (ConnectionClosed, TimeoutError):
+            return None
+        except FrameTooLargeError as error:
+            response = error_response("frame-too-large", str(error))
+        except (WireError, OSError) as error:
+            response = error_response("bad-request", str(error))
+        self._send_best_effort(connection, response)
+        return None
+
+    def _answer_frame(self, connection: socket.socket, frame: Frame,
+                      transport: str) -> bool:
+        """Answer one request frame; False means the answer could not be
+        sent and the connection must close.
+
+        The one path a wire request takes, in a worker or in the
+        shedding parent: the frame's deadline budget becomes an expiry
+        on this process's monotonic clock, :meth:`_timed_dispatch`
+        answers, and the response echoes the correlation id.  A traced
+        frame also gets its trace id echoed with a fresh server span
+        id, its stages captured (``accept``, ``dispatch`` with the
+        pipeline's ``extract``/``matmul`` inside, ``respond``) and its
+        span recorded in the fork-shared ring buffer.
+        """
+        received = time.perf_counter()
+        deadline = (
+            time.monotonic() + frame.deadline_ms / 1000.0
+            if frame.deadline_ms is not None else None
+        )
+        op = frame.message.get("op")
+        if frame.trace_id is None:
+            return self._send_best_effort(
+                connection,
+                self._timed_dispatch(frame.message, deadline, transport),
+                op=op, correlation_id=frame.correlation_id,
+            )
+        trace = (frame.trace_id, new_span_id())
+        with capture_stages() as stages:
+            stages["accept"] = time.perf_counter() - received
+            with stage("dispatch"):
+                response = self._timed_dispatch(
+                    frame.message, deadline, transport
+                )
+            with stage("respond"):
+                sent = self._send_best_effort(
+                    connection, response, op=op,
+                    correlation_id=frame.correlation_id, trace=trace,
+                )
+        self._record_span(frame, trace[1], transport, response, stages,
+                          time.perf_counter() - received)
+        return sent
+
+    def _record_span(self, frame: Frame, span_id: int, transport: str,
                      response: dict, stages: dict,
                      seconds: float) -> None:
         """Finish one traced request: ring-buffer span + JSON event."""
@@ -914,8 +922,7 @@ class ServingDaemon:
         surface as a dirty :class:`ConnectionClosed`, never as a parsed
         partial message or a hang.
         """
-        body = json.dumps(message, separators=(",", ":")).encode("utf-8")
-        frame = len(body).to_bytes(4, "big") + body
+        frame = encode_frame(message)
         try:
             connection.sendall(frame[: max(5, len(frame) // 2)])
         except OSError:
@@ -1190,8 +1197,12 @@ class ServingDaemon:
         ``/healthz``, ``/v1/status``, ``/metrics``, ``/v1/traces``) are
         answered for real, so health checks and operators can still
         see a saturated or degraded daemon; batch work is refused by
-        :meth:`_timed_dispatch`.  One request per connection, then
-        close, so the parent never becomes a long-lived serving path.
+        :meth:`_timed_dispatch`.  A wire frame takes the workers' own
+        path (:meth:`_read_frame`, :meth:`_answer_frame`): an unreadable
+        one gets the same typed error, and a traced one records its
+        span, stamped with the supervisor's pid.  One request per
+        connection, then close, so the parent never becomes a
+        long-lived serving path.
         Every read in the pass shares one :data:`SHED_READ_SECONDS`
         budget (:class:`_ShedReader`), so peers that trickle their
         requests cannot hold the parent away from its workers.
@@ -1211,27 +1222,9 @@ class ServingDaemon:
                     if transport == "http":
                         self._serve_http(connection, reader)
                         continue
-                    try:
-                        frame = recv_frame_ex(reader)
-                    except (WireError, OSError):
-                        continue
-                    deadline = (
-                        time.monotonic() + frame.deadline_ms / 1000.0
-                        if frame.deadline_ms is not None else None
-                    )
-                    self._send_best_effort(
-                        connection,
-                        self._timed_dispatch(
-                            frame.message, deadline=deadline,
-                            transport=transport,
-                        ),
-                        op=frame.message.get("op"),
-                        correlation_id=frame.correlation_id,
-                        trace=(
-                            (frame.trace_id, new_span_id())
-                            if frame.trace_id is not None else None
-                        ),
-                    )
+                    frame = self._read_frame(connection, reader)
+                    if frame is not None:
+                        self._answer_frame(connection, frame, transport)
 
     def _reload(self) -> None:
         """The SIGHUP path: gate, remap, hand the socket to new workers."""
@@ -1400,20 +1393,12 @@ class _HttpHandler(BaseHTTPRequestHandler):
             status = 400
         self._reply(status, response)
 
-    def _draining(self) -> bool:
-        """Refuse a request that arrived while this worker drains."""
-        if not self.daemon._worker_stop:
-            return False
-        self._answer(error_response(
-            "shutting-down", "worker is draining; retry on a new connection"
-        ))
-        return True
-
     def do_GET(self):  # noqa: N802 - http.server API
         daemon = self.daemon
-        if self._draining():
-            return
-        if self.path == "/healthz":
+        refusal = daemon._drain_refusal()
+        if refusal is not None:
+            self._answer(refusal)
+        elif self.path == "/healthz":
             self._reply(200, "ok\n")
         elif self.path == "/v1/status":
             self._reply(200, ok_response(**daemon._status_block()))
@@ -1438,31 +1423,17 @@ class _HttpHandler(BaseHTTPRequestHandler):
             self._reply(404, error_response("unknown-op", self.path))
 
     def _do_traces(self) -> None:
-        """Recent spans from the fork-shared ring buffer."""
+        """The wire ``traces`` op, with ``limit`` from the query string."""
         from urllib.parse import parse_qs, urlparse
 
-        params = {
-            key: values[-1]
-            for key, values in parse_qs(urlparse(self.path).query).items()
-        }
-        limit: int | None = None
-        if "limit" in params:
+        message = {"v": PROTOCOL_VERSION, "op": "traces"}
+        limits = parse_qs(urlparse(self.path).query).get("limit")
+        if limits:
             try:
-                limit = int(params["limit"])
-                if limit < 1:
-                    raise ValueError
+                message["limit"] = int(limits[-1])
             except ValueError:
-                self._reply(400, error_response(
-                    "bad-request",
-                    f"limit must be >= 1, got {params['limit']!r}",
-                ))
-                return
-        spans = self.daemon._spans
-        self._reply(200, ok_response(
-            traces=spans.snapshot(limit=limit),
-            recorded=spans.recorded,
-            capacity=spans.capacity,
-        ))
+                message["limit"] = limits[-1]  # _dispatch refuses it
+        self._answer(self.daemon._dispatch(message))
 
     def _do_query(self) -> None:
         """Read-only result-index routes (``--query-db``).
@@ -1566,8 +1537,6 @@ class _HttpHandler(BaseHTTPRequestHandler):
                 raise ValueError("body must be a JSON object")
         except ValueError as error:
             self._reply(400, error_response("bad-request", str(error)))
-            return
-        if self._draining():
             return
         # The path, not the body, decides the op — a body "op" must
         # never widen a batch endpoint into stop/reload.

@@ -380,13 +380,6 @@ class DriftCounters:
         self._sums[_DRIFT_CURRENT] = 0.0
         self._windows_completed[0] += 1
 
-    def reset(self) -> None:
-        """Forget everything — a reloaded model starts a new baseline."""
-        with self._lock:
-            self._counts[:] = 0
-            self._sums[:] = 0.0
-            self._windows_completed[0] = 0
-
     def _bank_view(self, counts: np.ndarray, sums: np.ndarray) -> dict:
         """One bank's JSON-ready view from its copied counts and sums."""
         n = self._n

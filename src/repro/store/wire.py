@@ -28,9 +28,10 @@ responses back to their callers without guessing.  Bit 29
 raw bytes of trace id plus a 4-byte big-endian span id — tying the
 frame to a distributed trace.  A server echoes the request's trace id
 on the response (stamping its own span id), and records a per-stage
-span in its ring buffer (see :mod:`repro.obs`).  Frames without any
-flag are byte-identical to the original protocol, which is why none of
-these fields is a :data:`PROTOCOL_VERSION` bump.
+span in its ring buffer (see :mod:`repro.obs`), whichever of its
+processes answered.  Frames without any flag are byte-identical to the
+original protocol, which is why none of these fields is a
+:data:`PROTOCOL_VERSION` bump.
 
 A *request* body is an object with at least ``{"v": 1, "op": <name>}``;
 op-specific fields (``urls`` for the batch ops) ride alongside.  A
@@ -46,6 +47,13 @@ idempotent retry is safe and useful) and *terminal* (everything else —
 retrying the same request can only fail the same way).
 ``docs/serving.md`` is the authoritative prose spec and must list
 every code here.
+
+One encoder (:func:`encode_frame`) writes every frame, and one decoder
+reads every frame: the blocking :func:`recv_frame_ex` and the asyncio
+:func:`read_frame_async` each read the length word, then the rest of
+the frame in one read, and hand both to the same decoding step.  So
+the daemon, the blocking client and the asyncio client cannot disagree
+on a single byte of the grammar.
 
 This module is dependency-free on purpose: the framing helpers are the
 *only* code shared between daemon and client, so a thin client can be
@@ -285,70 +293,76 @@ def send_message(sock: socket.socket, message: dict,
     )
 
 
-def _decode_body(body: bytes) -> dict:
-    """Decode a frame body into the request/response object."""
-    try:
-        message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise WireError(f"frame body is not valid JSON: {error}") from None
-    if not isinstance(message, dict):
-        raise WireError(
-            f"frame body must be a JSON object, got {type(message).__name__}"
-        )
-    return message
-
-
-def _header_layout(prefix: bytes) -> tuple[int, bool, bool, bool]:
-    """Split the length word into ``(length, has_deadline, has_cid,
-    has_trace)``."""
+def _header_layout(prefix: bytes) -> tuple[int, int]:
+    """Split the length word: ``(word, bytes still to read)`` — the
+    optional header fields its flags announce, then the body."""
     word = int.from_bytes(prefix, "big")
     length = word & ~_FLAG_MASK
     if length > MAX_FRAME_BYTES:
         raise FrameTooLargeError(
             f"incoming frame announces {length} bytes; limit {MAX_FRAME_BYTES}"
         )
-    return (length, bool(word & DEADLINE_FLAG),
-            bool(word & CORRELATION_FLAG), bool(word & TRACE_FLAG))
+    if word & DEADLINE_FLAG:
+        length += 8
+    if word & CORRELATION_FLAG:
+        length += 4
+    if word & TRACE_FLAG:
+        length += TRACE_ID_BYTES + 4
+    return word, length
+
+
+def _decode_frame(word: int, rest: bytes) -> Frame:
+    """Decode the header fields ``word`` announces, then the body, from
+    ``rest`` (every byte of the frame after the length word).
+
+    The body is decoded straight out of ``rest`` through a view, so a
+    frame's bytes are copied once, by the read that fetched them.
+    """
+    at = 0
+    deadline_ms: int | None = None
+    correlation_id: int | None = None
+    trace_id: str | None = None
+    span_id: int | None = None
+    if word & DEADLINE_FLAG:
+        deadline_ms = int.from_bytes(rest[:8], "big")
+        at = 8
+    if word & CORRELATION_FLAG:
+        correlation_id = int.from_bytes(rest[at:at + 4], "big")
+        at += 4
+    if word & TRACE_FLAG:
+        trace_id = rest[at:at + TRACE_ID_BYTES].hex()
+        at += TRACE_ID_BYTES
+        span_id = int.from_bytes(rest[at:at + 4], "big")
+        at += 4
+    try:
+        message = json.loads(str(memoryview(rest)[at:], "utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as error:  # nested past the parser's stack
+        raise WireError(f"frame body is not valid JSON: {error}") from None
+    if not isinstance(message, dict):
+        raise WireError(
+            f"frame body must be a JSON object, got {type(message).__name__}"
+        )
+    return Frame(message, deadline_ms, correlation_id, trace_id, span_id)
 
 
 def recv_frame_ex(sock: socket.socket) -> Frame:
     """Read one frame with every optional header field decoded.
 
+    Two reads: the length word, then the rest of the frame in one go.
     Raises :class:`ConnectionClosed` (with ``clean=True`` when the close
     landed exactly on a frame boundary), :class:`FrameTooLargeError` on
     an oversized announcement, or :class:`WireError` on a body that is
     not a JSON object.
     """
-    prefix = _recv_exact(sock, 4)  # clean=True if closed on the boundary
-    length, has_deadline, has_cid, has_trace = _header_layout(prefix)
-    deadline_ms: int | None = None
-    correlation_id: int | None = None
-    trace_id: str | None = None
-    span_id: int | None = None
+    # clean=True if the peer closed on the boundary.
+    word, remaining = _header_layout(_recv_exact(sock, 4))
     try:
-        if has_deadline:
-            deadline_ms = int.from_bytes(_recv_exact(sock, 8), "big")
-        if has_cid:
-            correlation_id = int.from_bytes(_recv_exact(sock, 4), "big")
-        if has_trace:
-            trace_id = _recv_exact(sock, TRACE_ID_BYTES).hex()
-            span_id = int.from_bytes(_recv_exact(sock, 4), "big")
-        body = _recv_exact(sock, length)
+        rest = _recv_exact(sock, remaining)
     except ConnectionClosed as error:
         error.clean = False  # the frame had started; this is a truncation
         raise
-    return Frame(_decode_body(body), deadline_ms, correlation_id,
-                 trace_id, span_id)
-
-
-def recv_frame(sock: socket.socket) -> tuple[dict, int | None]:
-    """Read one frame: ``(message, deadline budget in ms or None)``.
-
-    The historical two-field shape; callers that care about the
-    correlation id use :func:`recv_frame_ex`.
-    """
-    frame = recv_frame_ex(sock)
-    return frame.message, frame.deadline_ms
+    return _decode_frame(word, rest)
 
 
 async def read_frame_async(reader: "asyncio.StreamReader") -> Frame:
@@ -367,26 +381,14 @@ async def read_frame_async(reader: "asyncio.StreamReader") -> Frame:
             "peer closed before a frame header",
             clean=not error.partial,
         ) from None
-    length, has_deadline, has_cid, has_trace = _header_layout(prefix)
-    deadline_ms: int | None = None
-    correlation_id: int | None = None
-    trace_id: str | None = None
-    span_id: int | None = None
+    word, remaining = _header_layout(prefix)
     try:
-        if has_deadline:
-            deadline_ms = int.from_bytes(await reader.readexactly(8), "big")
-        if has_cid:
-            correlation_id = int.from_bytes(await reader.readexactly(4), "big")
-        if has_trace:
-            trace_id = (await reader.readexactly(TRACE_ID_BYTES)).hex()
-            span_id = int.from_bytes(await reader.readexactly(4), "big")
-        body = await reader.readexactly(length)
+        rest = await reader.readexactly(remaining)
     except asyncio.IncompleteReadError:
         raise ConnectionClosed(
             "peer closed mid-frame", clean=False
         ) from None
-    return Frame(_decode_body(body), deadline_ms, correlation_id,
-                 trace_id, span_id)
+    return _decode_frame(word, rest)
 
 
 def error_response(code: str, message: str) -> dict:

@@ -33,7 +33,7 @@ from repro.store.client import (
     RetryPolicy,
 )
 from repro.store.daemon import start_daemon, stop_daemon
-from repro.store.wire import recv_frame, send_message
+from repro.store.wire import recv_frame_ex, send_message
 
 FAST = RetryPolicy(retries=4, backoff=0.01, backoff_max=0.02)
 
@@ -218,11 +218,11 @@ class TestMultiplexing:
         def silent_then_ok(listener):
             connection, _ = listener.accept()
             with connection:
-                recv_frame(connection)  # swallow, never answer
+                recv_frame_ex(connection)  # swallow, never answer
                 done.wait(timeout=30)
             connection2, _ = listener.accept()
             with connection2:
-                message, _ = recv_frame(connection2)
+                recv_frame_ex(connection2)
                 send_message(connection2, {"v": 1, "ok": True, "pong": True})
 
         import tempfile

@@ -37,9 +37,10 @@ from repro.store.daemon import (
 )
 from repro.store.format import MAGIC
 from repro.store.wire import (
+    Frame,
     FrameTooLargeError,
     WireError,
-    recv_frame,
+    recv_frame_ex,
     send_message,
 )
 
@@ -103,7 +104,7 @@ class TestWire:
         a, b = socket.socketpair()
         with a, b:
             send_message(a, {"op": "ping", "v": 1})
-            assert recv_frame(b) == ({"op": "ping", "v": 1}, None)
+            assert recv_frame_ex(b) == Frame({"op": "ping", "v": 1})
 
     def test_oversized_frame_rejected_without_reading(self):
         a, b = socket.socketpair()
@@ -114,7 +115,7 @@ class TestWire:
             # before a single body byte is read.
             a.sendall((1 << 28).to_bytes(4, "big"))
             with pytest.raises(FrameTooLargeError):
-                recv_frame(b)
+                recv_frame_ex(b)
 
     def test_non_object_body_rejected(self):
         a, b = socket.socketpair()
@@ -122,7 +123,7 @@ class TestWire:
             body = b"[1, 2]"
             a.sendall(len(body).to_bytes(4, "big") + body)
             with pytest.raises(WireError, match="JSON object"):
-                recv_frame(b)
+                recv_frame_ex(b)
 
 
 class TestHandles:

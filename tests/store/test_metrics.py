@@ -285,16 +285,6 @@ class TestDriftCounters:
         assert counts[-1] == 1  # +30 in the overflow bucket
         assert sum(counts) == 3
 
-    def test_reset_starts_a_new_baseline(self):
-        drift = DriftCounters(["en"], window_rows=2)
-        drift.observe({"en": [1.0, 1.0]})
-        drift.reset()
-        snapshot = drift.snapshot()
-        assert snapshot["windows_completed"] == 0
-        assert snapshot["baseline"]["rows"] == 0
-        assert snapshot["current"]["rows"] == 0
-        assert snapshot["max_abs_rate_delta"] is None
-
     def test_forked_workers_accumulate_into_shared_banks(self):
         drift = DriftCounters(["en", "de"], window_rows=10_000)
         workers = [

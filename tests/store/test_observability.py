@@ -28,7 +28,7 @@ from repro.obs.prom import CONTENT_TYPE as PROM_CONTENT_TYPE
 from repro.store import save_identifier
 from repro.store.client import AsyncRemoteIdentifier, DaemonClient
 from repro.store.daemon import start_daemon, stop_daemon
-from repro.store.wire import PROTOCOL_VERSION, recv_frame, send_message
+from repro.store.wire import PROTOCOL_VERSION, recv_frame_ex, send_message
 
 from ..obs.test_prom import parse_exposition
 
@@ -218,6 +218,27 @@ class TestHttpExposition:
         assert caught.value.code == 400
 
 
+class TestTokenizerMemo:
+    def test_status_and_scrape_count_the_served_backends_memo(
+        self, obs_daemon
+    ):
+        """A words model tokenises through the fused path's memo, so
+        that is the memo ``caches.tokenizer`` and the scrape count."""
+        socket_path, base = obs_daemon
+        urls = [f"http://memo{n}.example.de/seite/{n}" for n in range(25)]
+        with DaemonClient(socket_path) as client:
+            before = client.status()["caches"]["tokenizer"]["misses"]
+            client.classify(urls)
+            tokenizer = client.status()["caches"]["tokenizer"]
+        assert tokenizer["misses"] >= before + len(urls)
+        assert tokenizer["entries"] >= len(urls)
+        with urllib.request.urlopen(f"{base}/metrics") as response:
+            _, samples = parse_exposition(response.read().decode("utf-8"))
+        scraped = {name: value for name, labels, value in samples
+                   if not labels}
+        assert scraped["repro_tokenizer_cache_misses_total"] >= len(urls)
+
+
 class TestJsonEventLog:
     def test_trace_id_lands_in_the_event_log(self, obs_daemon, sockpath_module):
         socket_path, _ = obs_daemon
@@ -260,7 +281,7 @@ class TestBoundedOpLabels:
             for n in range(200):
                 op = f"no-such-op-{n:03d}-" + "x" * 200
                 send_message(raw, {"v": PROTOCOL_VERSION, "op": op})
-                answer, _ = recv_frame(raw)
+                answer = recv_frame_ex(raw).message
                 assert answer["error"]["code"] == "unknown-op"
         with DaemonClient(socket_path) as client:
             after = client.status()["requests"]["by_op"]

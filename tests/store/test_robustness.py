@@ -51,9 +51,12 @@ from repro.store.wire import (
     MAX_FRAME_BYTES,
     RETRYABLE_CODES,
     ConnectionClosed,
+    Frame,
+    WireError,
     error_response,
     ok_response,
-    recv_frame,
+    read_frame_async,
+    recv_frame_ex,
     send_message,
 )
 from repro.testing.faults import FAULTS_ENV, FAULTS_STATE_ENV
@@ -90,9 +93,9 @@ class TestDeadlineHeader:
         a, b = socket.socketpair()
         with a, b:
             send_message(a, {"op": "ping", "v": 1}, deadline_ms=1500)
-            message, deadline_ms = recv_frame(b)
-            assert message == {"op": "ping", "v": 1}
-            assert deadline_ms == 1500
+            frame = recv_frame_ex(b)
+            assert frame.message == {"op": "ping", "v": 1}
+            assert frame.deadline_ms == 1500
 
     def test_absent_budget_is_none_and_bytes_identical(self):
         """No deadline → the frame is byte-identical to the
@@ -109,16 +112,15 @@ class TestDeadlineHeader:
         a, b = socket.socketpair()
         with a, b:
             a.sendall(frame)
-            message, deadline_ms = recv_frame(b)
-        assert message == {"op": "ping"}
-        assert deadline_ms is None
+            decoded = recv_frame_ex(b)
+        assert decoded.message == {"op": "ping"}
+        assert decoded.deadline_ms is None
 
     def test_negative_budget_clamps_to_zero(self):
         a, b = socket.socketpair()
         with a, b:
             send_message(a, {"op": "ping"}, deadline_ms=-50)
-            _, deadline_ms = recv_frame(b)
-            assert deadline_ms == 0
+            assert recv_frame_ex(b).deadline_ms == 0
 
     def test_flagged_length_still_bounded(self):
         """The flag bit must not let an attacker smuggle an oversized
@@ -130,7 +132,7 @@ class TestDeadlineHeader:
             from repro.store.wire import FrameTooLargeError
 
             with pytest.raises(FrameTooLargeError):
-                recv_frame(b)
+                recv_frame_ex(b)
 
 
 class TestTornFrames:
@@ -142,7 +144,7 @@ class TestTornFrames:
             with a:
                 a.sendall((100).to_bytes(4, "big") + b'{"op":')
             with pytest.raises(ConnectionClosed) as caught:
-                recv_frame(b)
+                recv_frame_ex(b)
             assert caught.value.clean is False
 
     def test_truncated_deadline_field_is_dirty_close(self):
@@ -152,7 +154,7 @@ class TestTornFrames:
                 word = DEADLINE_FLAG | 10
                 a.sendall(word.to_bytes(4, "big") + b"\x00\x00\x00")
             with pytest.raises(ConnectionClosed) as caught:
-                recv_frame(b)
+                recv_frame_ex(b)
             assert caught.value.clean is False
 
     def test_close_on_boundary_is_clean(self):
@@ -160,7 +162,7 @@ class TestTornFrames:
         with b:
             a.close()
             with pytest.raises(ConnectionClosed) as caught:
-                recv_frame(b)
+                recv_frame_ex(b)
             assert caught.value.clean is True
 
     def test_truncated_length_prefix_is_dirty(self):
@@ -169,8 +171,31 @@ class TestTornFrames:
             with a:
                 a.sendall(b"\x00\x00")
             with pytest.raises(ConnectionClosed) as caught:
-                recv_frame(b)
+                recv_frame_ex(b)
             assert caught.value.clean is False
+
+
+class TestNestingDepth:
+    def test_a_body_nested_past_the_parser_is_a_wire_error(self):
+        """``json`` gives up on deep nesting with ``RecursionError``;
+        both readers must turn it into a typed ``WireError`` like any
+        other unreadable body, or one frame crashes whoever reads it."""
+        body = b"[" * 100_000
+        payload = len(body).to_bytes(4, "big") + body
+        a, b = socket.socketpair()
+        with a, b:
+            a.sendall(payload)
+            with pytest.raises(WireError, match="not valid JSON"):
+                recv_frame_ex(b)
+
+        async def read_async():
+            reader = asyncio.StreamReader()
+            reader.feed_data(payload)
+            reader.feed_eof()
+            return await read_frame_async(reader)
+
+        with pytest.raises(WireError, match="not valid JSON"):
+            asyncio.run(read_async())
 
 
 class _InterruptedSocket:
@@ -207,7 +232,7 @@ class TestEintrRecovery:
         body = b'{"op":"ping"}'
         frame = len(body).to_bytes(4, "big") + body
         sock = _InterruptedSocket(payload=frame, interrupts=3)
-        assert recv_frame(sock) == ({"op": "ping"}, None)
+        assert recv_frame_ex(sock) == Frame({"op": "ping"})
 
     def test_send_resumes_at_exact_offset(self):
         """Interrupts and short sends must never duplicate or drop
@@ -217,9 +242,9 @@ class TestEintrRecovery:
         a, b = socket.socketpair()
         with a, b:
             a.sendall(bytes(sock.sent))
-            message, deadline_ms = recv_frame(b)
-        assert message == {"op": "status", "v": 1}
-        assert deadline_ms == 250
+            frame = recv_frame_ex(b)
+        assert frame.message == {"op": "status", "v": 1}
+        assert frame.deadline_ms == 250
 
 
 class TestErrorTaxonomy:
@@ -334,8 +359,8 @@ class ScriptedServer:
         self._listener.close()
 
     def _handle(self, connection, action) -> None:
-        message, deadline_ms = recv_frame(connection)
-        self.requests.append((message, deadline_ms))
+        frame = recv_frame_ex(connection)
+        self.requests.append((frame.message, frame.deadline_ms))
         if action == "reset":
             return
         if action == "torn":
@@ -348,8 +373,8 @@ class ScriptedServer:
         if action == "ok":
             send_message(connection, ok_response(pid=os.getpid()))
             while True:  # keep answering on the persistent connection
-                message, deadline_ms = recv_frame(connection)
-                self.requests.append((message, deadline_ms))
+                frame = recv_frame_ex(connection)
+                self.requests.append((frame.message, frame.deadline_ms))
                 send_message(connection, ok_response(pid=os.getpid()))
         send_message(
             connection, error_response(action, f"scripted {action}")

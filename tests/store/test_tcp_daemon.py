@@ -44,7 +44,12 @@ from repro.store.daemon import (
     start_daemon,
     stop_daemon,
 )
-from repro.store.wire import encode_frame, recv_frame_ex, send_message
+from repro.store.wire import (
+    MAX_FRAME_BYTES,
+    encode_frame,
+    recv_frame_ex,
+    send_message,
+)
 from repro.testing.faults import FAULTS_ENV, FAULTS_STATE_ENV
 
 FAST = RetryPolicy(retries=4, backoff=0.01, backoff_max=0.02)
@@ -233,6 +238,21 @@ def respawn_under_a_trickle(record, urls, connect, payload, peers=4):
     return respawn, all_cut_off
 
 
+def hold_the_worker(record, urls):
+    """Start a ``classify`` that holds a ``workers=1`` daemon's only
+    worker (the armed slow handler), so the supervising parent answers
+    every new connection meanwhile; returns the thread to join."""
+
+    def classify():
+        with DaemonClient(record.endpoint, retry=FAST) as client:
+            client.classify(urls)
+
+    held = threading.Thread(target=classify)
+    held.start()
+    time.sleep(0.6)  # let the worker take the slow classify
+    return held
+
+
 def read_response(reader):
     """``(status, headers, body)`` of one HTTP/1.1 response read off a
     raw socket's buffered reader; header names are lower-cased."""
@@ -404,6 +424,69 @@ class TestTransportMatrix:
         )
         assert respawn is not None and respawn < 3.0, respawn
         assert cut_off
+
+    def test_the_shedding_parent_records_a_traced_requests_span(
+        self, live_daemon, test_urls, tmp_path, monkeypatch, transport
+    ):
+        """A traced request the parent answers while every worker is
+        busy gets its span recorded like a worker's: the span id it
+        echoed is in the ring, stamped with the supervisor's pid and
+        the door that was dialled."""
+        arm_faults(
+            monkeypatch, tmp_path,
+            "slow-handler:op=classify,seconds=2.5,times=1",
+        )
+        record = live_daemon(workers=1)
+        held = hold_the_worker(record, test_urls[:2])
+        try:
+            with DaemonClient(record.endpoint, retry=FAST,
+                              tracing=True) as client:
+                assert client.status()["role"] == "parent"
+                server_span = client.last_trace["server_span_id"]
+        finally:
+            held.join(timeout=30)
+        with DaemonClient(record.endpoint) as client:
+            spans = [
+                span for span in client.traces()
+                if span["span"] == server_span
+            ]
+        assert len(spans) == 1, spans
+        (span,) = spans
+        assert span["pid"] == record.pid
+        assert span["transport"] == transport
+        assert span["op"] == "status" and span["ok"] is True
+        assert "dispatch" in span["stages_ms"]
+
+    def test_the_shedding_parent_answers_unreadable_frames_typed(
+        self, live_daemon, test_urls, tmp_path, monkeypatch, transport
+    ):
+        """While every worker is busy, the parent answers a frame it
+        cannot read the way a worker does: ``bad-request`` for a body
+        that is not JSON or nests deeper than the parser can follow,
+        ``frame-too-large`` for a length word announcing more than the
+        cap."""
+        arm_faults(
+            monkeypatch, tmp_path,
+            "slow-handler:op=classify,seconds=2.5,times=1",
+        )
+        record = live_daemon(workers=1)
+        held = hold_the_worker(record, test_urls[:2])
+        body, deep = b"not json", b"[" * 100_000
+        try:
+            with DaemonClient(record.endpoint, retry=FAST) as client:
+                assert client.status()["role"] == "parent"
+            for payload, code in (
+                (len(body).to_bytes(4, "big") + body, "bad-request"),
+                (len(deep).to_bytes(4, "big") + deep, "bad-request"),
+                ((MAX_FRAME_BYTES + 1).to_bytes(4, "big"),
+                 "frame-too-large"),
+            ):
+                with raw_connect(record, transport) as raw:
+                    raw.sendall(payload)
+                    answer = recv_frame_ex(raw).message
+                assert answer["error"]["code"] == code, answer
+        finally:
+            held.join(timeout=30)
 
     def test_keepalive_pipelining_echoes_correlation_ids_in_order(
         self, live_daemon, transport

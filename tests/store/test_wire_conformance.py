@@ -44,7 +44,6 @@ from repro.store.wire import (
     error_response,
     ok_response,
     read_frame_async,
-    recv_frame,
     recv_frame_ex,
     send_message,
 )
@@ -167,13 +166,6 @@ class TestFrameGrammar:
     def test_correlation_id_out_of_range_refused_at_encode(self, cid):
         with pytest.raises(WireError, match="uint32"):
             encode_frame({"op": "x"}, correlation_id=cid)
-
-    def test_recv_frame_keeps_the_historical_two_field_shape(self):
-        a, b = socket.socketpair()
-        with a, b:
-            send_message(a, {"op": "x"}, deadline_ms=40, correlation_id=2)
-            b.settimeout(DECODE_TIMEOUT)
-            assert recv_frame(b) == ({"op": "x"}, 40)
 
     def test_frame_is_immutable(self):
         frame = Frame({"op": "x"}, 1, 2)
