@@ -86,16 +86,6 @@ class Prediction:
     positives: tuple[Language, ...]
     scores: Mapping[Language, float] = field(default_factory=dict)
 
-    @property
-    def best_score(self) -> Optional[float]:
-        """The decision score of the winning language — the sort key of
-        the query index's score-ordered listing — or ``None`` when every
-        binary classifier said no (the ``und`` bucket carries no
-        score)."""
-        if self.best is None:
-            return None
-        return self.scores.get(self.best)
-
     def tsv(self) -> str:
         """The CLI's output row: ``best <TAB> binary-yes <TAB> url``
         with ``-`` placeholders."""

@@ -59,6 +59,7 @@ Example
 from __future__ import annotations
 
 import abc
+from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -192,68 +193,44 @@ class CompiledIdentifier:
             self._columns = np.hstack(column_blocks) if column_blocks else None
 
     def _init_extraction(self) -> None:
-        """Build the fused extraction plan and the per-backend row memos.
+        """Choose the extraction path and start an empty row memo.
 
-        Words/trigrams feature sets get a byte-level fused plan and use
-        it by default; custom extractors (and raw-mode trigrams) get no
-        plan and stay on the string-based reference path.  Each backend
-        owns a *separate* per-URL row memo so that switching
-        :attr:`extraction` mid-process can never serve a row produced by
-        the other backend — parity between them is a property the test
-        suite proves, not one the cache assumes.
+        Words/trigrams feature sets get a byte-level fused plan and
+        extract through it; custom extractors (and raw-mode trigrams)
+        get no plan and extract through the string-based reference
+        path.  The choice holds for the identifier's whole life.
         """
         self._fused_plan: FusedExtractionPlan | None = build_fused_plan(
             self.extractor, self.indexer
         )
-        self._row_caches: dict[
-            str,
-            dict[str, tuple[np.ndarray, np.ndarray, tuple[tuple[str, float], ...]]],
-        ] = {"fused": {}, "reference": {}}
-        self._extraction = "fused" if self._fused_plan is not None else "reference"
+        self._row_cache: OrderedDict[
+            str, tuple[np.ndarray, np.ndarray, tuple[tuple[str, float], ...]]
+        ] = OrderedDict()
 
     @property
     def extraction(self) -> str:
-        """Active extraction backend: ``"fused"`` or ``"reference"``."""
-        return self._extraction
-
-    @extraction.setter
-    def extraction(self, mode: str) -> None:
-        if mode not in ("fused", "reference"):
-            raise ValueError(
-                f"extraction must be 'fused' or 'reference', got {mode!r}"
-            )
-        if mode == "fused" and self._fused_plan is None:
-            raise ValueError(
-                "this feature set has no fused extraction plan; "
-                "only stock words/trigrams extractors are fuse-eligible"
-            )
-        self._extraction = mode
-
-    @property
-    def _row_cache(
-        self,
-    ) -> dict[str, tuple[np.ndarray, np.ndarray, tuple[tuple[str, float], ...]]]:
-        """The active backend's per-URL interned-row memo."""
-        return self._row_caches[self._extraction]
+        """The extraction path, fixed at build: ``"fused"`` or
+        ``"reference"``."""
+        return "reference" if self._fused_plan is None else "fused"
 
     @property
     def cache_info(self) -> dict:
         """Occupancy of the interned-row memo (``rows`` cached of
-        ``capacity``) plus the active extraction backend.  Long-lived
+        ``capacity``) plus the extraction path.  Long-lived
         serving processes surface this in their status output so
         operators can see the memo warm up."""
         return {
             "rows": len(self._row_cache),
             "capacity": ROW_CACHE_SIZE,
-            "extraction": self._extraction,
+            "extraction": self.extraction,
         }
 
     @property
     def tokenizer_cache_info(self) -> dict:
         """``hits``, ``misses`` and ``entries`` of the token memo the
-        active extraction backend tokenises through (the fused path's
-        byte-token memo, or the reference path's string-token one)."""
-        fused = self._extraction == "fused"
+        extraction path tokenises through (the fused path's byte-token
+        memo, or the reference path's string-token one)."""
+        fused = self._fused_plan is not None
         info = (tokenize_bytes_cached if fused else tokenize_cached).cache_info()
         return {"hits": info.hits, "misses": info.misses,
                 "entries": info.currsize}
@@ -297,7 +274,7 @@ class CompiledIdentifier:
         cache = self._row_cache
         missing = list(dict.fromkeys(url for url in urls if url not in cache))
         if missing:
-            if self._extraction == "fused" and self._fused_plan is not None:
+            if self._fused_plan is not None:
                 fresh = self.indexer.rows_fused(missing, self._fused_plan)
             else:
                 fresh = self.indexer.transform(
@@ -337,7 +314,7 @@ class CompiledIdentifier:
             indices = np.empty(0, dtype=np.int64)
             data = np.empty(0, dtype=np.float64)
         while len(cache) > ROW_CACHE_SIZE:
-            del cache[next(iter(cache))]
+            cache.popitem(last=False)
         return CsrBatch(
             indptr=indptr,
             indices=indices,
@@ -350,17 +327,13 @@ class CompiledIdentifier:
         state = self.__dict__.copy()
         # Memos are transient and the fused plan's intern tables are
         # cheap to rebuild from the indexer — keep pickles small.
-        state.pop("_row_caches", None)
+        state.pop("_row_cache", None)
         state.pop("_fused_plan", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
-        state.pop("_row_cache", None)  # legacy pickles carried the memo
-        mode = state.pop("_extraction", None)
         self.__dict__.update(state)
         self._init_extraction()
-        if mode == "reference":
-            self._extraction = "reference"
 
     def scores_matrix(self, urls: Sequence[str]) -> np.ndarray:
         """``(n_urls, n_languages)`` decision scores in one pass.

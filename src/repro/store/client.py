@@ -838,10 +838,6 @@ class AsyncDaemonClient(_ClientBase):
         (async twin of :meth:`DaemonClient.traces`)."""
         return _spans(await self.request("traces", **_trace_fields(limit)))
 
-    async def areload(self) -> dict:
-        """Ask the daemon to re-examine its artifact path (SIGHUP)."""
-        return await self.request("reload")
-
     async def astop(self) -> dict:
         """Ask the daemon to shut down gracefully (SIGTERM)."""
         return await self.request("stop")

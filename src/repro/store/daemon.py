@@ -77,6 +77,7 @@ from repro.store.wire import (
     Frame,
     FrameTooLargeError,
     WireError,
+    decode_body,
     encode_frame,
     error_response,
     ok_response,
@@ -1516,6 +1517,14 @@ class _HttpHandler(BaseHTTPRequestHandler):
             self._reply(404, error_response("unknown-op", self.path),
                         close=True)
             return
+        if "Transfer-Encoding" in self.headers:
+            # Only a Content-Length body is read; chunks left unread
+            # would be taken for the next request.
+            self._reply(411, error_response(
+                "bad-request",
+                "send the body with a Content-Length, not Transfer-Encoding",
+            ), close=True)
+            return
         announced = (self.headers.get("Content-Length") or "0").strip()
         if not (announced.isascii() and announced.isdigit()):
             # Unread body of unknown length: the stream cannot go on.
@@ -1532,10 +1541,8 @@ class _HttpHandler(BaseHTTPRequestHandler):
             ), close=True)
             return
         try:
-            body = json.loads(self.rfile.read(length) or b"{}")
-            if not isinstance(body, dict):
-                raise ValueError("body must be a JSON object")
-        except ValueError as error:
+            body = decode_body(self.rfile.read(length) or b"{}")
+        except WireError as error:
             self._reply(400, error_response("bad-request", str(error)))
             return
         # The path, not the body, decides the op — a body "op" must

@@ -334,16 +334,23 @@ def _decode_frame(word: int, rest: bytes) -> Frame:
         at += TRACE_ID_BYTES
         span_id = int.from_bytes(rest[at:at + 4], "big")
         at += 4
+    message = decode_body(memoryview(rest)[at:])
+    return Frame(message, deadline_ms, correlation_id, trace_id, span_id)
+
+
+def decode_body(body: bytes | memoryview) -> dict:
+    """The JSON object a request body carries, a wire frame's or an
+    HTTP POST's; :class:`WireError` for any body that is not one."""
     try:
-        message = json.loads(str(memoryview(rest)[at:], "utf-8"))
+        message = json.loads(str(body, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError,
             RecursionError) as error:  # nested past the parser's stack
-        raise WireError(f"frame body is not valid JSON: {error}") from None
+        raise WireError(f"body is not valid JSON: {error}") from None
     if not isinstance(message, dict):
         raise WireError(
-            f"frame body must be a JSON object, got {type(message).__name__}"
+            f"body must be a JSON object, got {type(message).__name__}"
         )
-    return Frame(message, deadline_ms, correlation_id, trace_id, span_id)
+    return message
 
 
 def recv_frame_ex(sock: socket.socket) -> Frame:

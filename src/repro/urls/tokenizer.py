@@ -109,11 +109,8 @@ def tokenize_cached(url: str) -> tuple[str, ...]:
 def tokenize_bytes_cached(url: str) -> tuple[bytes, ...]:
     """Memoized :func:`tokenize_bytes` returning a shared tuple.
 
-    Deliberately a *separate* memo from :func:`tokenize_cached`: the
-    fused and reference extraction paths must never read each other's
-    cache entries, so a process that alternates backends cannot
-    cross-contaminate (the entries are provably equal, but keeping the
-    keyspaces disjoint makes the isolation structural, not incidental).
+    The fused extraction path tokenises through this memo of byte
+    tokens; the reference path tokenises through :func:`tokenize_cached`.
     """
     return tuple(tokenize_bytes(url))
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import os
 import random
 import shutil
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import pipeline
 from repro.corpus.records import Corpus, LabeledUrl
 from repro.datasets import build_datasets
 from repro.languages import Language
@@ -114,3 +117,20 @@ def make_corpus(counts: dict[str, int], name: str = "toy") -> Corpus:
                 )
             )
     return Corpus(records=records, name=name)
+
+
+@contextlib.contextmanager
+def fused_plans_off():
+    """Inside, every :class:`~repro.core.pipeline.CompiledIdentifier`
+    built gets no fused plan, so it extracts through the reference path
+    for its whole life."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "build_fused_plan", lambda *_: None)
+        yield
+
+
+def reference_extraction(compiled):
+    """A twin of ``compiled`` built on the reference extraction path:
+    the same weights, no fused plan and an empty row memo."""
+    with fused_plans_off():
+        return copy.copy(compiled)

@@ -2,15 +2,18 @@
 
 Backend selection, transparent fallback, batch-vs-sparse equivalence on
 real URL corpora for every linear algorithm × feature set combination,
-and pickling of compiled models.
+pickling of compiled models, and the per-URL row memo's eviction.
 """
 
 from __future__ import annotations
 
 import pickle
+import statistics
+import time
 
 import pytest
 
+from repro.core import pipeline
 from repro.core.pipeline import CompiledIdentifier, LanguageIdentifier
 from repro.languages import LANGUAGES
 
@@ -179,3 +182,44 @@ class TestBatchEntryPoints:
         sparse = _fitted("NB", "trigrams", small_train, backend="sparse")
         test = small_bundle.odp_test
         assert compiled.confusion(test).cells == sparse.confusion(test).cells
+
+
+def _distinct_urls(start: int, count: int) -> list[str]:
+    """``count`` distinct URLs, each with its own host word."""
+    words = (
+        "".join(chr(ord("a") + int(digit)) for digit in str(number))
+        for number in range(start, start + count)
+    )
+    return [f"http://www.{word}.de/{word}/seite" for word in words]
+
+
+class TestRowMemo:
+    def test_eviction_cost_does_not_grow_with_run_length(self, small_train):
+        """Past :data:`ROW_CACHE_SIZE` URLs every new URL evicts one;
+        that must cost the same however long the memo has been
+        evicting."""
+        compiled = _fitted("NB", "words", small_train).compiled
+        batch = 1024
+        timings = []
+        for start in range(0, 3 * pipeline.ROW_CACHE_SIZE, batch):
+            urls = _distinct_urls(start, batch)
+            began = time.perf_counter()
+            compiled.batch(urls)
+            timings.append(time.perf_counter() - began)
+        third = len(timings) // 3
+        first = statistics.median(timings[:third])
+        last = statistics.median(timings[-third:])
+        assert compiled.cache_info["rows"] == pipeline.ROW_CACHE_SIZE
+        assert last < 2 * first, (first, last)
+
+    def test_oldest_url_is_evicted_and_hits_do_not_refresh(
+        self, small_train, monkeypatch
+    ):
+        monkeypatch.setattr(pipeline, "ROW_CACHE_SIZE", 4)
+        compiled = _fitted("NB", "words", small_train).compiled
+        urls = _distinct_urls(0, 5)
+        compiled.batch(urls[:4])
+        compiled.batch(urls[:1])  # a hit leaves its URL where it was
+        compiled.batch(urls[4:])
+        assert list(compiled._row_cache) == urls[1:]
+        assert compiled.cache_info["rows"] == 4

@@ -1,12 +1,11 @@
-"""Fused vs reference extraction backends sharing one process.
+"""Fused vs reference extraction paths.
 
-The per-URL interned-row memo of :class:`CompiledIdentifier` is keyed by
-URL, and both extraction backends produce (provably equal) rows for the
-same URL — so a single shared memo would *work* until the day a fast-path
-bug let one backend poison the other's answers.  The backends therefore
-own disjoint memos (and disjoint tokenizer caches), and these regression
-tests alternate backends in one process to pin that isolation down,
-along with the routing/fallback and pickling behaviour around it.
+A :class:`CompiledIdentifier` chooses its extraction path once, when it
+is built: the byte-level fused plan for the stock words/trigrams
+extractors, the string-based reference extractor otherwise.  These
+tests build one fuse-eligible model twice, once with no fused plan, and
+hold the two paths to bit-equal scores and to their own token memos,
+along with the fallback and pickling behaviour around the choice.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from repro.urls.tokenizer import (
     tokenize_bytes_cached,
     tokenize_cached,
 )
+from tests.conftest import reference_extraction
 
 
 @pytest.fixture(scope="module")
@@ -30,72 +30,40 @@ def fitted(small_train):
     return identifier.fit(small_train.subsample(0.4, seed=3))
 
 
-class TestBackendAlternation:
-    def test_decisions_stable_across_switches(self, fitted, small_bundle):
-        compiled = fitted.compiled
+@pytest.fixture(scope="module")
+def reference(fitted):
+    """The fitted model's compiled twin on the reference path."""
+    return reference_extraction(fitted.compiled)
+
+
+class TestTwoBackends:
+    def test_scores_are_bit_equal(self, fitted, reference, small_bundle):
         urls = small_bundle.odp_test.urls[:60]
-        assert compiled.extraction == "fused"
-        fused_first = compiled.scores_matrix(urls)
-        compiled.extraction = "reference"
-        reference = compiled.scores_matrix(urls)
-        compiled.extraction = "fused"
-        fused_again = compiled.scores_matrix(urls)
-        # Fused scores are bit-equal, so the decisions are too.
-        assert np.array_equal(fused_first, reference)
-        assert np.array_equal(fused_again, reference)
-
-    def test_memos_stay_disjoint_per_backend(self, fitted, small_bundle):
-        compiled = fitted.compiled
-        compiled._row_caches["fused"].clear()
-        compiled._row_caches["reference"].clear()
-        first, second = (
-            small_bundle.odp_test.urls[:30],
-            small_bundle.odp_test.urls[30:60],
+        assert fitted.compiled.extraction == "fused"
+        assert reference.extraction == "reference"
+        # Same CSR entry order on both paths -> same summation order.
+        assert np.array_equal(
+            fitted.compiled.scores_matrix(urls), reference.scores_matrix(urls)
         )
-        compiled.extraction = "fused"
-        compiled.scores_matrix(first)
-        compiled.extraction = "reference"
-        compiled.scores_matrix(second)
-        fused_keys = set(compiled._row_caches["fused"])
-        reference_keys = set(compiled._row_caches["reference"])
-        assert fused_keys == set(first)
-        assert reference_keys == set(second)
-        # The active-backend view (what the bench and the daemon status
-        # consume) follows the switch.
-        assert set(compiled._row_cache) == reference_keys
-        compiled.extraction = "fused"
-        assert set(compiled._row_cache) == fused_keys
 
-    def test_cache_info_names_the_backend(self, fitted):
-        compiled = fitted.compiled
-        compiled.extraction = "fused"
+    def test_cache_info_names_the_backend(self, fitted, reference):
         assert fitted.compiled.cache_info["extraction"] == "fused"
-        compiled.extraction = "reference"
-        assert fitted.compiled.cache_info["extraction"] == "reference"
-        compiled.extraction = "fused"
+        assert reference.cache_info["extraction"] == "reference"
 
-    def test_tokenizer_memos_are_separate(self, fitted, small_bundle):
-        compiled = fitted.compiled
+    def test_each_backend_tokenises_through_its_own_memo(
+        self, fitted, reference, small_bundle
+    ):
         urls = [
             url + "/memo-isolation"
             for url in small_bundle.odp_test.urls[:20]
         ]
         clear_token_cache()
-        compiled._row_caches["fused"].clear()
-        compiled._row_caches["reference"].clear()
-        compiled.extraction = "fused"
-        compiled.scores_matrix(urls)
+        fitted.compiled.scores_matrix(urls)
         # The fused path never touches the string-token memo.
         assert tokenize_cached.cache_info().currsize == 0
         assert tokenize_bytes_cached.cache_info().currsize >= len(urls)
-        compiled.extraction = "reference"
-        compiled.scores_matrix(urls)
+        reference.scores_matrix(urls)
         assert tokenize_cached.cache_info().currsize >= len(urls)
-        compiled.extraction = "fused"
-
-    def test_invalid_mode_rejected(self, fitted):
-        with pytest.raises(ValueError, match="fused.*reference"):
-            fitted.compiled.extraction = "vectorised"
 
 
 class TestFallbackAndPickling:
@@ -103,12 +71,9 @@ class TestFallbackAndPickling:
         identifier = LanguageIdentifier("custom", "NB", seed=0).fit(
             small_train.subsample(0.4, seed=3)
         )
-        compiled = identifier.compiled
-        assert compiled.extraction == "reference"
-        with pytest.raises(ValueError, match="no fused extraction plan"):
-            compiled.extraction = "fused"
+        assert identifier.compiled.extraction == "reference"
 
-    def test_pickle_rebuilds_plan_and_empties_memos(
+    def test_pickle_rebuilds_plan_and_empties_the_memo(
         self, fitted, small_bundle
     ):
         urls = small_bundle.odp_test.urls[:40]
@@ -117,12 +82,5 @@ class TestFallbackAndPickling:
         compiled = clone.compiled
         assert compiled.extraction == "fused"
         assert compiled._fused_plan is not None
-        assert not compiled._row_caches["fused"]
-        assert not compiled._row_caches["reference"]
+        assert not compiled._row_cache
         assert clone.decisions(urls) == fitted.decisions(urls)
-
-    def test_reference_preference_survives_pickle(self, fitted):
-        fitted.compiled.extraction = "reference"
-        clone = pickle.loads(pickle.dumps(fitted))
-        assert clone.compiled.extraction == "reference"
-        fitted.compiled.extraction = "fused"

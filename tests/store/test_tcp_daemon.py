@@ -908,6 +908,50 @@ class TestHttpServedByWorkers:
         assert headers["connection"] == "close"
         assert json.loads(body)["error"]["code"] == "bad-request"
 
+    def test_a_body_nested_past_the_parser_is_a_typed_400(
+        self, live_daemon
+    ):
+        record = live_daemon(workers=1)
+        body = b'{"urls": ' + b"[" * 100_000
+        with socket.create_connection(
+            ("127.0.0.1", record.http_port), timeout=5.0
+        ) as raw:
+            raw.sendall(
+                b"POST /v1/classify HTTP/1.1\r\nHost: x\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+            )
+            reader = raw.makefile("rb")
+            status, _, answer = read_response(reader)
+            assert status == 400
+            assert json.loads(answer)["error"]["code"] == "bad-request"
+            raw.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            status, _, health = read_response(reader)
+            assert (status, health) == (200, b"ok\n")
+        status = json.loads(
+            http_request(record.http_port, "GET", "/v1/status")[2]
+        )
+        assert status["robustness"]["worker_respawns"] == 0
+
+    def test_a_chunked_body_gets_one_411_and_a_close(self, live_daemon):
+        """Only a ``Content-Length`` body is read, so chunks must not be
+        left on the stream to be taken for a second request."""
+        record = live_daemon(workers=1)
+        body = b'{"urls": []}'
+        with socket.create_connection(
+            ("127.0.0.1", record.http_port), timeout=5.0
+        ) as raw:
+            raw.sendall(
+                b"POST /v1/classify HTTP/1.1\r\nHost: x\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n"
+                + f"{len(body):x}\r\n".encode() + body + b"\r\n0\r\n\r\n"
+            )
+            reader = raw.makefile("rb")
+            status, headers, answer = read_response(reader)
+            assert status == 411
+            assert headers["connection"] == "close"
+            assert json.loads(answer)["error"]["code"] == "bad-request"
+            assert reader.read() == b""
+
     def test_pipelined_posts_are_answered_in_order(
         self, live_daemon, test_urls
     ):

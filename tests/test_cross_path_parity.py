@@ -38,6 +38,7 @@ from repro.store.client import (
 )
 from repro.store.daemon import MAX_BATCH_URLS, start_daemon, stop_daemon
 from repro.testing.urlgen import adversarial_urls
+from tests.conftest import fused_plans_off
 
 URLS = adversarial_urls(2000, seed=0)
 
@@ -116,8 +117,8 @@ def from_tsv(text: str) -> list[tuple]:
 def paths(models, float32_artifact, daemon, tmp_path, monkeypatch):
     """Every answering path: ``name -> urls -> [(url, best, positives)]``."""
     compiled, sparse, artifact = models
-    reference = load_identifier(artifact)
-    reference.compiled.extraction = "reference"
+    with fused_plans_off():
+        reference = load_identifier(artifact)
     float32 = open_model(float32_artifact)
 
     def over(endpoint):

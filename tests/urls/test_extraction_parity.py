@@ -24,6 +24,7 @@ from repro.features.words import WordFeatureExtractor
 from repro.testing.urlgen import EDGE_CASE_URLS, adversarial_urls
 from repro.urls.tokenizer import tokenize, tokenize_bytes
 from repro.urls.trigrams import byte_url_trigrams, url_trigrams
+from tests.conftest import reference_extraction
 
 #: Arbitrary unicode text — the parity contract is "any string", not
 #: "well-formed URL".  (Lone surrogates are covered by the adversarial
@@ -127,8 +128,7 @@ class TestFusedDecisionParity:
         compiled = identifier.compiled
         urls = small_bundle.odp_test.urls[:60] + ADVERSARIAL[:60]
         fused = compiled.scores_matrix(urls)
-        compiled.extraction = "reference"
-        reference = compiled.scores_matrix(urls)
+        reference = reference_extraction(compiled).scores_matrix(urls)
         # Same CSR entry order on both paths -> same summation order ->
         # bit-identical scores, not merely approximately equal.
         assert np.array_equal(fused, reference)
