@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import dataclasses
+import heapq
 import json
 import os
 import time
@@ -120,30 +121,32 @@ def stage(name: str) -> Iterator[None]:
 
 
 class SpanLog:
-    """A fork-shared ring buffer of finished span records.
+    """Fork-shared ring buffers of finished span records, one per writer.
 
     The daemon parent creates one *before* forking each worker
     generation; every process then appends JSON-serialised span records
-    into one :class:`~repro.obs.shared.SharedBlock`, so the parent
-    (answering ``status --traces`` and ``GET /v1/traces``) sees spans
-    recorded by any worker.  A reload forks the new generation over a
-    fresh ring, so old-generation spans never mix with new ones.
-    Fixed-size slots keep the shared segment bounded: a record that
-    does not fit its slot is retried without its ``stages`` detail,
-    then dropped.
+    into its own row's ring of one :class:`~repro.obs.shared.SharedBlock`,
+    so the parent (answering ``status --traces`` and ``GET /v1/traces``)
+    sees spans recorded by any worker.  A reload forks the new
+    generation over a fresh log, so old-generation spans never mix with
+    new ones.  Fixed-size slots keep the shared segment bounded: a
+    record that does not fit its slot is retried without its ``stages``
+    detail, then dropped.
 
-    Appends take the block's lock once per span — far off the per-URL
-    hot path (one span per traced *request*).
+    A read merges the rings by ``ts`` and returns at most the newest
+    ``capacity`` spans, however many rings there are.
     """
 
-    def __init__(self, capacity: int = 256, slot_bytes: int = 512) -> None:
+    def __init__(self, capacity: int = 256, slot_bytes: int = 512,
+                 rows: int = 1) -> None:
         if capacity < 1 or slot_bytes < 8:
             raise ValueError("capacity >= 1 and slot_bytes >= 8 required")
         self.capacity = int(capacity)
         self.slot_bytes = int(slot_bytes)
         self._shared = SharedBlock(
-            seq=("q", 1), slots=("B", self.capacity * self.slot_bytes)
+            rows, seq=("q", 1), slots=("B", self.capacity * self.slot_bytes)
         )
+        self._slots = self._shared.slots.cast("B")  # the rings end to end
 
     @staticmethod
     def _encode(record: dict) -> bytes:
@@ -160,12 +163,11 @@ class SpanLog:
             if len(data) + 2 > self.slot_bytes:
                 return False
         framed = len(data).to_bytes(2, "big") + data
-        shared = self._shared
-        with shared.lock:
-            seq = shared.seq[0]
-            start = (seq % self.capacity) * self.slot_bytes
-            shared.slots[start:start + len(framed)] = framed
-            shared.seq[0] = seq + 1
+        row = SharedBlock.row
+        seq = self._shared.seq[row, 0]
+        start = (row * self.capacity + seq % self.capacity) * self.slot_bytes
+        self._slots[start:start + len(framed)] = framed
+        self._shared.seq[row, 0] = seq + 1
         return True
 
     def __len__(self) -> int:
@@ -173,28 +175,29 @@ class SpanLog:
 
     @property
     def recorded(self) -> int:
-        """Spans ever appended (the ring may have evicted older ones)."""
-        with self._shared.lock:
-            return self._shared.seq[0]
+        """Spans ever appended (the rings may have evicted older ones)."""
+        return sum(seq for (seq,) in self._shared.seq.tolist())
 
     def snapshot(self, limit: int | None = None) -> list[dict]:
         """The retained spans, oldest first (at most ``limit`` newest)."""
-        with self._shared.lock:
-            seq = self._shared.seq[0]
-            raw = bytes(self._shared.slots)
-        first = max(0, seq - self.capacity)
-        if limit is not None:
-            first = max(first, seq - max(0, int(limit)))
-        spans: list[dict] = []
-        for position in range(first, seq):
-            start = (position % self.capacity) * self.slot_bytes
-            length = int.from_bytes(raw[start:start + 2], "big")
-            if not 0 < length <= self.slot_bytes - 2:
-                continue
-            try:
-                record = json.loads(raw[start + 2:start + 2 + length])
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                continue  # a torn slot from a crashed writer; skip it
-            if isinstance(record, dict):
-                spans.append(record)
-        return spans
+        keep = min(self.capacity,
+                   self.capacity if limit is None else max(0, int(limit)))
+        rings: list[list[dict]] = []
+        for row, (seq,) in enumerate(self._shared.seq.tolist()):
+            ring = row * self.capacity
+            spans: list[dict] = []
+            for position in range(max(0, seq - keep), seq):
+                start = (ring + position % self.capacity) * self.slot_bytes
+                slot = bytes(self._slots[start:start + self.slot_bytes])
+                length = int.from_bytes(slot[:2], "big")
+                if not 0 < length <= self.slot_bytes - 2:
+                    continue
+                try:
+                    record = json.loads(slot[2:2 + length])
+                except (UnicodeDecodeError, json.JSONDecodeError):
+                    continue  # a torn slot from a crashed writer; skip it
+                if isinstance(record, dict):
+                    spans.append(record)
+            rings.append(spans)
+        merged = list(heapq.merge(*rings, key=lambda span: span.get("ts", 0)))
+        return merged[-keep:] if keep else []

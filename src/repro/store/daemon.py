@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import io
 import json
-import multiprocessing
 import os
 import select
 import signal
@@ -60,6 +59,7 @@ from pathlib import Path
 from repro.obs.events import EventLogger, json_log_enabled
 from repro.obs.prom import CONTENT_TYPE as PROM_CONTENT_TYPE
 from repro.obs.prom import render_prometheus
+from repro.obs.shared import SharedBlock
 from repro.obs.trace import SpanLog, capture_stages, new_span_id, stage
 from repro.store.artifact import MODEL_KIND, ServingIdentifier, load_identifier
 from repro.store.format import ArtifactError, ArtifactFile
@@ -265,27 +265,27 @@ class ServingDaemon:
         #: Every bound front door, each mapped to its transport name
         #: (``unix`` always, ``tcp`` and ``http`` when configured).
         self._listeners: dict[socket.socket, str] = {}
-        self._children: dict[int, int] = {}  # pid -> generation
+        self._children: dict[int, tuple[int, int]] = {}  # pid -> (gen, row)
         self._stop_requested = False
         self._hup_requested = False
         self._worker_stop = False  # set in children only
         self._supervisor_pid: int | None = None  # set in children at fork
         self._started_at = 0.0
         # Fleet-shared counters, created before run() forks so every
-        # worker updates the same shared block: request accounting and
-        # the fault-tolerance counters (crash-loop flag included) cover
-        # the whole daemon whichever process answers, and survive
-        # worker deaths and reloads.  Admission state is per worker
-        # instead of one shared counter: each _spawn_worker allocates a
-        # shared busy flag the child sets while holding a connection
-        # (one connection per worker, so a held connection IS
-        # occupancy).  The parent sums flags of live workers only —
-        # a SIGKILLed worker's stale flag dies with its table entry,
-        # where a global counter would leak an increment forever.
-        self._metrics = RequestMetrics()
-        self._robustness = RobustnessCounters()
-        self._child_busy: dict[int, object] = {}  # pid -> shared flag
-        self._my_busy = None  # this worker's flag (children only)
+        # worker writes its own row of the same shared blocks: request
+        # accounting and the fault-tolerance counters (crash-loop flag
+        # included) cover the whole daemon whichever process answers,
+        # and survive worker deaths and reloads.  Row 0 is the parent's;
+        # each fork takes the lowest free row (a respawn may reuse its
+        # predecessor's: counts are cumulative).  A reload's handover
+        # keeps two generations alive, hence 2 x workers + 1 rows.  The
+        # `since` column is the admission state: the monotonic time at
+        # which a worker took the connection it holds (one connection
+        # per worker, so a held connection IS occupancy), 0 when idle.
+        self._rows = 2 * workers + 1
+        self._metrics = RequestMetrics(self._rows)
+        self._robustness = RobustnessCounters(self._rows)
+        self._busy = SharedBlock(self._rows, since=("d", 1))
         # Observability (docs/observability.md).  The span ring buffer
         # is fork-shared like the robustness counters: workers append
         # the spans of traced requests, the parent reads them back out
@@ -294,7 +294,7 @@ class ServingDaemon:
         # replaced on reload before the new generation forks; drift
         # needs the model's language set, so it is created in run().
         self._spans = SpanLog(capacity=int(os.environ.get(
-            "REPRO_SERVE_TRACE_CAPACITY", TRACE_CAPACITY)))
+            "REPRO_SERVE_TRACE_CAPACITY", TRACE_CAPACITY)), rows=self._rows)
         self._drift: DriftCounters | None = None
         self._drift_window = int(os.environ.get(
             "REPRO_SERVE_DRIFT_WINDOW", DEFAULT_DRIFT_WINDOW_ROWS))
@@ -375,7 +375,7 @@ class ServingDaemon:
         ]
         if not languages:
             return None
-        return DriftCounters(languages, window_rows=self._drift_window)
+        return DriftCounters(languages, self._drift_window, self._rows)
 
     def _reload_gate(self, current: _ModelState) -> str | None:
         """Why the artifact at ``model_path`` must NOT replace ``current``.
@@ -440,8 +440,9 @@ class ServingDaemon:
         :class:`~repro.store.metrics.RequestMetrics` (op counts,
         transport counts, error count, latency histogram), so ``serve
         status`` and ``GET /metrics`` report the whole daemon's traffic
-        whichever process answers.  Updates are safe from any process:
-        each takes the shared block's lock for its slot increments only.
+        whichever process answers.  Each process adds to its own row
+        and a scrape sums the rows, so no process waits on another; a
+        scrape may see one request's fields only partly applied.
 
         A batch that reached the supervising parent, over any
         transport, is refused here with ``overloaded`` before any work
@@ -684,18 +685,18 @@ class ServingDaemon:
         The parent is single-threaded, so the fork can never hand the
         child a lock some other thread held.
         """
-        busy_flag = multiprocessing.Value("i", 0)  # shared across the fork
+        taken = {row for _, row in self._children.values()}
+        row = min(set(range(1, self._rows)) - taken)
+        self._busy.since[row, 0] = 0.0  # a killed predecessor's stale flag
         pid = os.fork()
         if pid:
-            self._children[pid] = generation
-            self._child_busy[pid] = busy_flag
+            self._children[pid] = (generation, row)
             return pid
         # Child: serve the listeners until told to drain.
+        SharedBlock.row = row
         self._is_worker = True
         self._supervisor_pid = os.getppid()
         self._children = {}
-        self._child_busy = {}
-        self._my_busy = busy_flag
         signal.signal(signal.SIGTERM, self._worker_sigterm)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGHUP, signal.SIG_IGN)
@@ -746,10 +747,10 @@ class ServingDaemon:
                     socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
                 )
             # A held connection is this worker's whole capacity (one
-            # connection per worker); the parent sums these flags as
+            # connection per worker); the parent reads these stamps as
             # its admission signal and starts answering `overloaded`
             # when every live worker is occupied.
-            self._my_busy.value = 1
+            self._busy.since[SharedBlock.row, 0] = time.monotonic()
             try:
                 with connection:
                     connection.settimeout(FRAME_IO_TIMEOUT)
@@ -758,7 +759,7 @@ class ServingDaemon:
                     else:
                         self._serve_connection(connection, transport)
             finally:
-                self._my_busy.value = 0
+                self._busy.since[SharedBlock.row, 0] = 0.0
 
     def _await_request(self, connection: socket.socket,
                        idle_seconds: float = float("inf")) -> bool:
@@ -1065,11 +1066,15 @@ class ServingDaemon:
             listener.settimeout(0)
         try:
             while not self._stop_requested:
-                if self._hup_requested:
+                # A reload waits for rows for a whole generation.
+                if (self._hup_requested
+                        and len(self._children) + self.workers < self._rows):
                     self._hup_requested = False
                     self._reload()
                 self._reap(respawn=True)
                 self._respawn_after_backoff()
+                if self._drift is not None:
+                    self._drift.roll()
                 if self._saturated():
                     self._shed_load()
                     time.sleep(0.05)  # stay responsive while saturated
@@ -1106,8 +1111,7 @@ class ServingDaemon:
                 return
             if pid == 0:
                 return
-            generation = self._children.pop(pid, None)
-            self._child_busy.pop(pid, None)  # stale busy flag dies here
+            generation, _ = self._children.pop(pid, (None, 0))
             if (
                 respawn
                 and not self._stop_requested
@@ -1164,26 +1168,29 @@ class ServingDaemon:
 
     def _inflight(self) -> int | None:
         """Connections currently held by live workers (parent view;
-        workers return None — only the parent holds the flag table)."""
+        workers return None — only the parent holds the row table)."""
         if self._is_worker:
             return None
-        return sum(flag.value for flag in self._child_busy.values())
+        return sum(1 for _, row in self._children.values()
+                   if self._busy.since[row, 0])
 
     def _saturated(self) -> bool:
         """True when no current-generation worker can accept a new
-        connection — every live one is holding a connection, or none
+        connection — every live one has held its connection for
+        :data:`SUPERVISE_INTERVAL` (not one a caller just left), or none
         are alive (crash-loop backoff).  Approximate by design: the
-        busy flags and the child table move under us, and a wrong
-        ``True`` only converts a would-have-queued caller into a
-        retryable ``overloaded``."""
+        stamps and the child table move under us, and a wrong ``True``
+        only converts a would-have-queued caller into a retryable
+        ``overloaded``."""
         assert self._state is not None
         alive = busy = 0
-        for pid, generation in self._children.items():
+        now = time.monotonic()
+        for generation, row in self._children.values():
             if generation != self._state.generation:
                 continue
             alive += 1
-            flag = self._child_busy.get(pid)
-            if flag is not None and flag.value:
+            since = self._busy.since[row, 0]
+            if since and now - since >= SUPERVISE_INTERVAL:
                 busy += 1
         return alive == 0 or busy >= alive
 
@@ -1193,7 +1200,7 @@ class ServingDaemon:
 
         Never silent queuing — a caller that would previously have sat
         in the listen backlog behind busy workers now gets a retryable
-        refusal within one supervise tick.  Health and status requests
+        refusal within two supervise ticks.  Health and status requests
         (wire ``ping``/``status``/``traces``/``stop``/``reload``, HTTP
         ``/healthz``, ``/v1/status``, ``/metrics``, ``/v1/traces``) are
         answered for real, so health checks and operators can still
@@ -1243,12 +1250,13 @@ class ServingDaemon:
             self._event("reload-refused", reason=str(error),
                         generation=self._state.generation)
             return
-        old_children = [
-            pid
-            for pid, generation in self._children.items()
-            if generation == self._state.generation
-        ]
+        old_children = [pid for pid, (generation, _) in self._children.items()
+                        if generation == self._state.generation]
         self._state = state  # new forks serve it
+        # The new generation is forked whole: respawns held back by a
+        # crash-loop backoff of the old one are dropped.
+        self._pending_respawns = 0
+        self._robustness.degraded = False
         # A new model invalidates the old telemetry baselines: fresh
         # drift counters and a fresh span ring, created before the new
         # generation forks so its workers share them.  Old-gen workers
@@ -1256,7 +1264,7 @@ class ServingDaemon:
         # batches and spans age out with them.  Request counts span
         # generations and are never replaced.
         self._drift = self._make_drift(state)
-        self._spans = SpanLog(capacity=self._spans.capacity)
+        self._spans = SpanLog(capacity=self._spans.capacity, rows=self._rows)
         for _ in range(self.workers):
             self._spawn_worker(state.generation)
         for pid in old_children:

@@ -27,9 +27,9 @@ loop with the hot-reload gate.
 
 The three daemon accumulators each keep their state in one
 :class:`~repro.obs.shared.SharedBlock` created before the daemon forks
-its workers, so every process bumps the same slots: ``serve status``
-and ``GET /metrics`` report the whole daemon whichever process answers,
-and no count resets when a worker dies.
+its workers, one row per process, and snapshots sum the rows: ``serve
+status`` and ``GET /metrics`` report the whole daemon whichever process
+answers, and no count resets when a worker dies.
 """
 
 from __future__ import annotations
@@ -59,6 +59,12 @@ BUCKET_BOUNDS_MS: tuple[float, ...] = (
     0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0,
     200.0, 500.0, 1000.0, 2000.0, 5000.0, 10000.0,
 )
+
+
+def _over_rows(view, reduce=sum) -> list:
+    """A shared ``(rows, length)`` field's columns, each summed (or
+    ``reduce``-d) over the rows."""
+    return [reduce(column) for column in zip(*view.tolist())]
 
 
 def _bucket(bounds: tuple[float, ...], ms: float) -> int:
@@ -192,13 +198,13 @@ class LatencyHistogram:
 class RobustnessCounters:
     """Fault-tolerance event counters shared across a process tree.
 
-    Create **before** forking workers; every process that inherits the
-    instance bumps the same slots of one shared block under its one
-    lock, so bumps from parent and workers never lose updates.  The
-    ``robustness`` block of ``serve status`` is :meth:`snapshot`, which
-    therefore reports fleet totals no matter which worker answers.
-    :attr:`degraded` is the crash-loop flag the parent raises while it
-    backs off respawns, which any answering process must report.
+    Create **before** forking workers, with a row per writing process;
+    each bumps its own row and :meth:`snapshot` — the ``robustness``
+    block of ``serve status`` — sums the rows, so it reports fleet
+    totals no matter which worker answers.  :attr:`degraded` is the
+    crash-loop flag the parent raises while it backs off respawns,
+    which any answering process must report; the parent alone writes
+    it and the last crash stamp, read as the maximum over rows.
     """
 
     #: Monotonic event counts, in snapshot order.
@@ -209,36 +215,31 @@ class RobustnessCounters:
         "worker_respawns",      # workers re-forked after a death
     )
 
-    def __init__(self) -> None:
+    def __init__(self, rows: int = 1) -> None:
         self._slot = {field: i for i, field in enumerate(self.COUNT_FIELDS)}
         self._shared = SharedBlock(
-            counts=("q", len(self.COUNT_FIELDS)),
+            rows, counts=("q", len(self.COUNT_FIELDS)),
             last_crash=("d", 1),
             degraded=("q", 1),
         )
 
     def bump(self, field: str, by: int = 1) -> None:
-        """Atomically add ``by`` to one of :data:`COUNT_FIELDS`."""
-        slot = self._slot[field]
-        with self._shared.lock:
-            self._shared.counts[slot] += by
+        """Add ``by`` to one of :data:`COUNT_FIELDS` in this process's row."""
+        self._shared.counts[SharedBlock.row, self._slot[field]] += by
 
     def mark_crash(self, when: float | None = None) -> None:
         """Record the wall time of the most recent worker death."""
         stamp = time.time() if when is None else when
-        with self._shared.lock:
-            self._shared.last_crash[0] = stamp
+        self._shared.last_crash[SharedBlock.row, 0] = stamp
 
     @property
     def degraded(self) -> bool:
         """True while crash-loop containment is backing off respawns."""
-        with self._shared.lock:
-            return bool(self._shared.degraded[0])
+        return bool(_over_rows(self._shared.degraded, max)[0])
 
     @degraded.setter
     def degraded(self, value: bool) -> None:
-        with self._shared.lock:
-            self._shared.degraded[0] = int(value)
+        self._shared.degraded[SharedBlock.row, 0] = int(value)
 
     def snapshot(self) -> dict:
         """JSON-ready fleet view (``last_crash_at`` None until a death).
@@ -248,9 +249,8 @@ class RobustnessCounters:
         dashboards can alert on "a crash in the last N minutes" without
         doing clock arithmetic against the scrape time.
         """
-        with self._shared.lock:
-            counts = self._shared.counts.tolist()
-            crash = self._shared.last_crash[0]
+        counts = _over_rows(self._shared.counts)
+        (crash,) = _over_rows(self._shared.last_crash, max)
         view: dict = dict(zip(self.COUNT_FIELDS, counts))
         view["last_crash_at"] = crash if crash else None
         view["last_crash_age_seconds"] = (
@@ -273,8 +273,8 @@ DRIFT_SCORE_BOUNDS: tuple[float, ...] = (
 #: baseline; every later completed window becomes the comparison side.
 DEFAULT_DRIFT_WINDOW_ROWS = 5000
 
-#: Bank indexes into the shared drift arrays.
-_DRIFT_BASELINE, _DRIFT_WINDOW, _DRIFT_CURRENT = 0, 1, 2
+#: Bank rows, after the writers'; the mark is their totals at the last roll.
+_DRIFT_BASELINE, _DRIFT_WINDOW, _DRIFT_MARK = -3, -2, -1
 
 
 class DriftCounters:
@@ -282,14 +282,15 @@ class DriftCounters:
     across a daemon's process tree.
 
     Create **before** forking workers (like
-    :class:`RobustnessCounters`); every worker then accumulates into
-    the same shared block, so the parent's status block reports fleet
-    traffic no matter which process scored it.
+    :class:`RobustnessCounters`); every worker then adds to its own
+    cumulative row of one shared block, so the parent's status block
+    reports fleet traffic no matter which process scored it.
 
-    The model: traffic fills a *current* window of
-    ``window_rows`` scored URLs.  The first window to complete freezes
-    as the **baseline**; each later completed window becomes the
-    **window** bank (the most recent full window).  :meth:`snapshot`
+    The model: traffic fills a *current* window; :meth:`roll`, called
+    by one process only (the daemon's supervisor, on each pass), closes
+    it once it holds at least ``window_rows`` scored URLs.  The first
+    window to close freezes as the **baseline**; each later one becomes
+    the **window** bank (the most recent full window).  :meth:`snapshot`
     compares the two per language — decision-rate delta and an L1
     distance between normalised score histograms — so "the fraction of
     traffic classified as German doubled since this model was rolled
@@ -304,7 +305,8 @@ class DriftCounters:
         ``value`` (the ISO code), anything else its string form."""
         return str(getattr(language, "value", language))
 
-    def __init__(self, languages, window_rows: int = DEFAULT_DRIFT_WINDOW_ROWS) -> None:
+    def __init__(self, languages, window_rows: int = DEFAULT_DRIFT_WINDOW_ROWS,
+                 rows: int = 1) -> None:
         self.languages = tuple(self._code(language) for language in languages)
         if not self.languages:
             raise ValueError("at least one language is required")
@@ -315,29 +317,25 @@ class DriftCounters:
         n = len(self.languages)
         b = len(DRIFT_SCORE_BOUNDS) + 1
         self._n, self._b = n, b
-        # One int64 row per bank: its row count, then positive decisions
-        # per language, then score-bucket counts per language, so a
-        # batch lands as one row addition and a roll is one row copy.
-        width = 1 + n + n * b
-        shared = SharedBlock(
-            counts=("q", 3 * width), sums=("d", 3 * n), windows=("q", 1)
-        )
-        self._lock = shared.lock
-        self._counts = np.frombuffer(shared.counts, np.int64).reshape(3, -1)
-        self._sums = np.frombuffer(shared.sums, np.float64).reshape(3, -1)
-        self._windows_completed = shared.windows
+        # One int64 row per writer, then one per bank: its row count,
+        # then positive decisions per language, then score-bucket counts
+        # per language, so a batch lands as one row addition.
+        shared = SharedBlock(rows + 3, counts=("q", 1 + n + n * b),
+                             sums=("d", n), windows=("q", 1))
+        self._writers = rows
+        self._counts = np.asarray(shared.counts)
+        self._sums = np.asarray(shared.sums)
+        self._windows = np.asarray(shared.windows)
 
     def observe(self, scores) -> None:
-        """Fold one scored batch into the current window.
+        """Add one scored batch to this process's row.
 
         ``scores`` maps a language code or
         :class:`~repro.languages.Language` to its per-URL scores: the
         lists ``scores_many`` returns, or the columns of a
         :class:`~repro.api.BatchResult` matrix, as the daemon passes
         them.  Unknown languages are ignored, so a caller can feed a
-        superset without pre-filtering.  The batch is reduced to one
-        delta row before the lock is taken: one acquisition per *batch*,
-        far off the per-URL hot path.
+        superset without pre-filtering.
         """
         indexes: list[int] = []
         lists: list = []
@@ -354,31 +352,31 @@ class DriftCounters:
             return
         n, b = self._n, self._b
         at = np.asarray(indexes)
-        counts = np.zeros(1 + n + n * b, dtype=np.int64)
-        counts[0] = rows
-        counts[1 + at] = (matrix > 0.0).sum(axis=1)
+        counts = self._counts[SharedBlock.row]
+        counts[0] += rows
+        counts[1 + at] += (matrix > 0.0).sum(axis=1)
         buckets = np.searchsorted(DRIFT_SCORE_BOUNDS, matrix, side="left")
-        counts[1 + n:] = np.bincount(
+        counts[1 + n:] += np.bincount(
             (buckets + (at * b)[:, None]).ravel(), minlength=n * b
         )
-        sums = np.zeros(n)
-        sums[at] = matrix.sum(axis=1)
-        with self._lock:
-            self._counts[_DRIFT_CURRENT] += counts
-            self._sums[_DRIFT_CURRENT] += sums
-            if self._counts[_DRIFT_CURRENT, 0] >= self.window_rows:
-                self._roll_locked()
+        self._sums[SharedBlock.row, at] += matrix.sum(axis=1)
 
-    def _roll_locked(self) -> None:
-        """Complete the current window (caller holds the lock)."""
+    def roll(self) -> None:
+        """Close the current window once it holds ``window_rows`` rows
+        (or more, if late).  The banks' one writer: call from one
+        process only."""
+        counts = self._counts[:self._writers].sum(axis=0)
+        if counts[0] - self._counts[_DRIFT_MARK, 0] < self.window_rows:
+            return
+        sums = self._sums[:self._writers].sum(axis=0)
         banks = [_DRIFT_WINDOW]
         if self._counts[_DRIFT_BASELINE, 0] == 0:
             banks.append(_DRIFT_BASELINE)
-        self._counts[banks] = self._counts[_DRIFT_CURRENT]
-        self._sums[banks] = self._sums[_DRIFT_CURRENT]
-        self._counts[_DRIFT_CURRENT] = 0
-        self._sums[_DRIFT_CURRENT] = 0.0
-        self._windows_completed[0] += 1
+        self._counts[banks] = counts - self._counts[_DRIFT_MARK]
+        self._sums[banks] = sums - self._sums[_DRIFT_MARK]
+        self._counts[_DRIFT_MARK] = counts
+        self._sums[_DRIFT_MARK] = sums
+        self._windows[_DRIFT_MARK] += 1
 
     def _bank_view(self, counts: np.ndarray, sums: np.ndarray) -> dict:
         """One bank's JSON-ready view from its copied counts and sums."""
@@ -413,13 +411,18 @@ class DriftCounters:
         baseline and recent score histograms (0 = identical shapes,
         2 = disjoint).
         """
-        with self._lock:
-            counts = self._counts.copy()
-            sums = self._sums.copy()
-            windows_completed = self._windows_completed[0]
-        baseline, window, current = (
+        # The mark before the writers' rows: the current window (totals
+        # that only grow, minus a mark summed from them) is never negative.
+        windows_completed = int(self._windows[_DRIFT_MARK, 0])
+        counts = self._counts[self._writers:].copy()
+        sums = self._sums[self._writers:].copy()
+        baseline, window = (
             self._bank_view(counts[bank], sums[bank])
-            for bank in (_DRIFT_BASELINE, _DRIFT_WINDOW, _DRIFT_CURRENT)
+            for bank in (_DRIFT_BASELINE, _DRIFT_WINDOW)
+        )
+        current = self._bank_view(
+            self._counts[:self._writers].sum(axis=0) - counts[_DRIFT_MARK],
+            self._sums[:self._writers].sum(axis=0) - sums[_DRIFT_MARK],
         )
         recent, recent_name = (
             (window, "window") if windows_completed > 1 else
@@ -473,11 +476,12 @@ class RequestMetrics:
     """Request accounting for a whole daemon: counts by op and
     transport, errors, latency.
 
-    Create once, **before** forking workers: every process bumps the
-    same slots of one shared block, so :meth:`snapshot` — the
-    ``requests`` block of ``serve status`` — covers every request the
-    daemon answered since it started, whichever process answers, and
-    no count resets when a worker dies or a generation reloads.
+    Create once, **before** forking workers, with a row for every
+    process that answers: each adds to its own row of one shared block
+    and :meth:`snapshot` — the ``requests`` block of ``serve status`` —
+    sums the rows, so it covers every request the daemon answered since
+    it started, whichever process answers, and no count resets when a
+    worker dies or a generation reloads.
     :meth:`observe` wraps one dispatched request.  Op labels are
     bounded: :data:`OPS` are counted by name and any other op under
     ``invalid``, so clients cannot mint new series.
@@ -491,14 +495,14 @@ class RequestMetrics:
     #: The listeners a request can arrive on.
     TRANSPORTS = ("unix", "tcp", "http")
 
-    def __init__(self) -> None:
+    def __init__(self, rows: int = 1) -> None:
         self.started_at = time.time()
         self._op_slot = {op: i for i, op in enumerate(self.OPS)}
         self._transport_slot = {
             transport: i for i, transport in enumerate(self.TRANSPORTS)
         }
         self._shared = SharedBlock(
-            ops=("q", len(self.OPS)),
+            rows, ops=("q", len(self.OPS)),
             transports=("q", len(self.TRANSPORTS)),
             errors=("q", 1),
             latency=("q", len(BUCKET_BOUNDS_MS) + 1),
@@ -519,15 +523,14 @@ class RequestMetrics:
         )
         ms = seconds * 1000.0
         bucket = _bucket(BUCKET_BOUNDS_MS, ms)
-        shared = self._shared
-        with shared.lock:
-            shared.ops[op_slot] += 1
-            if transport_slot is not None:
-                shared.transports[transport_slot] += 1
-            if not ok:
-                shared.errors[0] += 1
-            shared.latency[bucket] += 1
-            shared.latency_ms[0] += ms
+        shared, row = self._shared, SharedBlock.row
+        shared.ops[row, op_slot] += 1
+        if transport_slot is not None:
+            shared.transports[row, transport_slot] += 1
+        if not ok:
+            shared.errors[row, 0] += 1
+        shared.latency[row, bucket] += 1
+        shared.latency_ms[row, 0] += ms
 
     @staticmethod
     def _nonzero(names: tuple[str, ...], counts: list[int]) -> dict:
@@ -536,12 +539,11 @@ class RequestMetrics:
     def snapshot(self) -> dict:
         """JSON-ready view for status blocks and progress reporting."""
         shared = self._shared
-        with shared.lock:
-            ops = shared.ops.tolist()
-            transports = shared.transports.tolist()
-            errors = shared.errors[0]
-            counts = shared.latency.tolist()
-            total_ms = shared.latency_ms[0]
+        ops = _over_rows(shared.ops)
+        transports = _over_rows(shared.transports)
+        (errors,) = _over_rows(shared.errors)
+        (total_ms,) = _over_rows(shared.latency_ms)
+        counts = _over_rows(shared.latency)
         return {
             "total": sum(ops),
             "errors": errors,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 
+from repro.obs.shared import SharedBlock
 from repro.obs.trace import (
     SpanLog,
     TraceContext,
@@ -73,6 +74,7 @@ class TestStageCapture:
 
 
 def _append_spans(log: SpanLog, worker: int, count: int) -> None:
+    SharedBlock.row = worker  # what the daemon does in a forked worker
     for sequence in range(count):
         log.append({"worker": worker, "n": sequence})
 
@@ -108,8 +110,8 @@ class TestSpanLog:
         assert "stages" not in span
         assert not log.append({"blob": "y" * 200})
 
-    def test_forked_workers_share_one_ring(self):
-        log = SpanLog(capacity=64)
+    def test_forked_workers_share_one_log(self):
+        log = SpanLog(capacity=64, rows=4)
         workers = [
             multiprocessing.Process(
                 target=_append_spans, args=(log, worker, 8)
@@ -130,3 +132,16 @@ class TestSpanLog:
         assert set(by_worker) == {0, 1, 2, 3}
         for sequence in by_worker.values():
             assert sequence == sorted(sequence)
+
+    def test_rings_merge_by_timestamp_and_keep_the_newest(self):
+        log = SpanLog(capacity=4, rows=3)
+        try:
+            for n in range(9):  # interleave three writers' rows
+                SharedBlock.row = n % 3
+                log.append({"ts": float(n), "n": n})
+        finally:
+            SharedBlock.row = 0
+        assert log.recorded == 9 and len(log) == 4
+        assert [span["n"] for span in log.snapshot()] == [5, 6, 7, 8]
+        assert [span["n"] for span in log.snapshot(limit=2)] == [7, 8]
+        assert log.snapshot(limit=0) == []

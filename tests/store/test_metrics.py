@@ -4,9 +4,16 @@ status`` and the bulk engine's progress reporting."""
 from __future__ import annotations
 
 import multiprocessing
+import os
+import random
+import signal
+import threading
+import time
 
 import pytest
 
+from repro.obs.shared import SharedBlock
+from repro.obs.trace import SpanLog
 from repro.store.metrics import (
     BUCKET_BOUNDS_MS,
     DRIFT_SCORE_BOUNDS,
@@ -130,14 +137,14 @@ class TestRequestMetrics:
         )
 
     def test_forked_workers_accumulate_into_one_block(self):
-        # More workers than cores, each observing without pause: a lost
-        # update anywhere would break the exact totals.
-        metrics = RequestMetrics()
+        # More workers than cores, each observing without pause into
+        # its own row: a lost update anywhere would break the totals.
+        metrics = RequestMetrics(rows=7)
         workers = [
             multiprocessing.Process(
-                target=_observe_requests, args=(metrics, 500)
+                target=_observe_requests, args=(metrics, row, 500)
             )
-            for _ in range(6)
+            for row in range(1, 7)
         ]
         for process in workers:
             process.start()
@@ -151,13 +158,16 @@ class TestRequestMetrics:
         assert snapshot["latency_ms"]["count"] == 6 * 1000
 
 
-def _observe_requests(metrics: RequestMetrics, count: int) -> None:
+def _observe_requests(metrics: RequestMetrics, row: int, count: int) -> None:
+    SharedBlock.row = row  # what the daemon does in a forked worker
     for _ in range(count):
         metrics.observe("classify", 0.002, transport="unix")
         metrics.observe("ping", 0.0001, ok=False, transport="tcp")
 
 
-def _bump_robustness(counters: RobustnessCounters, count: int) -> None:
+def _bump_robustness(counters: RobustnessCounters, row: int,
+                     count: int) -> None:
+    SharedBlock.row = row
     for _ in range(count):
         counters.bump("overload_rejections")
         counters.bump("retries_observed", by=2)
@@ -190,12 +200,12 @@ class TestRobustnessCrashAge:
 
 class TestRobustnessSharing:
     def test_forked_workers_accumulate_into_one_block(self):
-        counters = RobustnessCounters()
+        counters = RobustnessCounters(rows=7)
         workers = [
             multiprocessing.Process(
-                target=_bump_robustness, args=(counters, 500)
+                target=_bump_robustness, args=(counters, row, 500)
             )
-            for _ in range(6)
+            for row in range(1, 7)
         ]
         for process in workers:
             process.start()
@@ -222,7 +232,9 @@ class TestRobustnessSharing:
         assert "degraded" not in counters.snapshot()  # status shape kept
 
 
-def _drift_observe_batches(drift: DriftCounters, batches: int) -> None:
+def _drift_observe_batches(drift: DriftCounters, row: int,
+                           batches: int) -> None:
+    SharedBlock.row = row
     for _ in range(batches):
         drift.observe({"en": [1.0, -2.0], "de": [-1.0, 3.0]})
 
@@ -253,7 +265,8 @@ class TestDriftCounters:
 
     def test_first_window_freezes_the_baseline(self):
         drift = DriftCounters(["en"], window_rows=4)
-        drift.observe({"en": [1.0, 1.0, -1.0, -1.0]})  # completes window 1
+        drift.observe({"en": [1.0, 1.0, -1.0, -1.0]})  # fills window 1
+        drift.roll()
         snapshot = drift.snapshot()
         assert snapshot["windows_completed"] == 1
         assert snapshot["baseline"]["rows"] == 4
@@ -265,7 +278,9 @@ class TestDriftCounters:
     def test_later_windows_compare_against_frozen_baseline(self):
         drift = DriftCounters(["en"], window_rows=4)
         drift.observe({"en": [1.0, 1.0, -1.0, -1.0]})  # baseline: 50%
+        drift.roll()
         drift.observe({"en": [1.0, 1.0, 1.0, 1.0]})  # window 2: 100%
+        drift.roll()
         snapshot = drift.snapshot()
         assert snapshot["windows_completed"] == 2
         assert snapshot["recent_bank"] == "window"
@@ -286,12 +301,12 @@ class TestDriftCounters:
         assert sum(counts) == 3
 
     def test_forked_workers_accumulate_into_shared_banks(self):
-        drift = DriftCounters(["en", "de"], window_rows=10_000)
+        drift = DriftCounters(["en", "de"], window_rows=10_000, rows=5)
         workers = [
             multiprocessing.Process(
-                target=_drift_observe_batches, args=(drift, 25)
+                target=_drift_observe_batches, args=(drift, row, 25)
             )
-            for _ in range(4)
+            for row in range(1, 5)
         ]
         for process in workers:
             process.start()
@@ -303,20 +318,25 @@ class TestDriftCounters:
         assert current["decisions"] == {"en": 100, "de": 100}
 
     def test_window_roll_is_exact_under_fork_concurrency(self):
-        # Rolls triggered by whichever worker crosses the boundary must
-        # never lose rows: banks always account for every observation.
-        drift = DriftCounters(["en"], window_rows=20)
+        # Rolls by one process while the writers run must never lose
+        # rows: banks always account for every observation.
+        drift = DriftCounters(["en"], window_rows=20, rows=4)
         workers = [
             multiprocessing.Process(
-                target=_drift_observe_batches, args=(drift, 30)
+                target=_drift_observe_batches, args=(drift, row, 30)
             )
-            for _ in range(3)
+            for row in range(1, 4)
         ]
         for process in workers:
             process.start()
+        deadline = time.monotonic() + 60
+        while any(process.is_alive() for process in workers):
+            assert time.monotonic() < deadline, "a writer never finished"
+            drift.roll()
         for process in workers:
-            process.join()
+            process.join(timeout=10)
             assert process.exitcode == 0
+        drift.roll()
         snapshot = drift.snapshot()
         # 3 workers x 30 batches x 2 rows = 180 rows total; windows of
         # >= 20 rows (a batch can overshoot the boundary) plus the
@@ -324,9 +344,83 @@ class TestDriftCounters:
         rolled = snapshot["windows_completed"]
         assert rolled >= 1
         assert snapshot["baseline"]["rows"] >= 20
+        assert snapshot["current"]["rows"] < 20  # the last roll closed it
+        if rolled == 1:
+            rows = snapshot["baseline"]["rows"] + snapshot["current"]["rows"]
+            assert rows == 180
+
+    def test_window_closes_only_when_rolled_and_keeps_its_overshoot(self):
+        drift = DriftCounters(["en"], window_rows=4)
+        drift.observe({"en": [1.0] * 3})
+        drift.roll()  # 3 < 4 rows: the window stays open
+        assert drift.snapshot()["windows_completed"] == 0
+        drift.observe({"en": [-1.0] * 3})
+        snapshot = drift.snapshot()
+        assert snapshot["windows_completed"] == 0  # observe never rolls
+        assert snapshot["current"]["rows"] == 6
+        drift.roll()
+        snapshot = drift.snapshot()
+        assert snapshot["windows_completed"] == 1
+        assert snapshot["baseline"]["rows"] == 6  # at least window_rows
+        assert snapshot["baseline"]["decision_rate"]["en"] == 0.5
+        assert snapshot["current"]["rows"] == 0
+        drift.roll()  # an empty window is not closed
+        assert drift.snapshot()["windows_completed"] == 1
 
     def test_validates_construction(self):
         with pytest.raises(ValueError):
             DriftCounters([])
         with pytest.raises(ValueError):
             DriftCounters(["en"], window_rows=0)
+
+
+def _write_until_killed(metrics, counters, spans) -> None:
+    while True:
+        metrics.observe("classify", 0.001, transport="unix")
+        counters.bump("retries_observed")
+        spans.append({"ts": time.time(), "pid": os.getpid()})
+
+
+class TestKilledWriters:
+    def test_a_writer_killed_mid_write_never_stalls_a_survivor(self):
+        """A process SIGKILLed at any instant of a write (the chaos
+        tests kill daemon workers mid-request) must leave nothing that
+        blocks the next write or scrape in any other process.  The
+        survivor runs in a thread so a stall fails the test instead of
+        hanging it.  Writer and survivor take turns on row 0, as a
+        respawned worker takes its dead predecessor's row."""
+        metrics, counters = RequestMetrics(), RobustnessCounters()
+        spans = SpanLog(capacity=8)
+        rng = random.Random(3)
+        for kill in range(100):
+            writer = multiprocessing.Process(
+                target=_write_until_killed, args=(metrics, counters, spans)
+            )
+            before = spans.recorded
+            writer.start()
+            deadline = time.monotonic() + 10
+            while spans.recorded == before:  # wait for it to be writing
+                assert time.monotonic() < deadline, "writer never wrote"
+                time.sleep(0.001)
+            time.sleep(rng.uniform(0, 0.003))
+            os.kill(writer.pid, signal.SIGKILL)
+            writer.join(timeout=10)
+            assert writer.exitcode == -signal.SIGKILL
+            seen: dict = {}
+            survived = threading.Event()
+
+            def survive() -> None:
+                before = metrics.snapshot()["total"]
+                metrics.observe("ping", 0.001, transport="tcp")
+                counters.bump("overload_rejections")
+                spans.append({"ts": time.time(), "pid": os.getpid()})
+                seen["added"] = metrics.snapshot()["total"] - before
+                seen["rejections"] = counters.snapshot()["overload_rejections"]
+                seen["spans"] = len(spans.snapshot())
+                survived.set()
+
+            threading.Thread(target=survive, daemon=True).start()
+            assert survived.wait(2.0), f"survivor stalled after kill {kill}"
+            assert seen["added"] == 1
+            assert seen["rejections"] == kill + 1
+            assert seen["spans"] == 8

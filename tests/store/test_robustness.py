@@ -17,11 +17,15 @@ Three layers of test, cheapest first:
 from __future__ import annotations
 
 import asyncio
+import json
 import os
+import random
 import signal
 import socket
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -40,6 +44,7 @@ from repro.store.daemon import (
     DaemonNotRunningError,
     DaemonStartupError,
     DaemonStopTimeout,
+    read_pid,
     signal_daemon,
     start_daemon,
     stop_daemon,
@@ -834,5 +839,173 @@ class TestChaos:
                     client.decisions(urls)
             assert caught.value.code == "bad-request"
             assert "split the batch" in str(caught.value)
+        finally:
+            stop_daemon(socket_path)
+
+
+@pytest.fixture(scope="module")
+def second_model(small_train):
+    """Another fit, with its own checksum, for a daemon to reload to."""
+    return LanguageIdentifier("words", "NB", seed=0).fit(
+        small_train.subsample(0.3, seed=8)
+    )
+
+
+def _children_of(pid: int) -> list[int]:
+    """The live child pids of ``pid``: a daemon supervisor's workers."""
+    with open(f"/proc/{pid}/task/{pid}/children") as handle:
+        return [int(child) for child in handle.read().split()]
+
+
+def _reload_to(socket_path, identifier, model_path, generation: int) -> dict:
+    """Save ``identifier`` over the served artifact, ask for a reload,
+    and poll until a worker of ``generation`` answers."""
+    save_identifier(identifier, model_path)
+    with DaemonClient(socket_path, retry=FAST) as client:
+        client.reload()
+    deadline = time.time() + 15
+    while True:
+        with DaemonClient(socket_path, retry=FAST) as client:
+            status = client.status()
+        if status["generation"] == generation:
+            return status
+        assert time.time() < deadline, f"generation {generation} never came"
+        time.sleep(0.05)
+
+
+class TestOneWriterPerRow:
+    """Every process writes only its own row of the fork-shared blocks,
+    so a worker killed mid-write leaves nothing held, and the rows a
+    reload's handover needs are always there."""
+
+    def test_sigkills_and_reloads_never_stall_a_scrape(
+        self, served_model, second_model, tmp_path, monkeypatch, sockpath
+    ):
+        first = served_model[1]
+        model_path = tmp_path / "chaos.urlmodel"
+        save_identifier(first, model_path)
+        socket_path = sockpath("rows.sock")
+        # Every death respawns at once: this test is about the shared
+        # state, not about crash-loop backoff.
+        monkeypatch.setenv("REPRO_SERVE_CRASH_THRESHOLD", "1000")
+        start_daemon(model_path, socket_path, workers=2)
+        supervisor = read_pid(socket_path)
+        stop = threading.Event()
+
+        def ping_loop() -> None:
+            while not stop.is_set():
+                try:
+                    with DaemonClient(socket_path, retry=FAST) as client:
+                        while not stop.is_set():
+                            client.ping()
+                except (DaemonUnavailableError, DaemonRequestError):
+                    pass  # its worker was killed under it
+
+        def scrape() -> dict:
+            started = time.monotonic()
+            with DaemonClient(socket_path, timeout=5, retry=FAST) as client:
+                status = client.status()
+            assert time.monotonic() - started < 5, "a scrape stalled"
+            return status
+
+        pinger = threading.Thread(target=ping_loop)
+        pinger.start()
+        rng = random.Random(5)
+        try:
+            total, generation = 0, 1
+            for kill in range(30):
+                deadline = time.time() + 15
+                while not (victims := _children_of(supervisor)):
+                    assert time.time() < deadline, "no worker came back"
+                    time.sleep(0.01)  # its respawn is still forking
+                try:
+                    os.kill(rng.choice(victims), signal.SIGKILL)
+                except ProcessLookupError:
+                    pass  # a draining worker exited first
+                time.sleep(0.1)
+                status = scrape()
+                assert status["requests"]["total"] >= total, kill
+                total = status["requests"]["total"]
+                if kill % 10 == 9:
+                    generation += 1
+                    model = (second_model, first)[generation % 2]
+                    status = _reload_to(
+                        socket_path, model, model_path, generation
+                    )
+                    assert status["requests"]["total"] >= total
+            deadline = time.time() + 15
+            while len(_children_of(supervisor)) != 2:
+                assert time.time() < deadline, _children_of(supervisor)
+                time.sleep(0.1)
+            assert scrape()["robustness"]["worker_respawns"] >= 1
+        finally:
+            stop.set()
+            pinger.join(timeout=30)
+            stop_daemon(socket_path)
+        assert not pinger.is_alive()
+
+    def test_reload_during_crash_backoff_forks_one_generation(
+        self, served_model, second_model, test_urls, tmp_path, monkeypatch,
+        sockpath,
+    ):
+        """A reload sent while both workers' respawns wait out a
+        crash-loop backoff forks the new generation once: the held-back
+        respawns are dropped, not forked on top of it, and the next
+        reload still lands."""
+        first = served_model[1]
+        model_path = tmp_path / "backoff.urlmodel"
+        save_identifier(first, model_path)
+        socket_path = sockpath("backoff.sock")
+        arm_faults(monkeypatch, tmp_path, "worker-kill:op=classify,times=2")
+        monkeypatch.setenv("REPRO_SERVE_CRASH_THRESHOLD", "1")
+        monkeypatch.setenv("REPRO_SERVE_BACKOFF_INITIAL", "3")
+        monkeypatch.setenv("REPRO_SERVE_BACKOFF_MAX", "3")
+        start_daemon(model_path, socket_path, workers=2)
+        supervisor = read_pid(socket_path)
+        no_retry = RetryPolicy(retries=0, backoff=0.01)
+        try:
+            deadline = time.time() + 30
+            while not (tmp_path / "fault-state" / "worker-kill.2").exists():
+                assert time.time() < deadline, "the kills never fired"
+                try:
+                    with DaemonClient(socket_path, retry=no_retry) as client:
+                        client.classify(test_urls[:2])
+                except (DaemonUnavailableError, DaemonRequestError):
+                    pass  # the injected kill, or `overloaded` meanwhile
+            status = _reload_to(socket_path, second_model, model_path, 2)
+            assert status["state"] == "ok"
+            time.sleep(3.5)  # past the backoff the respawns waited for
+            assert len(_children_of(supervisor)) == 2
+            _reload_to(socket_path, first, model_path, 3)
+        finally:
+            stop_daemon(socket_path)
+
+    def test_back_to_back_requests_to_an_idle_worker_are_not_shed(
+        self, served_model, test_urls, sockpath
+    ):
+        """A caller that closes one connection and at once opens the
+        next reaches the lone worker: a worker still closing the first
+        connection is not occupied, so the parent does not answer the
+        second with 503 `overloaded`."""
+        model_path, _ = served_model
+        socket_path = sockpath("idle.sock")
+        start_daemon(model_path, socket_path, workers=1, http_port=0)
+        try:
+            with DaemonClient(socket_path) as client:
+                port = client.status()["http_port"]
+            body = json.dumps({"urls": test_urls[:2]}).encode()
+            for round_ in range(500):
+                with DaemonClient(socket_path) as client:
+                    client.status()
+                request = urllib.request.Request(
+                    f"http://127.0.0.1:{port}/v1/classify", data=body,
+                    headers={"Content-Type": "application/json"},
+                    method="POST",
+                )
+                try:
+                    with urllib.request.urlopen(request, timeout=30) as reply:
+                        assert json.loads(reply.read())["ok"]
+                except urllib.error.HTTPError as error:
+                    pytest.fail(f"round {round_}: HTTP {error.code}")
         finally:
             stop_daemon(socket_path)
