@@ -94,17 +94,28 @@ class Prediction:
         return f"{best}\t{positives or '-'}\t{self.url}"
 
 
+def _best_columns(matrix: NDArray[np.float64]) -> NDArray[np.intp]:
+    """Each row's best column: the row's first maximum, or -1 when that
+    maximum is not positive.  The one tie rule: ``argmax`` returns the
+    first maximum, so ties go to the model's earliest language."""
+    return np.where(matrix.max(axis=1) > 0.0, matrix.argmax(axis=1), -1)
+
+
+def _positive_masks(matrix: NDArray[np.float64]) -> NDArray[np.uint8]:
+    """Each row's decisions as a bitmask: bit ``j`` is set when column
+    ``j`` scored above zero (one byte holds the five languages)."""
+    return np.packbits(matrix > 0.0, axis=1, bitorder="little")[:, 0]
+
+
 def argmax_labels(
     matrix: NDArray[np.float64], languages: Sequence[Language]
 ) -> tuple[Optional[Language], ...]:
     """Each row's best label: the language (a column of ``matrix``,
-    named by ``languages``) of the row's first maximum, or ``None`` when
-    that maximum is not positive.  The one tie rule: ``argmax`` returns
-    the first maximum, so ties go to the model's earliest language.
+    named by ``languages``) of :func:`_best_columns`, or ``None`` when
+    the row's maximum is not positive.
     """
-    columns = np.where(matrix.max(axis=1) > 0.0, matrix.argmax(axis=1), -1)
     labels = (*languages, None)  # column -1 is "no language"
-    return tuple(labels[column] for column in columns.tolist())
+    return tuple(labels[column] for column in _best_columns(matrix).tolist())
 
 
 @cache
@@ -161,10 +172,9 @@ class BatchResult:
     @cached_property
     def positives(self) -> tuple[tuple[Language, ...], ...]:
         table = _positives_table(self.model.languages)
-        # Bit j of a row's mask is column j's decision: one byte holds
-        # the five languages.
-        masks = np.packbits(self.matrix > 0.0, axis=1, bitorder="little")
-        return tuple(table[mask] for mask in masks[:, 0].tolist())
+        return tuple(
+            table[mask] for mask in _positive_masks(self.matrix).tolist()
+        )
 
     @cached_property
     def _rows(self) -> tuple[Prediction, ...]:

@@ -56,6 +56,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.api.protocol import DEFAULT_CHUNK_SIZE, Predictor
+from repro.api.types import BatchResult
 from repro.bulk.checkpoint import (
     GROUP_COMMIT_SHARDS,
     MANIFEST_NAME,
@@ -245,30 +246,30 @@ def _predict_rows(
     shard_id: str,
     quarantine: bool,
     quarantined: list[dict],
-) -> list:
+) -> list[BatchResult]:
     """One predict pass over a chunk, degrading to per-row retry.
 
-    A whole-chunk failure (a poison URL crashing the backend, a
-    transient daemon error) is retried one URL at a time, so a single
-    bad row costs one row, not a shard: rows that fail again land in
-    ``quarantined`` with the error as the reason, every other row is
-    scored normally.  With quarantine off the original error
-    propagates — the strict, fail-the-run reading.
+    Returns the chunk's one result, or — when the whole chunk failed (a
+    poison URL crashing the backend, a transient daemon error) — one
+    single-row result per URL that scored on retry, so a single bad row
+    costs one row, not a shard: rows that fail again land in
+    ``quarantined`` with the error as the reason.  With quarantine off
+    the original error propagates — the strict, fail-the-run reading.
     """
     try:
         faults.maybe_raise(
             "predict-error", shard=shard_id, text=" ".join(chunk)
         )
-        return list(predictor.predict(chunk))
+        return [predictor.predict(chunk)]
     except Exception as error:
         if not quarantine:
             raise
         chunk_error = error
-    predictions: list = []
+    results: list[BatchResult] = []
     for url in chunk:
         try:
             faults.maybe_raise("predict-error", shard=shard_id, text=url)
-            predictions.extend(predictor.predict([url]))
+            results.append(predictor.predict([url]))
         except Exception as error:
             quarantined.append({
                 "shard": shard_id,
@@ -278,14 +279,17 @@ def _predict_rows(
                     f"chunk failure was: {chunk_error}"
                 ),
             })
-    return predictions
+    return results
 
 
 def _score_shard(task: dict) -> dict:
     """Score one shard with the worker's model; commit atomically.
 
     Rows stream: read a chunk, one ``predict`` pass (a single matmul
-    on compiled backends), format, hash, write.  The output file is
+    on compiled backends), then format and count the chunk's rows
+    straight from its score matrix (``format_batch`` and
+    ``observe_batch``; no per-row :class:`~repro.api.Prediction` is
+    built), hash, write.  The output file is
     born as ``<name>.part`` and renamed only after an fsync, so a
     SIGKILL can never leave a truncated file under the final name.
     In quarantine mode (the default) malformed input rows and rows
@@ -340,17 +344,17 @@ def _score_shard(task: dict) -> dict:
                 stream.write(data)
             for chunk in _chunks(rows_in(), chunk_size):
                 chunk_started = time.perf_counter()
-                batch = _predict_rows(
+                results = _predict_rows(
                     predictor, chunk, shard.shard_id, quarantine,
                     quarantined,
                 )
                 latency.observe(time.perf_counter() - chunk_started)
-                for prediction in batch:
-                    data = (sink.format(prediction) + "\n").encode("utf-8")
+                for result in results:
+                    data = sink.format_batch(result).encode("utf-8")
                     digest.update(data)
                     stream.write(data)
-                    summary.observe(prediction)
-                    rows += 1
+                    summary.observe_batch(result)
+                    rows += len(result)
             stream.flush()
             os.fsync(stream.fileno())
         if quarantined:
@@ -647,14 +651,6 @@ def run(
         for ordinal, shard_id in enumerate(manifest.order)
     }
     index_connection = None
-    if row_sink.indexes_results:
-        index_connection = create_result_db(output_dir / RESULT_DB_NAME)
-        with index_connection:
-            index_connection.execute(
-                "INSERT INTO meta(key, value) VALUES ('model', ?) "
-                "ON CONFLICT(key) DO UPDATE SET value=excluded.value",
-                (json.dumps(manifest.model, sort_keys=True),),
-            )
 
     def announce(result: dict) -> None:
         """Account for one committed shard; emit its event and line."""
@@ -733,6 +729,16 @@ def run(
             announce(result)
 
     try:
+        if row_sink.indexes_results:
+            # Inside the try: an index this build cannot use (an older
+            # schema) aborts the run with its remedy, logged as such.
+            index_connection = create_result_db(output_dir / RESULT_DB_NAME)
+            with index_connection:
+                index_connection.execute(
+                    "INSERT INTO meta(key, value) VALUES ('model', ?) "
+                    "ON CONFLICT(key) DO UPDATE SET value=excluded.value",
+                    (json.dumps(manifest.model, sort_keys=True),),
+                )
         if tasks:
             if workers <= 1 or stdin_run or len(tasks) == 1:
                 _initialize_worker(*initargs)

@@ -20,6 +20,15 @@ formats ship:
   checkpointed source of truth; the database is always rebuildable
   from them.
 
+The engine formats a whole chunk at once with :meth:`RowSink.format_batch`,
+straight from the chunk's ``(n, k)`` score matrix: the text of every
+best label and every positives mask is spelled once per language
+tuple, scores are written column by column with ``float.__repr__``
+(what ``json.dumps`` writes for a finite float), and per row only the
+URL is encoded.  :meth:`RowSink.format` formats one
+:class:`~repro.api.Prediction` as its own fields say, through the same
+row layout.
+
 :class:`SummaryAccumulator` is the rollup sink every run feeds: per-
 language decision counts, row totals, throughput — mergeable across
 shards and workers, landing in the run manifest and the CLI's closing
@@ -31,13 +40,23 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii
 from typing import ClassVar
 
-from repro.api.types import Prediction
+import numpy as np
+
+from repro.api.types import (
+    BatchResult,
+    Prediction,
+    _best_columns,
+    _positive_masks,
+    _positives_table,
+)
 from repro.bulk.errors import BulkError
-from repro.languages import LANGUAGES
+from repro.languages import LANGUAGES, Language
 
 __all__ = [
     "SINKS",
@@ -52,6 +71,52 @@ __all__ = [
 
 #: Language codes in stable (sorted) column order.
 _CODES = tuple(sorted(language.value for language in LANGUAGES))
+
+#: Compact JSON, as every JSONL field is written (one encoder, built
+#: once: ``json.dumps`` with any non-default argument builds one per call).
+_json = json.JSONEncoder(separators=(",", ":")).encode
+
+#: How ``json.dumps`` spells the floats that ``repr`` spells otherwise.
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _row_columns(result: BatchResult) -> tuple[list[int], list[int]]:
+    """Each row's best column (-1: no language) and positives bitmask."""
+    return (
+        _best_columns(result.matrix).tolist(),
+        _positive_masks(result.matrix).tolist(),
+    )
+
+
+def _score_texts(
+    matrix: np.ndarray, columns: Sequence[int], *, json_floats: bool = False
+) -> Iterator[tuple[str, ...]]:
+    """Each row's scores of ``columns``, in that order, as ``repr`` (or,
+    with ``json_floats``, ``json.dumps``) writes them."""
+    picked = matrix[:, columns]
+    texts = [list(map(float.__repr__, column)) for column in picked.T.tolist()]
+    if json_floats and not np.isfinite(picked).all():
+        texts = [
+            [_JSON_NONFINITE.get(text, text) for text in column]
+            for column in texts
+        ]
+    return zip(*texts)
+
+
+def _spellings(
+    languages: tuple[Language, ...], label, positives
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The text of every best column (index -1: no language) and of
+    every positives mask, spelled by ``label(code | None)`` and
+    ``positives(codes)``."""
+    return (
+        tuple(label(language.value) for language in languages)
+        + (label(None),),
+        tuple(
+            positives([language.value for language in subset])
+            for subset in _positives_table(languages)
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -81,6 +146,22 @@ class RowSink:
         """One output row (no trailing newline)."""
         raise NotImplementedError
 
+    def format_batch(self, result: BatchResult) -> str:
+        """Every row of ``result``, each ending in a newline: the bytes
+        :meth:`format` writes for each of its predictions."""
+        raise NotImplementedError
+
+
+@cache
+def _tsv_prefixes(languages: tuple[Language, ...]) -> tuple[tuple[str, ...], ...]:
+    """``prefixes[best][mask]``: :meth:`Prediction.tsv` of that best
+    column and positives mask, up to the URL that ends it."""
+    return tuple(
+        tuple(Prediction("", best, positives).tsv()
+              for positives in _positives_table(languages))
+        for best in (*languages, None)
+    )
+
 
 class TsvSink(RowSink):
     """``classify``-compatible TSV: ``best <TAB> positives <TAB> url``.
@@ -95,6 +176,29 @@ class TsvSink(RowSink):
     def format(self, prediction: Prediction) -> str:
         return prediction.tsv()
 
+    def format_batch(self, result: BatchResult) -> str:
+        prefixes = _tsv_prefixes(result.model.languages)
+        best, masks = _row_columns(result)
+        return "".join(
+            f"{prefixes[column][mask]}{url}\n"
+            for url, column, mask in zip(result.urls, best, masks)
+        )
+
+
+@cache
+def _jsonl_fields(
+    languages: tuple[Language, ...],
+) -> tuple[tuple[str, ...], tuple[str, ...], str, tuple[int, ...]]:
+    """The JSON of every best label and positives mask, the ``scores``
+    object template over the code-sorted columns, and those columns."""
+    labels, positives = _spellings(languages, _json, _json)
+    order = tuple(sorted(range(len(languages)),
+                         key=lambda j: languages[j].value))
+    template = "{%s}" % ",".join(
+        f'"{languages[j].value}":%s' for j in order
+    )
+    return labels, positives, template, order
+
 
 class JsonlSink(RowSink):
     """One JSON object per URL: decisions, scores, provenance.
@@ -105,23 +209,58 @@ class JsonlSink(RowSink):
 
     suffix = ".jsonl"
 
+    @cached_property
+    def _model(self) -> str:
+        """The row's provenance field (nothing without provenance)."""
+        if not self.provenance:
+            return ""
+        return f',"model":{encode_basestring_ascii(self.provenance)}'
+
+    def _line(self, url: str, best: str, positives: str, scores: str) -> str:
+        """One row from its JSON-encoded fields: the layout both format
+        paths write (``json.dumps`` of the row, compact)."""
+        return (f'{{"url":{url},"best":{best},"positives":{positives},'
+                f'"scores":{scores}{self._model}}}')
+
     def format(self, prediction: Prediction) -> str:
-        row = {
-            "url": prediction.url,
-            "best": prediction.best.value if prediction.best else None,
-            "positives": [
-                language.value for language in prediction.positives
-            ],
-            "scores": {
+        return self._line(
+            encode_basestring_ascii(prediction.url),
+            _json(prediction.best.value if prediction.best else None),
+            _json([language.value for language in prediction.positives]),
+            _json({
                 language.value: score
                 for language, score in sorted(
                     prediction.scores.items(), key=lambda kv: kv[0].value
                 )
-            },
-        }
-        if self.provenance:
-            row["model"] = self.provenance
-        return json.dumps(row, separators=(",", ":"), sort_keys=False)
+            }),
+        )
+
+    def format_batch(self, result: BatchResult) -> str:
+        labels, positives, template, order = _jsonl_fields(
+            result.model.languages
+        )
+        best, masks = _row_columns(result)
+        scores = _score_texts(result.matrix, order, json_floats=True)
+        return "".join(
+            self._line(encode_basestring_ascii(url), labels[column],
+                       positives[mask], template % texts) + "\n"
+            for url, column, mask, texts in zip(
+                result.urls, best, masks, scores
+            )
+        )
+
+
+@cache
+def _csv_fields(
+    languages: tuple[Language, ...],
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[int, ...]]:
+    """The cell of every best label and positives mask, and the matrix
+    column of each ``score_<code>`` column."""
+    labels, positives = _spellings(
+        languages, lambda code: code or "", ",".join
+    )
+    codes = [language.value for language in languages]
+    return labels, positives, tuple(codes.index(code) for code in _CODES)
 
 
 class CsvSink(RowSink):
@@ -133,26 +272,41 @@ class CsvSink(RowSink):
         columns = ["url", "best", "positives"]
         columns += [f"score_{code}" for code in _CODES]
         columns.append("model")
-        return self._row(columns)
+        return self._rows([columns])[:-1]
+
+    def _cells(
+        self, url: str, best: str, positives: str, scores: Iterable[str]
+    ) -> list[str]:
+        """One row's cells: the layout both format paths write."""
+        return [url, best, positives, *scores, self.provenance or ""]
 
     def format(self, prediction: Prediction) -> str:
         scores = {
             language.value: score
             for language, score in prediction.scores.items()
         }
-        cells = [
+        return self._rows([self._cells(
             prediction.url,
             prediction.best.value if prediction.best else "",
             ",".join(language.value for language in prediction.positives),
-        ]
-        cells += [repr(scores[code]) for code in _CODES]
-        cells.append(self.provenance or "")
-        return self._row(cells)
+            [repr(scores[code]) for code in _CODES],
+        )])[:-1]
+
+    def format_batch(self, result: BatchResult) -> str:
+        labels, positives, columns = _csv_fields(result.model.languages)
+        best, masks = _row_columns(result)
+        return self._rows(
+            self._cells(url, labels[column], positives[mask], texts)
+            for url, column, mask, texts in zip(
+                result.urls, best, masks,
+                _score_texts(result.matrix, columns),
+            )
+        )
 
     @staticmethod
-    def _row(cells: list[str]) -> str:
+    def _rows(rows: Iterable[list[str]]) -> str:
         buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="").writerow(cells)
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
         return buffer.getvalue()
 
 
@@ -164,13 +318,15 @@ class SqliteSink(JsonlSink):
     story is untouched and an interrupted sqlite run can even be
     resumed as ``jsonl`` (or vice versa, modulo the manifest's sink
     check).  What changes is engine-side: after every commit group's
-    journal fsync the engine ingests the group's committed outputs
+    journal fsync the engine reads the group's committed outputs back
     into ``results.sqlite`` in the run directory, in one transaction
-    (:func:`repro.query.ingest.ingest_shards`), and reconciles the
-    database against the manifest at the end of the run
+    (:func:`repro.query.ingest.ingest_shards`), storing each row's five
+    scores as REAL columns, and reconciles the database against the
+    manifest at the end of the run
     (:func:`repro.query.ingest.index_run`).
     Workers never touch the database; ingestion is parent-only, so the
-    scoring hot path pays nothing.
+    scoring hot path pays nothing, and the parent's memory stays
+    bounded by one row at a time, not by a shard.
     """
 
     # Engine-side flag: maintain the result index for this run.
@@ -219,6 +375,22 @@ class SummaryAccumulator:
         for language in prediction.positives:
             code = language.value
             self.positives[code] = self.positives.get(code, 0) + 1
+
+    def observe_batch(self, result: BatchResult) -> None:
+        """:meth:`observe` every row of ``result``: one ``bincount``
+        over the best columns and one column sum of the decisions."""
+        codes = [language.value for language in result.model.languages]
+        best = np.bincount(
+            _best_columns(result.matrix) + 1, minlength=len(codes) + 1
+        )
+        positives = (result.matrix > 0.0).sum(axis=0)
+        self.merge(SummaryAccumulator(
+            rows=len(result),
+            best={label: count for label, count
+                  in zip(["und", *codes], best.tolist()) if count},
+            positives={code: count for code, count
+                       in zip(codes, positives.tolist()) if count},
+        ))
 
     def merge(self, other: "SummaryAccumulator") -> None:
         self.rows += other.rows

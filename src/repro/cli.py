@@ -554,6 +554,7 @@ def _cmd_bulk(args: argparse.Namespace, out) -> int:
     ``--quiet``.
     """
     from repro.bulk import BulkError, run, verify_run
+    from repro.query import QueryError
 
     if args.action == "verify":
         try:
@@ -596,7 +597,7 @@ def _cmd_bulk(args: argparse.Namespace, out) -> int:
             quarantine=not args.no_quarantine,
             progress=progress,
         )
-    except (BulkError, ResolveError) as error:
+    except (BulkError, QueryError, ResolveError) as error:
         raise SystemExit(str(error)) from None
     out.write(report.describe() + "\n")
     if report.manifest_path:

@@ -23,6 +23,10 @@ which is what makes the killed-and-resumed database **identical** to
 an uninterrupted run's: row ids are deterministic
 (shard ordinal × 2³² + row ordinal), row payloads are the committed
 bytes, and reconciliation converges on the manifest.
+
+A row's per-language scores land in one REAL column each (schema 2):
+ingest parses each JSONL line once and stores the floats it holds, with
+no re-encoding, so the index's scores are the shard's, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sqlite3
 from collections.abc import Iterable
@@ -42,11 +47,12 @@ from repro.bulk.checkpoint import (
     MANIFEST_NAME,
     RunManifest,
 )
-from repro.languages import LANGUAGES
 from repro.query.errors import IndexCorruptError, QueryError
 from repro.query.schema import (
     RESULT_DB_NAME,
     ROW_ID_STRIDE,
+    SCORE_CODES,
+    SCORE_COLUMNS,
     create_result_db,
     resolve_db_path,
 )
@@ -60,8 +66,8 @@ __all__ = [
     "insert_rows",
 ]
 
-#: Language codes in stable (sorted) order, for CSV score columns.
-_CODES = tuple(sorted(language.value for language in LANGUAGES))
+#: Score keys a row may carry: the codes of the score columns.
+_CODE_SET = frozenset(SCORE_CODES)
 
 #: The running index fingerprint is a sum of sha256 digests mod 2**256.
 _MODULUS = 1 << 256
@@ -153,9 +159,10 @@ def _store_fingerprint(connection: sqlite3.Connection, total: int) -> None:
 def _row_shape_error(row: object) -> str | None:
     """What is wrong with a parsed JSONL row, or ``None`` if nothing.
 
-    Element types are compared exactly (``set(map(type, ...))``): JSON
-    decodes to exact ``str``/``int``/``float``, and ``bool`` — a
-    subclass of ``int`` — must not count as a score.
+    Element types are compared exactly (``set(map(type, ...))``): the
+    row decoder yields exact ``str`` and ``float`` (JSON integers parse
+    as floats), and ``bool`` must not count as a score.  A score key
+    must name a score column.
     """
     if not isinstance(row, dict):
         return f"expected a JSON object, got {type(row).__name__}"
@@ -171,26 +178,45 @@ def _row_shape_error(row: object) -> str | None:
         return "'positives' must be a list of language codes"
     scores = row.get("scores", {})
     if not isinstance(scores, dict) or not (
-        set(map(type, scores.values())) <= {int, float}
+        set(map(type, scores.values())) <= {float}
     ):
         return "'scores' must map language codes to numbers"
+    if not scores.keys() <= _CODE_SET:
+        unknown = min(scores.keys() - _CODE_SET)
+        return f"'scores' key {unknown!r} is not a language code"
     return None
 
 
-def _parse_jsonl(stream: io.TextIOBase, source: str):
-    """Yield ``(url, best, score, positives, scores_json)`` per row.
+def _json_constant(name: str) -> float:
+    """``Infinity`` and ``-Infinity`` parse; ``NaN`` is refused."""
+    if name == "NaN":
+        raise ValueError("a NaN score cannot be stored: SQLite keeps NaN "
+                         "as NULL")
+    return float(name)
 
-    Shard files are outside input by the time ``repro query index``
-    reads them, so each row's shape is checked; a bad row raises
-    :class:`QueryError` naming ``file:line``.
+
+#: The one JSON parser of shard rows: integers come back as floats (a
+#: score column holds floats only), and NaN is refused.
+_ROW_DECODER = json.JSONDecoder(parse_int=float, parse_constant=_json_constant)
+
+
+def _parse_jsonl(stream: io.TextIOBase, source: str):
+    """Yield ``(url, best, score, positives, *scores)`` per row, the
+    scores in :data:`~repro.query.schema.SCORE_CODES` order (``None``
+    where the row has none).
+
+    Each line is parsed once, and the floats it holds are stored as
+    they are.  Shard files are outside input by the time ``repro query
+    index`` reads them, so each row's shape is checked; a bad row
+    raises :class:`QueryError` naming ``file:line``.
     """
     for number, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            row = json.loads(line)
-        except json.JSONDecodeError as error:
+            row = _ROW_DECODER.decode(line)
+        except ValueError as error:
             problem: str | None = str(error)
         else:
             problem = _row_shape_error(row)
@@ -202,18 +228,27 @@ def _parse_jsonl(stream: io.TextIOBase, source: str):
             )
         best = row.get("best")
         scores = row.get("scores", {})
-        score = scores.get(best) if best is not None else None
         yield (
             row["url"],
             best,
-            score,
+            scores.get(best) if best is not None else None,
             ",".join(row.get("positives", [])),
-            json.dumps(scores, separators=(",", ":")),
+            *map(scores.get, SCORE_CODES),
         )
 
 
 def _parse_csv(stream: io.TextIOBase, source: str):
+    """:func:`_parse_jsonl`'s rows, from a CSV shard's cells."""
     reader = csv.DictReader(stream)
+    unknown = sorted(
+        name for name in reader.fieldnames or ()
+        if name.startswith("score_") and name not in SCORE_COLUMNS
+    )
+    if unknown:
+        raise QueryError(
+            f"{source}:1 has a score column {unknown[0]!r} that is not a "
+            "language code; was this run written with --sink csv?"
+        )
     for number, row in enumerate(reader, start=2):
         url = row.get("url")
         if url is None:
@@ -223,24 +258,26 @@ def _parse_csv(stream: io.TextIOBase, source: str):
             )
         best = row.get("best") or None
         scores = {}
-        for code in _CODES:
-            cell = row.get(f"score_{code}")
-            if cell not in (None, ""):
-                try:
-                    scores[code] = float(cell)
-                except ValueError:
-                    raise QueryError(
-                        f"{source}:{number} has a non-numeric score_{code} "
-                        f"cell {cell!r}; was this run written with --sink "
-                        "csv?"
-                    ) from None
-        score = scores.get(best) if best is not None else None
+        for code, column in zip(SCORE_CODES, SCORE_COLUMNS):
+            cell = row.get(column)
+            if cell in (None, ""):
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if value != value:  # non-numeric, or a NaN SQLite cannot store
+                raise QueryError(
+                    f"{source}:{number} has a non-numeric or NaN {column} "
+                    f"cell {cell!r}; was this run written with --sink csv?"
+                )
+            scores[code] = value
         yield (
             url,
             best,
-            score,
+            scores.get(best) if best is not None else None,
             row.get("positives", ""),
-            json.dumps(scores, separators=(",", ":")),
+            *map(scores.get, SCORE_CODES),
         )
 
 
@@ -267,6 +304,13 @@ def _shard_rows(output_path: Path):
         yield from parse(stream, output_path.name)
 
 
+_INSERT_ROW = (
+    f"INSERT INTO results(id, url, best, score, positives, "
+    f"{', '.join(SCORE_COLUMNS)}, shard_id) "
+    f"VALUES ({', '.join('?' * (len(SCORE_COLUMNS) + 6))})"
+)
+
+
 def insert_rows(
     connection: sqlite3.Connection,
     ordinal: int,
@@ -275,33 +319,30 @@ def insert_rows(
 ) -> int:
     """Insert one shard's rows (table + FTS) at deterministic ids.
 
-    ``rows`` yields ``(url, best, score, positives, scores_json)``;
-    ids are ``ordinal * ROW_ID_STRIDE + row_ordinal``.  Caller owns the
-    transaction.  Returns the row count.
+    ``rows`` yields ``(url, best, score, positives, *scores)``, one
+    score (or ``None``) per :data:`~repro.query.schema.SCORE_CODES`
+    code; ids are ``ordinal * ROW_ID_STRIDE + row_ordinal``.  Rows
+    stream into the table one at a time, and the FTS index is then fed
+    from the table by the shard's primary-key range, so memory does not
+    grow with the shard.  Caller owns the transaction.  Returns the row
+    count.
     """
+    first = ordinal * ROW_ID_STRIDE
     count = 0
-    fts_rows: list[tuple[int, str]] = []
 
     def numbered():
         nonlocal count
-        for offset, row in enumerate(rows):
+        for row in rows:
+            yield (first + count, *row, shard_id)
             count += 1
-            rowid = ordinal * ROW_ID_STRIDE + offset
-            fts_rows.append((rowid, row[0]))
-            yield (rowid, *row, shard_id)
 
-    connection.executemany(
-        "INSERT INTO results"
-        "(id, url, best, score, positives, scores, shard_id) "
-        "VALUES (?, ?, ?, ?, ?, ?, ?)",
-        numbered(),
-    )
-    # Feed the FTS index from the same parsed stream — a
-    # SELECT ... WHERE shard_id = ? here would re-scan the whole table
-    # per shard (shard_id is deliberately unindexed), turning an N-row
-    # ingest into O(shards x table).
-    connection.executemany(
-        "INSERT INTO results_fts(rowid, url) VALUES (?, ?)", fts_rows
+    connection.executemany(_INSERT_ROW, numbered())
+    # A primary-key range, never a scan: shard_id is deliberately
+    # unindexed, so "WHERE shard_id = ?" would read the whole table.
+    connection.execute(
+        "INSERT INTO results_fts(rowid, url) "
+        "SELECT id, url FROM results WHERE id >= ? AND id < ?",
+        (first, first + count),
     )
     return count
 

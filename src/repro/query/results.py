@@ -39,7 +39,7 @@ from repro.query.cursor import (
 )
 from repro.query.errors import QueryError
 from repro.query.ingest import index_fingerprint
-from repro.query.schema import open_result_db
+from repro.query.schema import SCORE_CODES, SCORE_COLUMNS, open_result_db
 
 __all__ = ["Page", "ResultIndex", "open_index"]
 
@@ -60,18 +60,23 @@ class Page:
 
 
 def _row_dict(row: sqlite3.Row | tuple) -> dict:
-    rowid, url, best, score, positives, scores = row
+    """A ``results`` row as JSON-ready values; ``scores`` holds the
+    non-NULL score columns, in code order."""
+    rowid, url, best, score, positives, *scores = row
     return {
         "id": rowid,
         "url": url,
         "best": best,
         "score": score,
         "positives": positives.split(",") if positives else [],
-        "scores": json.loads(scores),
+        "scores": {
+            code: value for code, value in zip(SCORE_CODES, scores)
+            if value is not None
+        },
     }
 
 
-_ROW_COLUMNS = "id, url, best, score, positives, scores"
+_ROW_COLUMNS = f"id, url, best, score, positives, {', '.join(SCORE_COLUMNS)}"
 
 
 def _prefix_successor(prefix: str) -> str | None:

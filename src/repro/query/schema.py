@@ -29,9 +29,14 @@ Tables:
     ids whether it completed in one pass or across five resumes, and
     ``{score}|{id}`` keyset cursors are stable.  ``best`` is the
     decided language code (NULL when every binary classifier said
-    no), ``score`` the winning decision score, ``scores`` the exact
-    per-language JSON the sink emitted (floats round-trip
-    bit-identically).
+    no), ``score`` the winning decision score, and ``score_<code>``
+    one REAL column per language code (:data:`SCORE_CODES`) holding
+    that language's decision score as the sink wrote it — NULL where
+    the row carries none.  REAL columns hold IEEE doubles, so the
+    floats a JSONL shard spells with ``repr`` read back bit for bit
+    (SQLite keeps a negative zero as ``0.0``, and cannot store NaN,
+    which ingest therefore refuses); queries read them without
+    parsing anything.
 ``results_fts``
     FTS5 external-content table over ``url`` for keyword search,
     contentless of everything else (rows live once, in ``results``).
@@ -49,6 +54,7 @@ import os
 import sqlite3
 from pathlib import Path
 
+from repro.languages import LANGUAGES
 from repro.query.errors import (
     IndexCorruptError,
     IndexMissingError,
@@ -59,6 +65,8 @@ __all__ = [
     "RESULT_DB_NAME",
     "ROW_ID_STRIDE",
     "SCHEMA_VERSION",
+    "SCORE_CODES",
+    "SCORE_COLUMNS",
     "connect",
     "create_result_db",
     "open_result_db",
@@ -69,14 +77,24 @@ __all__ = [
 RESULT_DB_NAME = "results.sqlite"
 
 #: Result-index schema version (bumped on incompatible layout changes).
-SCHEMA_VERSION = 1
+#: Version 2 replaced version 1's JSON ``scores`` text column with one
+#: REAL column per language.
+SCHEMA_VERSION = 2
+
+#: Language codes in stable (sorted) order, and their score columns.
+SCORE_CODES = tuple(sorted(language.value for language in LANGUAGES))
+SCORE_COLUMNS = tuple(f"score_{code}" for code in SCORE_CODES)
 
 #: Deterministic row ids: ``shard_ordinal * ROW_ID_STRIDE + row_ordinal``.
 #: 2**32 rows per shard is far beyond any real shard while keeping ids
 #: inside SQLite's signed 64-bit rowid space for ~2**31 shards.
 ROW_ID_STRIDE = 1 << 32
 
-_DDL = """
+_SCORE_COLUMNS_DDL = "".join(
+    f"    {column:<9} REAL,\n" for column in SCORE_COLUMNS
+)
+
+_DDL = f"""
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
@@ -94,8 +112,7 @@ CREATE TABLE IF NOT EXISTS results (
     best      TEXT,
     score     REAL,
     positives TEXT NOT NULL,
-    scores    TEXT NOT NULL,
-    shard_id  TEXT NOT NULL
+{_SCORE_COLUMNS_DDL}    shard_id  TEXT NOT NULL
 );
 CREATE INDEX IF NOT EXISTS idx_results_lang_score
     ON results(best, score DESC, id DESC);

@@ -72,6 +72,17 @@ class TestCsv:
         assert float(record["score_de"]) == 3.25
         assert record["model"] == "NB/words@abc"
 
+    def test_a_line_break_in_a_cell_is_quoted(self, prediction):
+        """A URL read from a JSONL or CSV source can hold a line break;
+        its row must still read back as one CSV record."""
+        broken = Prediction(url="http://x.de/a\nb", best=prediction.best,
+                            positives=prediction.positives,
+                            scores=prediction.scores)
+        row = make_sink("csv").format(broken)
+        assert row.startswith('"http://x.de/a\nb",')
+        (record,) = csv.reader(io.StringIO(row))
+        assert record[0] == broken.url
+
 
 class TestRegistry:
     def test_unknown_sink_raises_typed(self):

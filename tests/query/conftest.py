@@ -5,13 +5,13 @@ fabricated six-figure-row index for the pagination/plan tests."""
 from __future__ import annotations
 
 import gzip
-import json
 
 import pytest
 
 from repro.bulk import run
 from repro.core.pipeline import LanguageIdentifier
 from repro.query import create_result_db, insert_rows
+from repro.query.schema import SCORE_CODES
 from repro.store import save_identifier
 
 
@@ -69,7 +69,8 @@ def fill_index(connection, *, shards=4, rows_per_shard=25_000):
                 )
                 yield (
                     url, code, score, code,
-                    json.dumps({code: score}, separators=(",", ":")),
+                    *(score if other == code else None
+                      for other in SCORE_CODES),
                 )
 
         with connection:

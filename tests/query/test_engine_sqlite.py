@@ -3,16 +3,22 @@ kill-window healing, and resume → identical database."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import shutil
 import sqlite3
+import struct
 
 import pytest
 
 import repro.bulk as bulk
 from repro.bulk import BulkError
 from repro.bulk.checkpoint import journal_path
-from repro.query import index_fingerprint, open_index
+from repro.cli import main
+from repro.query import IndexVersionError, index_fingerprint, open_index
 from repro.query.ingest import index_run, ingest_shards
+from repro.query.schema import ROW_ID_STRIDE, SCORE_CODES, SCORE_COLUMNS
 from repro.testing.faults import FAULTS_ENV, FAULTS_STATE_ENV
 from tests.bulk.conftest import (
     committed_by_last_run,
@@ -24,8 +30,8 @@ def dump_results(db_path):
     connection = sqlite3.connect(db_path)
     try:
         return connection.execute(
-            "SELECT id, url, best, score, positives, scores, shard_id "
-            "FROM results ORDER BY id"
+            "SELECT id, url, best, score, positives, "
+            f"{', '.join(SCORE_COLUMNS)}, shard_id FROM results ORDER BY id"
         ).fetchall()
     finally:
         connection.close()
@@ -168,3 +174,123 @@ class TestKillAndResumeParity:
         finally:
             connection.close()
         assert indexed == sorted(journaled)
+
+
+#: A version-1 index: every row's scores in one JSON text column.
+V1_SCHEMA = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL) WITHOUT ROWID;
+CREATE TABLE shards (
+    shard_id TEXT PRIMARY KEY, ordinal INTEGER NOT NULL,
+    output TEXT NOT NULL, sha256 TEXT NOT NULL, rows INTEGER NOT NULL
+) WITHOUT ROWID;
+CREATE TABLE results (
+    id INTEGER PRIMARY KEY, url TEXT NOT NULL, best TEXT, score REAL,
+    positives TEXT NOT NULL, scores TEXT NOT NULL, shard_id TEXT NOT NULL
+);
+INSERT INTO meta VALUES ('schema_version', '1'), ('salt', '0011223344556677');
+"""
+
+
+@pytest.fixture()
+def v1_run(sqlite_run, tmp_path):
+    """A copy of the finished sqlite run whose index is version 1."""
+    run_dir = tmp_path / "v1-run"
+    shutil.copytree(sqlite_run[0], run_dir)
+    for name in ("results.sqlite", "results.sqlite-wal", "results.sqlite-shm"):
+        (run_dir / name).unlink(missing_ok=True)
+    connection = sqlite3.connect(run_dir / "results.sqlite")
+    connection.execute("PRAGMA journal_mode=WAL")  # as every index is
+    connection.executescript(V1_SCHEMA)
+    connection.close()
+    return run_dir
+
+
+def shard_rows(run_dir):
+    """``(id, url, best, positives, scores)`` of every committed output
+    row, read back from the shard files themselves."""
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    for ordinal, shard_id in enumerate(manifest["order"]):
+        path = run_dir / manifest["shards"][shard_id]["output"]
+        with open(path, newline="", encoding="utf-8") as stream:
+            if path.suffix == ".csv":
+                rows = [
+                    (row["url"], row["best"] or None,
+                     row["positives"].split(",") if row["positives"] else [],
+                     {code: float(row[f"score_{code}"])
+                      for code in SCORE_CODES})
+                    for row in csv.DictReader(stream)
+                ]
+            else:
+                rows = [
+                    (row["url"], row["best"], row["positives"],
+                     row["scores"])
+                    for row in map(json.loads, stream)
+                ]
+        for offset, row in enumerate(rows):
+            yield (ordinal * ROW_ID_STRIDE + offset, *row)
+
+
+def bits(scores: dict) -> list:
+    return [(code, struct.pack("<d", value)) for code, value in scores.items()]
+
+
+def assert_lookups_return_the_shard_rows(run_dir):
+    """Every row's ``lookup`` answer equals its shard row: best,
+    positives, and the scores bit for bit, in the shard's key order."""
+    checked = 0
+    with open_index(run_dir) as index:
+        for rowid, url, best, positives, scores in shard_rows(run_dir):
+            (row,) = [row for row in index.lookup(url) if row["id"] == rowid]
+            assert (row["best"], row["positives"]) == (best, positives)
+            assert bits(row["scores"]) == bits(scores), url
+            if best is not None:
+                assert bits({best: row["score"]}) == bits({best: scores[best]})
+            checked += 1
+    assert checked == index_run(run_dir).rows > 0
+
+
+class TestSchemaVersion2:
+    def test_a_v1_index_is_refused_with_the_rebuild_remedy(
+        self, query_model, query_corpus, v1_run
+    ):
+        model_path, _ = query_model
+        shard_dir, _ = query_corpus
+        with pytest.raises(IndexVersionError, match="--rebuild"):
+            open_index(v1_run)
+        with pytest.raises(IndexVersionError, match="--rebuild"):
+            bulk.run(model_path, shard_dir, v1_run, sink="sqlite",
+                     workers=1, resume=True)
+        last = json.loads(
+            (v1_run / "events.jsonl").read_text().splitlines()[-1]
+        )
+        assert last["event"] == "run-aborted"
+        assert "IndexVersionError" in last["error"]
+        with pytest.raises(SystemExit, match="--rebuild"):
+            main(["bulk", "--model", str(model_path), "--input",
+                  str(shard_dir), "--output", str(v1_run), "--sink",
+                  "sqlite", "--workers", "1", "--resume", "--quiet"],
+                 out=io.StringIO())
+
+    def test_query_index_rebuild_converts_a_v1_index(
+        self, sqlite_run, v1_run
+    ):
+        reference_dir, _ = sqlite_run
+        assert main(["query", "index", "--run", str(v1_run), "--rebuild"],
+                    out=io.StringIO()) == 0
+        assert dump_results(v1_run / "results.sqlite") == dump_results(
+            reference_dir / "results.sqlite"
+        )
+
+    def test_a_sqlite_run_reads_back_its_shard_scores(self, sqlite_run):
+        run_dir, _ = sqlite_run
+        assert_lookups_return_the_shard_rows(run_dir)
+
+    def test_a_csv_run_indexed_after_the_fact_reads_back_its_scores(
+        self, query_model, query_corpus, tmp_path
+    ):
+        model_path, _ = query_model
+        shard_dir, _ = query_corpus
+        run_dir = tmp_path / "csv-run"
+        bulk.run(model_path, shard_dir, run_dir, sink="csv", workers=1)
+        index_run(run_dir)
+        assert_lookups_return_the_shard_rows(run_dir)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 import sqlite3
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -152,7 +153,10 @@ class TestIngestShard:
         ("a.jsonl", '{"url": "http://x.de", "scores": {"de": true}}'),
         ("a.jsonl", '{"url": 7}'),
         ("a.jsonl", '["http://x.de"]'),
+        ("a.jsonl", '{"url": "http://x.de", "scores": {"xx": 1.0}}'),
+        ("a.jsonl", '{"url": "http://x.de", "scores": {"de": NaN}}'),
         ("a.csv", "http://x.de,de,de," + ",".join(["abc"] * len(CODES))),
+        ("a.csv", "http://x.de,de,de," + ",".join(["nan"] * len(CODES))),
     ])
     def test_malformed_jsonl_is_typed_with_location(
         self, tmp_path, name, bad_line
@@ -179,6 +183,61 @@ class TestIngestShard:
             ).fetchone()[0] == 0
         finally:
             connection.close()
+
+    def test_a_csv_score_column_of_no_language_is_refused(self, tmp_path):
+        shard = tmp_path / "a.csv"
+        shard.write_text("url,best,positives,score_de,score_xx\n"
+                         "http://x.de,de,de,1.0,2.0\n")
+        connection = create_result_db(tmp_path / "r.sqlite")
+        try:
+            with pytest.raises(QueryError, match="a.csv:1 .*'score_xx'"):
+                ingest_shard(
+                    connection, ordinal=0, shard_id="a",
+                    output_path=shard, sha256="x",
+                )
+        finally:
+            connection.close()
+
+    def test_an_integer_score_reads_back_as_a_float(self, tmp_path):
+        shard = tmp_path / "a.jsonl"
+        shard.write_text('{"url":"http://x.de/1","best":"de",'
+                         '"positives":["de"],"scores":{"de":2,"en":-1}}\n')
+        connection = create_result_db(tmp_path / "r.sqlite")
+        try:
+            ingest_shard(connection, ordinal=0, shard_id="a",
+                         output_path=shard, sha256="x")
+        finally:
+            connection.close()
+        with open_index(tmp_path / "r.sqlite") as index:
+            (row,) = index.lookup("http://x.de/1")
+        assert row["scores"] == {"de": 2.0, "en": -1.0}
+        assert [type(value) for value in row["scores"].values()] == [
+            float, float
+        ]
+        assert type(row["score"]) is float
+
+    def test_ingest_memory_does_not_grow_with_the_shard(self, tmp_path):
+        """Rows stream from the file into the table: ingesting a
+        20 000-row shard holds no per-row Python state."""
+        shard = tmp_path / "big.jsonl"
+        write_jsonl(shard, (
+            jsonl_row(f"http://x{number % 7}.de/page/{number}", "de",
+                      1.0 + number / 7.0)
+            for number in range(20_000)
+        ))
+        connection = create_result_db(tmp_path / "r.sqlite")
+        try:
+            tracemalloc.start()
+            try:
+                rows = ingest_shard(connection, ordinal=0, shard_id="big",
+                                    output_path=shard, sha256="x")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        finally:
+            connection.close()
+        assert rows == 20_000
+        assert peak < 1 << 20
 
     def test_tsv_shards_are_refused_with_remedy(self, tmp_path):
         shard = tmp_path / "part-00000.tsv"

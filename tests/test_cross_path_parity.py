@@ -10,12 +10,15 @@ seeded adversarial batch (:func:`repro.testing.urlgen.adversarial_urls`)
 is scored on every path by a rank-order model: its compiled and sparse
 scores are bit-identical, and its top scores tie often, so the tie rule
 is pinned too — a tied row's best label is the earliest tied language
-in :data:`~repro.languages.LANGUAGES`.
+in :data:`~repro.languages.LANGUAGES`.  Every bulk sink, which formats
+whole chunks from the score matrix, must also write byte for byte what
+formatting each row alone writes.
 """
 
 from __future__ import annotations
 
 import asyncio
+import csv
 import io
 import json
 import urllib.request
@@ -26,6 +29,8 @@ import pytest
 
 from repro import bulk
 from repro.api import BatchResult, ModelInfo, open_model
+from repro.bulk import SummaryAccumulator, make_sink
+from repro.bulk.engine import model_fingerprint
 from repro.cli import main
 from repro.core.pipeline import LanguageIdentifier
 from repro.languages import LANGUAGES
@@ -37,6 +42,7 @@ from repro.store.client import (
     RemoteIdentifier,
 )
 from repro.store.daemon import MAX_BATCH_URLS, start_daemon, stop_daemon
+from repro.testing.faults import FAULTS_ENV, FAULTS_STATE_ENV
 from repro.testing.urlgen import adversarial_urls
 from tests.conftest import fused_plans_off
 
@@ -388,3 +394,159 @@ class TestBatchResultOverAHandBuiltMatrix:
         assert hand_built != self.result(
             [[1.0, -1.0, 0.5, 0.0, -2.0]], urls=("other",)
         )
+
+
+# -- sink bytes: format_batch against per-row references --------------------------
+
+SINKS = ("tsv", "jsonl", "csv", "sqlite")
+CODES = sorted(language.value for language in LANGUAGES)
+
+
+def reference_text(sink: str, predictions, provenance: str) -> str:
+    """A shard's bytes written one row at a time, without the sinks:
+    ``Prediction.tsv()``, ``json.dumps`` of the row dict, or
+    ``csv.writer`` over the row's cells (header included)."""
+    if sink == "tsv":
+        return "".join(prediction.tsv() + "\n" for prediction in predictions)
+    rows = []
+    for prediction in predictions:
+        scores = {
+            language.value: score
+            for language, score in prediction.scores.items()
+        }
+        best = prediction.best.value if prediction.best else None
+        positives = [language.value for language in prediction.positives]
+        rows.append((prediction.url, best, positives, scores))
+    if sink == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["url", "best", "positives",
+                         *(f"score_{code}" for code in CODES), "model"])
+        for url, best, positives, scores in rows:
+            writer.writerow([url, best or "", ",".join(positives),
+                             *(repr(scores[code]) for code in CODES),
+                             provenance])
+        return buffer.getvalue()
+    return "".join(
+        json.dumps({
+            "url": url,
+            "best": best,
+            "positives": positives,
+            "scores": {code: scores[code] for code in sorted(scores)},
+            "model": provenance,
+        }, separators=(",", ":")) + "\n"
+        for url, best, positives, scores in rows
+    )
+
+
+def bulk_text(artifact, urls, run_dir, sink, **options):
+    """The concatenated output shards of a 1-worker bulk run."""
+    shard = run_dir.parent / f"{run_dir.name}.txt"
+    shard.write_text("".join(url + "\n" for url in urls), encoding="utf-8")
+    report = bulk.run(artifact, shard, run_dir, workers=1, sink=sink,
+                      **options)
+    return report, "".join(
+        (run_dir / output).read_text(encoding="utf-8")
+        for output in report.outputs
+    )
+
+
+@pytest.fixture(scope="module")
+def provenance(models):
+    _, _, artifact = models
+    fingerprint = model_fingerprint(str(artifact))
+    return f"{fingerprint['name']}@{fingerprint['checksum'][:12]}"
+
+
+@pytest.mark.parametrize("sink", SINKS)
+def test_every_sink_writes_its_per_row_reference(
+    models, provenance, tmp_path, sink
+):
+    """Adversarial URLs (non-ASCII, non-BMP, quotes, commas) through
+    ``bulk.run`` come out byte for byte as the per-row references of
+    ``open_model(...).predict``, over several chunks."""
+    _, _, artifact = models
+    urls = [url for url in URLS if line_safe(url)]
+    _, text = bulk_text(artifact, urls, tmp_path / "run", sink,
+                        chunk_size=300)
+    expected = open_model(artifact).predict(urls)
+    assert text == reference_text(sink, expected, provenance)
+
+
+@pytest.mark.parametrize("sink", SINKS)
+def test_the_per_url_retry_writes_the_same_bytes(
+    models, provenance, tmp_path, monkeypatch, sink
+):
+    """A chunk whose predict fails is retried one URL at a time; the
+    one-row results format exactly as the whole chunk would have."""
+    _, _, artifact = models
+    monkeypatch.setenv(FAULTS_ENV, "predict-error:match=POISON,times=inf")
+    monkeypatch.delenv(FAULTS_STATE_ENV, raising=False)
+    urls = [url for url in URLS[:400] if line_safe(url)]
+    poisoned = [*urls[:150], "http://POISON.example/boom", *urls[150:]]
+    report, text = bulk_text(artifact, poisoned, tmp_path / "run", sink,
+                             chunk_size=64)
+    assert report.rows_quarantined == 1
+    expected = open_model(artifact).predict(urls)
+    assert text == reference_text(sink, expected, provenance)
+
+
+class TestFormatBatchOverAHandBuiltMatrix:
+    """``format_batch`` and ``observe_batch`` on a matrix built to hold
+    every positives mask, a tie, a row with no positive score, and
+    every non-finite float."""
+
+    model = ModelInfo(name="m", backend="compiled", languages=LANGUAGES)
+    provenance = 'NB/words@"quoted", ünï'
+
+    @pytest.fixture()
+    def result(self):
+        inf, nan = float("inf"), float("nan")
+        rows = [
+            [1.0 + bit if mask >> bit & 1 else -0.25 * bit
+             for bit in range(len(LANGUAGES))]
+            for mask in range(1 << len(LANGUAGES))
+        ]
+        rows += [
+            [0.5, 2.0, 2.0, -1.0, 2.0],  # tied: the earliest goes first
+            [0.0, -0.5, -1.0, 0.0, -3.0],  # nothing positive
+            [inf, -inf, nan, 1e-300, -0.0],
+            [nan, 0.1, 0.2, 1e300, -inf],
+        ]
+        urls = tuple(f'http://x{i}.example/"a,b"/ö🙂' for i in range(len(rows)))
+        return BatchResult(urls, np.array(rows, dtype=np.float64), self.model)
+
+    @pytest.mark.parametrize("sink", SINKS)
+    def test_format_batch_writes_the_reference(self, result, sink):
+        row_sink = make_sink(sink, provenance=self.provenance)
+        reference = reference_text(sink, list(result), self.provenance)
+        if sink == "csv":
+            header, _, reference = reference.partition("\n")
+            assert row_sink.header() == header
+        assert row_sink.format_batch(result) == reference
+        assert "".join(
+            row_sink.format(prediction) + "\n" for prediction in result
+        ) == reference
+
+    def test_non_finite_scores_are_spelled_as_today(self, result):
+        jsonl = make_sink("jsonl").format_batch(result).splitlines()
+        assert '"en":Infinity' in jsonl[-2] and '"fr":NaN' in jsonl[-2]
+        assert '"de":-Infinity' in jsonl[-2] and '"it":-0.0' in jsonl[-2]
+        cells = next(csv.reader([make_sink("csv").format_batch(result)
+                                 .splitlines()[-2]]))
+        # Code order: de, en, es, fr, it.
+        assert cells[3:8] == ["-inf", "inf", "1e-300", "nan", "-0.0"]
+
+    def test_an_empty_result_writes_nothing(self):
+        empty = BatchResult((), np.zeros((0, len(LANGUAGES))), self.model)
+        for sink in SINKS:
+            assert make_sink(sink).format_batch(empty) == ""
+
+    def test_observe_batch_counts_what_observe_counts(self, result):
+        batch, rows = SummaryAccumulator(), SummaryAccumulator()
+        batch.observe_batch(result)
+        for prediction in result:
+            rows.observe(prediction)
+        assert batch.snapshot() == rows.snapshot()
+        # Mask 0, the row with nothing positive, and both NaN rows.
+        assert batch.snapshot()["best"]["und"] == 4
