@@ -242,6 +242,7 @@ def _chunks(urls: Iterable[str], size: int) -> Iterator[list[str]]:
 
 def _predict_rows(
     predictor: Predictor,
+    sink: RowSink,
     chunk: list[str],
     shard_id: str,
     quarantine: bool,
@@ -250,17 +251,24 @@ def _predict_rows(
     """One predict pass over a chunk, degrading to per-row retry.
 
     Returns the chunk's one result, or — when the whole chunk failed (a
-    poison URL crashing the backend, a transient daemon error) — one
-    single-row result per URL that scored on retry, so a single bad row
-    costs one row, not a shard: rows that fail again land in
-    ``quarantined`` with the error as the reason.  With quarantine off
-    the original error propagates — the strict, fail-the-run reading.
+    poison URL crashing the backend, a transient daemon error, a score
+    ``sink`` refuses to write) — one single-row result per URL that
+    scored on retry, so a single bad row costs one row, not a shard:
+    rows that fail again land in ``quarantined`` with the error as the
+    reason.  With quarantine off the original error propagates — the
+    strict, fail-the-run reading.
     """
-    try:
+
+    def predict(urls: list[str]) -> BatchResult:
         faults.maybe_raise(
-            "predict-error", shard=shard_id, text=" ".join(chunk)
+            "predict-error", shard=shard_id, text=" ".join(urls)
         )
-        return [predictor.predict(chunk)]
+        result = predictor.predict(urls)
+        sink.check(result)
+        return result
+
+    try:
+        return [predict(chunk)]
     except Exception as error:
         if not quarantine:
             raise
@@ -268,8 +276,7 @@ def _predict_rows(
     results: list[BatchResult] = []
     for url in chunk:
         try:
-            faults.maybe_raise("predict-error", shard=shard_id, text=url)
-            results.append(predictor.predict([url]))
+            results.append(predict([url]))
         except Exception as error:
             quarantined.append({
                 "shard": shard_id,
@@ -293,7 +300,8 @@ def _score_shard(task: dict) -> dict:
     born as ``<name>.part`` and renamed only after an fsync, so a
     SIGKILL can never leave a truncated file under the final name.
     In quarantine mode (the default) malformed input rows and rows
-    whose per-row predict retry still fails are recorded in a
+    whose per-row predict retry still fails (or whose scores the sink
+    refuses, such as a NaN score in an indexed run) are recorded in a
     ``*.quarantine.jsonl`` sidecar instead of failing the shard.
     A commit that the filesystem refuses (ENOSPC, a vanished output
     directory) raises :class:`~repro.bulk.errors.ShardCommitError`
@@ -345,7 +353,7 @@ def _score_shard(task: dict) -> dict:
             for chunk in _chunks(rows_in(), chunk_size):
                 chunk_started = time.perf_counter()
                 results = _predict_rows(
-                    predictor, chunk, shard.shard_id, quarantine,
+                    predictor, sink, chunk, shard.shard_id, quarantine,
                     quarantined,
                 )
                 latency.observe(time.perf_counter() - chunk_started)

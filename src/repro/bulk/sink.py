@@ -20,14 +20,15 @@ formats ship:
   checkpointed source of truth; the database is always rebuildable
   from them.
 
-The engine formats a whole chunk at once with :meth:`RowSink.format_batch`,
-straight from the chunk's ``(n, k)`` score matrix: the text of every
+The engine formats a whole chunk at once with :meth:`RowSink.format_batch`.
+By default that is :meth:`RowSink.format` of each row's
+:class:`~repro.api.Prediction`, as its own fields say.  The TSV and
+JSONL (so also sqlite) sinks instead format straight from the chunk's
+``(n, k)`` score matrix, through the same row layout: the text of every
 best label and every positives mask is spelled once per language
-tuple, scores are written column by column with ``float.__repr__``
-(what ``json.dumps`` writes for a finite float), and per row only the
-URL is encoded.  :meth:`RowSink.format` formats one
-:class:`~repro.api.Prediction` as its own fields say, through the same
-row layout.
+tuple, JSONL scores are written column by column with
+``float.__repr__`` (what ``json.dumps`` writes for a finite float), and
+per row only the URL is encoded.
 
 :class:`SummaryAccumulator` is the rollup sink every run feeds: per-
 language decision counts, row totals, throughput — mergeable across
@@ -40,7 +41,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
@@ -56,7 +57,7 @@ from repro.api.types import (
     _positives_table,
 )
 from repro.bulk.errors import BulkError
-from repro.languages import LANGUAGES, Language
+from repro.languages import SCORE_CODES, SCORE_COLUMNS, Language
 
 __all__ = [
     "SINKS",
@@ -68,9 +69,6 @@ __all__ = [
     "TsvSink",
     "make_sink",
 ]
-
-#: Language codes in stable (sorted) column order.
-_CODES = tuple(sorted(language.value for language in LANGUAGES))
 
 #: Compact JSON, as every JSONL field is written (one encoder, built
 #: once: ``json.dumps`` with any non-default argument builds one per call).
@@ -88,35 +86,19 @@ def _row_columns(result: BatchResult) -> tuple[list[int], list[int]]:
     )
 
 
-def _score_texts(
-    matrix: np.ndarray, columns: Sequence[int], *, json_floats: bool = False
+def _json_scores(
+    matrix: np.ndarray, columns: Sequence[int]
 ) -> Iterator[tuple[str, ...]]:
-    """Each row's scores of ``columns``, in that order, as ``repr`` (or,
-    with ``json_floats``, ``json.dumps``) writes them."""
+    """Each row's scores of ``columns``, in that order, as ``json.dumps``
+    writes them."""
     picked = matrix[:, columns]
     texts = [list(map(float.__repr__, column)) for column in picked.T.tolist()]
-    if json_floats and not np.isfinite(picked).all():
+    if not np.isfinite(picked).all():
         texts = [
             [_JSON_NONFINITE.get(text, text) for text in column]
             for column in texts
         ]
     return zip(*texts)
-
-
-def _spellings(
-    languages: tuple[Language, ...], label, positives
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The text of every best column (index -1: no language) and of
-    every positives mask, spelled by ``label(code | None)`` and
-    ``positives(codes)``."""
-    return (
-        tuple(label(language.value) for language in languages)
-        + (label(None),),
-        tuple(
-            positives([language.value for language in subset])
-            for subset in _positives_table(languages)
-        ),
-    )
 
 
 @dataclass(frozen=True)
@@ -149,7 +131,14 @@ class RowSink:
     def format_batch(self, result: BatchResult) -> str:
         """Every row of ``result``, each ending in a newline: the bytes
         :meth:`format` writes for each of its predictions."""
-        raise NotImplementedError
+        return "".join(
+            self.format(prediction) + "\n" for prediction in result
+        )
+
+    def check(self, result: BatchResult) -> None:
+        """Raise :class:`~repro.bulk.errors.BulkError` if this sink cannot
+        write ``result``: the engine then retries the chunk one URL at a
+        time and quarantines the rows that fail again."""
 
 
 @cache
@@ -189,9 +178,15 @@ class TsvSink(RowSink):
 def _jsonl_fields(
     languages: tuple[Language, ...],
 ) -> tuple[tuple[str, ...], tuple[str, ...], str, tuple[int, ...]]:
-    """The JSON of every best label and positives mask, the ``scores``
-    object template over the code-sorted columns, and those columns."""
-    labels, positives = _spellings(languages, _json, _json)
+    """The JSON of every best label (index -1: no language) and of every
+    positives mask, the ``scores`` object template over the code-sorted
+    columns, and those columns."""
+    labels = tuple(_json(language.value) for language in languages)
+    labels += (_json(None),)
+    positives = tuple(
+        _json([language.value for language in subset])
+        for subset in _positives_table(languages)
+    )
     order = tuple(sorted(range(len(languages)),
                          key=lambda j: languages[j].value))
     template = "{%s}" % ",".join(
@@ -240,7 +235,7 @@ class JsonlSink(RowSink):
             result.model.languages
         )
         best, masks = _row_columns(result)
-        scores = _score_texts(result.matrix, order, json_floats=True)
+        scores = _json_scores(result.matrix, order)
         return "".join(
             self._line(encode_basestring_ascii(url), labels[column],
                        positives[mask], template % texts) + "\n"
@@ -250,64 +245,41 @@ class JsonlSink(RowSink):
         )
 
 
-@cache
-def _csv_fields(
-    languages: tuple[Language, ...],
-) -> tuple[tuple[str, ...], tuple[str, ...], tuple[int, ...]]:
-    """The cell of every best label and positives mask, and the matrix
-    column of each ``score_<code>`` column."""
-    labels, positives = _spellings(
-        languages, lambda code: code or "", ",".join
-    )
-    codes = [language.value for language in languages]
-    return labels, positives, tuple(codes.index(code) for code in _CODES)
-
-
 class CsvSink(RowSink):
-    """Header + one CSV row per URL with per-language score columns."""
+    """Header + one CSV row per URL with per-language score columns.
+
+    Rows are formatted one at a time (the default
+    :meth:`~RowSink.format_batch`).
+    """
 
     suffix = ".csv"
 
     def header(self) -> str | None:
-        columns = ["url", "best", "positives"]
-        columns += [f"score_{code}" for code in _CODES]
-        columns.append("model")
-        return self._rows([columns])[:-1]
-
-    def _cells(
-        self, url: str, best: str, positives: str, scores: Iterable[str]
-    ) -> list[str]:
-        """One row's cells: the layout both format paths write."""
-        return [url, best, positives, *scores, self.provenance or ""]
+        return self._record(["url", "best", "positives", *SCORE_COLUMNS,
+                             "model"])
 
     def format(self, prediction: Prediction) -> str:
         scores = {
             language.value: score
             for language, score in prediction.scores.items()
         }
-        return self._rows([self._cells(
+        return self._record([
             prediction.url,
             prediction.best.value if prediction.best else "",
             ",".join(language.value for language in prediction.positives),
-            [repr(scores[code]) for code in _CODES],
-        )])[:-1]
-
-    def format_batch(self, result: BatchResult) -> str:
-        labels, positives, columns = _csv_fields(result.model.languages)
-        best, masks = _row_columns(result)
-        return self._rows(
-            self._cells(url, labels[column], positives[mask], texts)
-            for url, column, mask, texts in zip(
-                result.urls, best, masks,
-                _score_texts(result.matrix, columns),
-            )
-        )
+            *(repr(scores[code]) for code in SCORE_CODES),
+            self.provenance or "",
+        ])
 
     @staticmethod
-    def _rows(rows: Iterable[list[str]]) -> str:
+    def _record(cells: list[str]) -> str:
+        """One CSV record, without its terminator.  It is written with a
+        ``\\r\\n`` terminator, so the writer quotes a cell holding either
+        character: a bare ``\\r`` or ``\\n`` in a URL would end the record
+        where it is read back."""
         buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerows(rows)
-        return buffer.getvalue()
+        csv.writer(buffer, lineterminator="\r\n").writerow(cells)
+        return buffer.getvalue()[:-2]
 
 
 class SqliteSink(JsonlSink):
@@ -326,11 +298,19 @@ class SqliteSink(JsonlSink):
     (:func:`repro.query.ingest.index_run`).
     Workers never touch the database; ingestion is parent-only, so the
     scoring hot path pays nothing, and the parent's memory stays
-    bounded by one row at a time, not by a shard.
+    bounded by one row at a time, not by a shard.  SQLite cannot store
+    a NaN score, so a row scored NaN is refused (:meth:`check`) and
+    quarantined by the worker, before its shard is committed.
     """
 
     # Engine-side flag: maintain the result index for this run.
     indexes_results: ClassVar[bool] = True
+
+    def check(self, result: BatchResult) -> None:
+        if np.isnan(result.matrix).any():
+            raise BulkError(
+                "a NaN score cannot be indexed: SQLite stores NaN as NULL"
+            )
 
 
 #: Registered sink formats, by CLI name.

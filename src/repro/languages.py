@@ -4,7 +4,8 @@ The paper (Baykan, Henzinger & Weber, VLDB 2008) evaluates URL-based
 language identification for English, German, French, Spanish and Italian.
 This module is the single source of truth for:
 
-* the canonical language codes used throughout the library,
+* the canonical language codes used throughout the library, and the
+  order and names of the per-language score columns,
 * the country-code top-level domain (ccTLD) -> language mapping of the
   paper's ccTLD baseline (Section 3.2), reproduced verbatim,
 * the extra TLDs (.com/.org) that the ccTLD+ variant assigns to English.
@@ -62,6 +63,14 @@ LANGUAGES: tuple[Language, ...] = (
     Language.SPANISH,
     Language.ITALIAN,
 )
+
+#: The language codes in sorted order, and the per-language score
+#: columns named after them: a CSV shard's score cells and the result
+#: index's REAL columns, in this order.
+SCORE_CODES: tuple[str, ...] = tuple(
+    sorted(language.value for language in LANGUAGES)
+)
+SCORE_COLUMNS: tuple[str, ...] = tuple(f"score_{code}" for code in SCORE_CODES)
 
 # ---------------------------------------------------------------------------
 # ccTLD -> language map, exactly as listed in Section 3.2 of the paper.

@@ -202,7 +202,7 @@ _ROW_DECODER = json.JSONDecoder(parse_int=float, parse_constant=_json_constant)
 
 def _parse_jsonl(stream: io.TextIOBase, source: str):
     """Yield ``(url, best, score, positives, *scores)`` per row, the
-    scores in :data:`~repro.query.schema.SCORE_CODES` order (``None``
+    scores in :data:`~repro.languages.SCORE_CODES` order (``None``
     where the row has none).
 
     Each line is parsed once, and the floats it holds are stored as
@@ -291,16 +291,18 @@ def _shard_rows(output_path: Path):
     """
     suffix = output_path.suffix
     if suffix == ".jsonl":
-        parse = _parse_jsonl
+        parse, newline = _parse_jsonl, None
     elif suffix == ".csv":
-        parse = _parse_csv
+        # The csv module reads its own line breaks: a quoted "\r" in a
+        # cell must reach it untranslated.
+        parse, newline = _parse_csv, ""
     else:
         raise QueryError(
             f"cannot index {output_path.name}: only jsonl and csv shard "
             "outputs carry the per-language scores the index needs — "
             "run the bulk job with --sink sqlite (or jsonl/csv)"
         )
-    with open(output_path, "r", encoding="utf-8") as stream:
+    with open(output_path, "r", encoding="utf-8", newline=newline) as stream:
         yield from parse(stream, output_path.name)
 
 
@@ -320,7 +322,7 @@ def insert_rows(
     """Insert one shard's rows (table + FTS) at deterministic ids.
 
     ``rows`` yields ``(url, best, score, positives, *scores)``, one
-    score (or ``None``) per :data:`~repro.query.schema.SCORE_CODES`
+    score (or ``None``) per :data:`~repro.languages.SCORE_CODES`
     code; ids are ``ordinal * ROW_ID_STRIDE + row_ordinal``.  Rows
     stream into the table one at a time, and the FTS index is then fed
     from the table by the shard's primary-key range, so memory does not

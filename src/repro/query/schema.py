@@ -30,13 +30,14 @@ Tables:
     ``{score}|{id}`` keyset cursors are stable.  ``best`` is the
     decided language code (NULL when every binary classifier said
     no), ``score`` the winning decision score, and ``score_<code>``
-    one REAL column per language code (:data:`SCORE_CODES`) holding
-    that language's decision score as the sink wrote it — NULL where
-    the row carries none.  REAL columns hold IEEE doubles, so the
-    floats a JSONL shard spells with ``repr`` read back bit for bit
-    (SQLite keeps a negative zero as ``0.0``, and cannot store NaN,
-    which ingest therefore refuses); queries read them without
-    parsing anything.
+    one REAL column per language code
+    (:data:`~repro.languages.SCORE_CODES`) holding that language's
+    decision score as the sink wrote it — NULL where the row carries
+    none.  REAL columns hold IEEE doubles, so the floats a JSONL
+    shard spells with ``repr`` read back bit for bit (SQLite keeps a
+    negative zero as ``0.0``, and cannot store NaN, which ingest
+    therefore refuses and the sqlite sink quarantines); queries read
+    them without parsing anything.
 ``results_fts``
     FTS5 external-content table over ``url`` for keyword search,
     contentless of everything else (rows live once, in ``results``).
@@ -54,7 +55,7 @@ import os
 import sqlite3
 from pathlib import Path
 
-from repro.languages import LANGUAGES
+from repro.languages import SCORE_CODES, SCORE_COLUMNS
 from repro.query.errors import (
     IndexCorruptError,
     IndexMissingError,
@@ -80,10 +81,6 @@ RESULT_DB_NAME = "results.sqlite"
 #: Version 2 replaced version 1's JSON ``scores`` text column with one
 #: REAL column per language.
 SCHEMA_VERSION = 2
-
-#: Language codes in stable (sorted) order, and their score columns.
-SCORE_CODES = tuple(sorted(language.value for language in LANGUAGES))
-SCORE_COLUMNS = tuple(f"score_{code}" for code in SCORE_CODES)
 
 #: Deterministic row ids: ``shard_ordinal * ROW_ID_STRIDE + row_ordinal``.
 #: 2**32 rows per shard is far beyond any real shard while keeping ids

@@ -75,13 +75,15 @@ class TestCsv:
     def test_a_line_break_in_a_cell_is_quoted(self, prediction):
         """A URL read from a JSONL or CSV source can hold a line break;
         its row must still read back as one CSV record."""
-        broken = Prediction(url="http://x.de/a\nb", best=prediction.best,
-                            positives=prediction.positives,
-                            scores=prediction.scores)
-        row = make_sink("csv").format(broken)
-        assert row.startswith('"http://x.de/a\nb",')
-        (record,) = csv.reader(io.StringIO(row))
-        assert record[0] == broken.url
+        for url in ("http://x.de/a\nb", "http://x.de/a\rb",
+                    "http://x.de/a\r\nb"):
+            broken = Prediction(url=url, best=prediction.best,
+                                positives=prediction.positives,
+                                scores=prediction.scores)
+            row = make_sink("csv").format(broken)
+            assert row.startswith(f'"{url}",')
+            (record,) = csv.reader(io.StringIO(row, newline=""))
+            assert record[0] == url
 
 
 class TestRegistry:

@@ -12,11 +12,18 @@ import struct
 
 import pytest
 
+import repro.api
 import repro.bulk as bulk
+from repro.api import BatchResult
 from repro.bulk import BulkError
-from repro.bulk.checkpoint import journal_path
+from repro.bulk.checkpoint import RunManifest, journal_path
 from repro.cli import main
-from repro.query import IndexVersionError, index_fingerprint, open_index
+from repro.query import (
+    IndexVersionError,
+    QueryError,
+    index_fingerprint,
+    open_index,
+)
 from repro.query.ingest import index_run, ingest_shards
 from repro.query.schema import ROW_ID_STRIDE, SCORE_CODES, SCORE_COLUMNS
 from repro.testing.faults import FAULTS_ENV, FAULTS_STATE_ENV
@@ -294,3 +301,119 @@ class TestSchemaVersion2:
         bulk.run(model_path, shard_dir, run_dir, sink="csv", workers=1)
         index_run(run_dir)
         assert_lookups_return_the_shard_rows(run_dir)
+
+    def test_a_line_break_in_a_url_survives_a_csv_run_and_its_index(
+        self, query_model, query_corpus, tmp_path
+    ):
+        """A URL holding a bare ``\\r`` or ``\\n`` (a JSONL source can
+        carry one) stays one CSV record and indexes as written."""
+        model_path, _ = query_model
+        _, urls = query_corpus
+        broken = ["http://x.de/a\rb", "http://x.de/a\nb",
+                  "http://x.de/a\r\nb"]
+        source = tmp_path / "broken.jsonl"
+        source.write_text("".join(
+            json.dumps({"url": url}) + "\n" for url in [*urls[:5], *broken]
+        ))
+        run_dir = tmp_path / "csv-run"
+        report = bulk.run(model_path, source, run_dir, sink="csv", workers=1)
+        assert report.rows_scored == 8
+        index_run(run_dir)
+        assert_lookups_return_the_shard_rows(run_dir)
+        with open_index(run_dir) as index:
+            for url in broken:
+                assert [row["url"] for row in index.lookup(url)] == [url]
+
+
+class NanScorer:
+    """Scores as ``inner`` does, except that a URL holding ``NAN``
+    scores NaN for the model's first language."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def predict(self, urls):
+        result = self.inner.predict(urls)
+        matrix = result.matrix.copy()
+        matrix[["NAN" in url for url in urls], 0] = float("nan")
+        return BatchResult(result.urls, matrix, result.model)
+
+    def close(self):
+        self.inner.close()
+
+
+@pytest.fixture()
+def nan_input(query_corpus, tmp_path, monkeypatch):
+    """``(input, scored, nan_urls)``: one input shard in which two URLs
+    score NaN, read by a 1-worker run (workers open the model in this
+    process)."""
+    open_model = repro.api.open_model
+    monkeypatch.setattr(repro.api, "open_model",
+                        lambda handle: NanScorer(open_model(handle)))
+    _, urls = query_corpus
+    nan_urls = ["http://NAN.example/a", "http://NAN.example/b"]
+    source = tmp_path / "nan.txt"
+    source.write_text("\n".join(
+        [*urls[:10], nan_urls[0], *urls[10:20], nan_urls[1]]
+    ) + "\n")
+    return source, urls[:20], nan_urls
+
+
+class TestNanScores:
+    """SQLite stores NaN as NULL, so an index cannot hold a NaN score:
+    the sqlite sink quarantines such a row before its shard commits."""
+
+    def test_a_nan_row_is_quarantined_and_the_run_finishes(
+        self, query_model, nan_input, tmp_path
+    ):
+        model_path, _ = query_model
+        source, scored, nan_urls = nan_input
+        run_dir = tmp_path / "run"
+        report = bulk.run(model_path, source, run_dir, sink="sqlite",
+                          workers=1, chunk_size=8)
+        assert (report.rows_scored, report.rows_quarantined) == (20, 2)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        (entry,) = manifest["shards"].values()
+        sidecar = (run_dir / entry["quarantine_file"]).read_text()
+        quarantined = [json.loads(line) for line in sidecar.splitlines()]
+        assert [row["url"] for row in quarantined] == nan_urls
+        assert all("NaN" in row["reason"] for row in quarantined)
+        assert_lookups_return_the_shard_rows(run_dir)
+        with open_index(run_dir) as index:
+            assert index.status()["rows"] == len(scored)
+        resumed = bulk.run(model_path, source, run_dir, sink="sqlite",
+                           workers=1, resume=True)
+        assert resumed.shards_scored == 0
+        assert index_run(run_dir).shards_ingested == 0
+
+    def test_strict_mode_fails_before_the_shard_commits(
+        self, query_model, nan_input, tmp_path
+    ):
+        model_path, _ = query_model
+        source, _, _ = nan_input
+        run_dir = tmp_path / "run"
+        with pytest.raises(BulkError, match="NaN"):
+            bulk.run(model_path, source, run_dir, sink="sqlite", workers=1,
+                     quarantine=False)
+        manifest = RunManifest.load(run_dir / "manifest.json")
+        (entry,) = manifest.shards.values()
+        assert entry["status"] != "done"
+        assert not (run_dir / "part-00000.jsonl").exists()
+        with open_index(run_dir) as index:
+            assert index.status()["rows"] == 0
+
+    def test_a_jsonl_run_keeps_the_nan_that_indexing_refuses(
+        self, query_model, nan_input, tmp_path
+    ):
+        """Unindexed sinks write NaN as ``json.dumps`` does; indexing
+        that run afterwards names the row."""
+        model_path, _ = query_model
+        source, _, _ = nan_input
+        run_dir = tmp_path / "run"
+        report = bulk.run(model_path, source, run_dir, sink="jsonl",
+                          workers=1)
+        assert report.rows_quarantined == 0
+        (output,) = report.outputs
+        assert (run_dir / output).read_text().count("NaN") == 2
+        with pytest.raises(QueryError, match=rf"{output}:11 .*NaN"):
+            index_run(run_dir)
