@@ -23,6 +23,9 @@ the store root, ``repro://sock?timeout=5`` the daemon dial timeout, and
 ``repro://sock?retries=8&backoff=0.1&deadline=2`` the client's
 fault-tolerance posture (:class:`~repro.store.client.RetryPolicy`:
 retry budget, initial backoff seconds, end-to-end request deadline).
+Each built-in scheme reads its options through one table
+(:data:`_OPTIONS`), wherever a handle is parsed: an unknown, repeated
+or unreadable option is refused by every entry point alike.
 :func:`portable_handle` produces exactly such a self-contained handle
 string for shipping to worker processes (the bulk engine re-opens
 models that way).
@@ -159,50 +162,97 @@ def _split_scheme(handle: str) -> Optional[tuple[str, str]]:
     return match.group("scheme").lower(), match.group("rest")
 
 
-#: Query-string options each built-in scheme accepts.
-_STORE_OPTIONS = frozenset({"root"})
-_DAEMON_OPTIONS = frozenset(
-    {"timeout", "retries", "backoff", "deadline", "tracing"}
-)
-
-#: Spellings a boolean handle option accepts (case-insensitive).
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-_FALSY = frozenset({"0", "false", "no", "off"})
+def _seconds(text: str) -> float:
+    seconds = float(text)
+    if not 0 < seconds < float("inf"):
+        raise ValueError(text)
+    return seconds
 
 
-def _split_options(
-    rest: str, *, scheme: str, allowed: frozenset[str]
-) -> tuple[str, dict[str, str]]:
-    """``(body, options)`` of everything after ``<scheme>://``.
+def _count(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise ValueError(text)
+    return count
+
+
+#: Spellings a flag option accepts (case-insensitive).
+_FLAGS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
+def _flag(text: str) -> bool:
+    return _FLAGS[text.strip().lower()]
+
+
+#: An option's reader (it raises ``ValueError`` or ``KeyError`` on a
+#: value it cannot read) and what a readable value is.
+_Option = tuple[Callable[[str], Any], str]
+
+_SECONDS: _Option = (_seconds, "a positive number of seconds")
+
+#: The query-string options of each built-in scheme (both daemon
+#: schemes share one table); ``docs/api.md`` lists the same table.
+_OPTIONS: dict[str, dict[str, _Option]] = {
+    STORE_SCHEME: {"root": (str, "a directory")},
+    DAEMON_SCHEME: {
+        "timeout": _SECONDS,
+        "retries": (_count, "a non-negative integer"),
+        "backoff": _SECONDS,
+        "deadline": _SECONDS,
+        "tracing": (_flag, "a flag (1/0, true/false, yes/no, on/off)"),
+    },
+}
+_OPTIONS[TCP_DAEMON_SCHEME] = _OPTIONS[DAEMON_SCHEME]
+
+
+def _split_options(scheme: str, rest: str) -> tuple[str, dict[str, Any]]:
+    """``(body, options)`` of everything after ``<scheme>://``, each
+    option value read by the scheme's table in :data:`_OPTIONS`.
 
     Options ride in a query string (``store://name?root=/srv/models``)
     so a handle string alone can carry resolver configuration between
-    processes.  Unknown or repeated keys raise
+    processes.  Unknown, repeated or unreadable options raise
     :class:`InvalidHandleError` — a typo'd option silently ignored
-    would resolve the *wrong* model.
+    would resolve the *wrong* model, and a bad value found only when
+    the handle is dialled would fail far from where it was written.
     """
     body, separator, query = rest.partition("?")
     if not separator:
         return rest, {}
     handle = f"{scheme}://{rest}"
-    options: dict[str, str] = {}
-    for key, value in parse_qsl(query, keep_blank_values=True):
-        if key not in allowed:
-            raise InvalidHandleError(
-                f"unknown {scheme}:// option {key!r} in {handle!r}; "
-                f"supported: {', '.join(sorted(allowed))}",
-                handle=handle,
+    table = _OPTIONS[scheme]
+    options: dict[str, Any] = {}
+    for key, text in parse_qsl(query, keep_blank_values=True):
+        if key not in table:
+            problem = (
+                f"unknown {scheme}:// option {key!r} (supported: "
+                f"{', '.join(sorted(table))})"
             )
-        if key in options:
-            raise InvalidHandleError(
-                f"{scheme}:// option {key!r} given twice in {handle!r}",
-                handle=handle,
-            )
-        options[key] = value
+        elif key in options:
+            problem = f"{scheme}:// option {key!r} given twice"
+        else:
+            read, readable = table[key]
+            try:
+                options[key] = read(text)
+                continue
+            except (KeyError, ValueError):
+                problem = (
+                    f"{scheme}:// option {key}={text!r} is not {readable}"
+                )
+        raise InvalidHandleError(f"{problem} in {handle!r}", handle=handle)
     return body, options
 
 
 # -- daemon handles ---------------------------------------------------------------
+
+#: The address grammar of each daemon scheme, as errors spell it.
+_DAEMON_FORMS = {
+    DAEMON_SCHEME: f"{DAEMON_SCHEME}://<socket-path>",
+    TCP_DAEMON_SCHEME: f"{TCP_DAEMON_SCHEME}://<host>:<port>",
+}
 
 
 def is_daemon_handle(value: object) -> bool:
@@ -210,7 +260,48 @@ def is_daemon_handle(value: object) -> bool:
     if not isinstance(value, str):
         return False
     split = _split_scheme(value)
-    return split is not None and split[0] in (DAEMON_SCHEME, TCP_DAEMON_SCHEME)
+    return split is not None and split[0] in _DAEMON_FORMS
+
+
+def _parse_daemon(
+    handle: str, schemes: tuple[str, ...] = tuple(_DAEMON_FORMS)
+) -> tuple[Union[str, tuple[str, int]], dict[str, Any]]:
+    """``(address, options)`` of a daemon handle of one of ``schemes``.
+
+    The one parse of both daemon grammars: ``repro://<socket-path>``
+    gives the socket's filesystem path, ``repro+tcp://<host>:<port>`` a
+    ``(host, port)`` pair (an empty host means loopback), and the
+    options come back read (:func:`_split_options`).
+    """
+    split = _split_scheme(handle) if isinstance(handle, str) else None
+    if split is None or split[0] not in schemes:
+        raise InvalidHandleError(
+            f"not a daemon serving handle: {handle!r}; expected "
+            f"{' or '.join(_DAEMON_FORMS[scheme] for scheme in schemes)}",
+            handle=str(handle),
+        )
+    scheme, rest = split
+    body, options = _split_options(scheme, rest)
+    if scheme == DAEMON_SCHEME:
+        if not body:
+            raise InvalidHandleError(
+                f"serving handle has an empty socket path: {handle!r}; "
+                f"expected {_DAEMON_FORMS[scheme]}",
+                handle=handle,
+            )
+        return body, options
+    host, separator, port_text = body.rpartition(":")
+    try:
+        port = int(port_text)
+        if not separator or not 0 < port < 65536:
+            raise ValueError
+    except ValueError:
+        raise InvalidHandleError(
+            f"serving handle needs host:port after the scheme: {handle!r} "
+            f"(expected {_DAEMON_FORMS[scheme]})",
+            handle=handle,
+        ) from None
+    return (host or "127.0.0.1", port), options
 
 
 def daemon_socket_path(handle: str) -> str:
@@ -220,114 +311,10 @@ def daemon_socket_path(handle: str) -> str:
     query) is the filesystem path of the daemon's Unix socket, absolute
     or relative (``repro:///run/repro.sock``, ``repro://model.sock``).
     Raises :class:`InvalidHandleError` (a ``ValueError``) for strings
-    that do not carry the scheme or carry an empty path — use
-    :func:`is_daemon_handle` to probe first.
+    that do not carry the scheme, carry an empty path or an unreadable
+    option — use :func:`is_daemon_handle` to probe first.
     """
-    split = _split_scheme(handle) if isinstance(handle, str) else None
-    if split is None or split[0] != DAEMON_SCHEME:
-        raise InvalidHandleError(
-            f"not a repro:// serving handle: {handle!r}", handle=str(handle)
-        )
-    path, _ = _split_options(
-        split[1], scheme=DAEMON_SCHEME, allowed=_DAEMON_OPTIONS
-    )
-    if not path:
-        raise InvalidHandleError(
-            f"serving handle has an empty socket path: {handle!r}; "
-            "expected repro://<socket-path>",
-            handle=handle,
-        )
-    return path
-
-
-def _daemon_seconds_option(
-    options: dict[str, str], key: str, rest: str,
-    scheme: str = DAEMON_SCHEME,
-) -> Optional[float]:
-    """``options[key]`` as positive finite seconds, or None if absent.
-
-    One typed error for every unusable value — NaN, negative, infinite,
-    non-numeric — so CLI callers always get the clean exit path, never
-    ``socket.settimeout``'s raw ``ValueError``.
-    """
-    if key not in options:
-        return None
-    try:
-        value = float(options[key])
-    except ValueError:
-        value = float("nan")
-    if not 0 < value < float("inf"):
-        raise InvalidHandleError(
-            f"{scheme}:// option {key}={options[key]!r} is not "
-            f"a positive number of seconds (handle "
-            f"{scheme}://{rest!r})",
-            handle=f"{scheme}://{rest}",
-        ) from None
-    return value
-
-
-def _daemon_tracing_option(
-    options: dict[str, str], rest: str, scheme: str = DAEMON_SCHEME,
-) -> bool:
-    """The handle's ``?tracing=`` flag as a bool (absent → False)."""
-    if "tracing" not in options:
-        return False
-    value = options["tracing"].strip().lower()
-    if value in _TRUTHY:
-        return True
-    if value in _FALSY:
-        return False
-    raise InvalidHandleError(
-        f"{scheme}:// option tracing={options['tracing']!r} is not a "
-        f"boolean (use tracing=1 or tracing=0; handle {scheme}://{rest!r})",
-        handle=f"{scheme}://{rest}",
-    )
-
-
-def _daemon_dial_settings(
-    options: dict[str, str], rest: str, timeout: float, scheme: str,
-) -> tuple[float, Optional["RetryPolicy"], bool]:
-    """``(timeout, retry, tracing)`` a daemon handle's options pin
-    (``timeout`` is the default when the handle pins none).
-
-    Both handle grammars (``repro://``, ``repro+tcp://``) accept the
-    identical ``timeout``/``retries``/``backoff``/``deadline``/
-    ``tracing`` options with the identical validation.
-    """
-    from repro.store.client import RetryPolicy
-
-    pinned_timeout = _daemon_seconds_option(options, "timeout", rest, scheme)
-    if pinned_timeout is not None:
-        timeout = pinned_timeout
-    tracing = _daemon_tracing_option(options, rest, scheme)
-    backoff = _daemon_seconds_option(options, "backoff", rest, scheme)
-    deadline = _daemon_seconds_option(options, "deadline", rest, scheme)
-    retries: Optional[int] = None
-    if "retries" in options:
-        try:
-            retries = int(options["retries"])
-        except ValueError:
-            retries = -1
-        if retries < 0:
-            raise InvalidHandleError(
-                f"{scheme}:// option retries={options['retries']!r} is not "
-                f"a non-negative integer (handle "
-                f"{scheme}://{rest!r})",
-                handle=f"{scheme}://{rest}",
-            ) from None
-    retry: Optional[RetryPolicy] = None
-    if retries is not None or backoff is not None or deadline is not None:
-        defaults = RetryPolicy()
-        chosen_backoff = defaults.backoff if backoff is None else backoff
-        retry = RetryPolicy(
-            retries=defaults.retries if retries is None else retries,
-            backoff=chosen_backoff,
-            # A handle pinning a large initial backoff must not trip the
-            # policy's backoff <= backoff_max invariant.
-            backoff_max=max(defaults.backoff_max, chosen_backoff),
-            deadline=deadline,
-        )
-    return timeout, retry, tracing
+    return cast(str, _parse_daemon(handle, (DAEMON_SCHEME,))[0])
 
 
 def tcp_daemon_address(handle: str) -> tuple[str, int]:
@@ -335,30 +322,12 @@ def tcp_daemon_address(handle: str) -> tuple[str, int]:
 
     The host is anything before the last ``:`` (a hostname or IPv4
     literal; an empty host means loopback), the port a decimal integer.
-    Raises :class:`InvalidHandleError` for strings without the scheme or
-    with an unparsable endpoint.
+    Raises :class:`InvalidHandleError` for strings without the scheme,
+    with an unparsable endpoint or with an unreadable option.
     """
-    split = _split_scheme(handle) if isinstance(handle, str) else None
-    if split is None or split[0] != TCP_DAEMON_SCHEME:
-        raise InvalidHandleError(
-            f"not a {TCP_DAEMON_SCHEME}:// serving handle: {handle!r}",
-            handle=str(handle),
-        )
-    body, _ = _split_options(
-        split[1], scheme=TCP_DAEMON_SCHEME, allowed=_DAEMON_OPTIONS
+    return cast(
+        tuple[str, int], _parse_daemon(handle, (TCP_DAEMON_SCHEME,))[0]
     )
-    host, separator, port_text = body.rpartition(":")
-    try:
-        port = int(port_text)
-        if not separator or not 0 < port < 65536:
-            raise ValueError
-    except ValueError:
-        raise InvalidHandleError(
-            f"serving handle needs host:port after the scheme: {handle!r} "
-            f"(expected {TCP_DAEMON_SCHEME}://<host>:<port>)",
-            handle=handle,
-        ) from None
-    return host or "127.0.0.1", port
 
 
 def daemon_endpoint(
@@ -368,39 +337,37 @@ def daemon_endpoint(
 ]:
     """``(address, timeout, retry, tracing)`` a daemon handle dials.
 
-    The one place that understands *both* daemon handle grammars —
-    ``repro://<socket-path>`` yields a filesystem path,
-    ``repro+tcp://<host>:<port>`` a ``(host, port)`` pair — together
-    with the dial settings the handle's
+    Both daemon handle grammars — ``repro://<socket-path>`` yields a
+    filesystem path, ``repro+tcp://<host>:<port>`` a ``(host, port)``
+    pair — together with the dial settings the handle's
     ``?timeout=&retries=&backoff=&deadline=&tracing=`` options pin
     (handle options beat the ``timeout`` argument, exactly as in
-    :func:`open_model`).  The async facade
-    (:func:`repro.api.aopen_model`) resolves daemon handles through
-    this instead of the sync resolver so both stacks agree on the
-    grammar by construction.  Raises :class:`InvalidHandleError` for
-    non-daemon handles.
+    :func:`open_model`; a retry option left out keeps the
+    :class:`~repro.store.client.RetryPolicy` default).  The async
+    facade (:func:`repro.api.aopen_model`) resolves daemon handles
+    through this instead of the sync resolver so both stacks agree on
+    the grammar by construction.  Raises :class:`InvalidHandleError`
+    for non-daemon handles.
     """
-    split = _split_scheme(handle) if isinstance(handle, str) else None
-    if split is None or split[0] not in (DAEMON_SCHEME, TCP_DAEMON_SCHEME):
-        raise InvalidHandleError(
-            f"not a daemon serving handle: {handle!r}; expected "
-            f"{DAEMON_SCHEME}://<socket-path> or "
-            f"{TCP_DAEMON_SCHEME}://<host>:<port>",
-            handle=str(handle),
+    from repro.store.client import RetryPolicy
+
+    address, options = _parse_daemon(handle)
+    retry: Optional[RetryPolicy] = None
+    if options.keys() & {"retries", "backoff", "deadline"}:
+        defaults = RetryPolicy()
+        backoff = options.get("backoff", defaults.backoff)
+        retry = RetryPolicy(
+            retries=options.get("retries", defaults.retries),
+            backoff=backoff,
+            # A handle pinning a large initial backoff must not trip the
+            # policy's backoff <= backoff_max invariant.
+            backoff_max=max(defaults.backoff_max, backoff),
+            deadline=options.get("deadline"),
         )
-    scheme, rest = split
-    _, options = _split_options(
-        rest, scheme=scheme, allowed=_DAEMON_OPTIONS
+    return (
+        address, options.get("timeout", timeout), retry,
+        options.get("tracing", False),
     )
-    address: Union[str, tuple[str, int]]
-    if scheme == TCP_DAEMON_SCHEME:
-        address = tcp_daemon_address(handle)
-    else:
-        address = daemon_socket_path(handle)
-    chosen_timeout, retry, tracing = _daemon_dial_settings(
-        options, rest, timeout, scheme
-    )
-    return address, chosen_timeout, retry, tracing
 
 
 def _unusable_daemon(handle: str, error: Exception) -> BackendUnavailableError:
@@ -453,7 +420,7 @@ def _daemon_resolver(scheme: str) -> SchemeResolver:
 
 
 def _store_root(
-    context: ResolveContext, options: Optional[dict[str, str]] = None
+    context: ResolveContext, options: Optional[dict[str, Any]] = None
 ) -> Union[str, os.PathLike]:
     """The ``store://`` root directory for this resolution.
 
@@ -473,9 +440,7 @@ def _store_lookup(rest: str, context: ResolveContext) -> Any:
     from repro.store.format import ArtifactError
     from repro.store.registry import ModelStore
 
-    body, options = _split_options(
-        rest, scheme=STORE_SCHEME, allowed=_STORE_OPTIONS
-    )
+    body, options = _split_options(STORE_SCHEME, rest)
     name, _, version = body.partition("@")
     handle = f"{STORE_SCHEME}://{rest}"
     if not name:
@@ -558,23 +523,36 @@ def sniff_model_format(path: Union[str, os.PathLike]) -> str:
     return "artifact" if is_artifact(path) else "pickle"
 
 
-def _load_artifact(path: Union[str, os.PathLike], handle: str) -> Predictor:
-    """Load an artifact path, mapping store errors onto resolve errors."""
+def _load_artifact(source: Any, handle: str) -> Predictor:
+    """Load an artifact — a path, or a
+    :class:`~repro.store.registry.ModelHandle`-like object's
+    ``load()`` — mapping store errors onto the typed resolve errors
+    (the file can vanish or rot between ``store.list()`` and the
+    load)."""
     from repro.store.artifact import load_identifier
     from repro.store.format import ArtifactError, ArtifactVersionError
 
+    is_path = isinstance(source, (str, os.PathLike))
+    named = os.fspath(source) if is_path else handle
     try:
-        return cast(Predictor, load_identifier(path))
+        if is_path:
+            return cast(Predictor, load_identifier(source))
+        return cast(Predictor, source.load())
     except ArtifactVersionError as error:
         raise VersionMismatchError(
-            f"model artifact {os.fspath(path)!r} was written by an "
-            f"incompatible format version ({error}); re-save it with this "
-            "release's 'repro train'",
+            f"model artifact {named!r} was written by an incompatible "
+            f"format version ({error}); re-save it with this release's "
+            "'repro train'",
             handle=handle,
         ) from error
-    except ArtifactError as error:
+    except FileNotFoundError as error:
+        raise ModelNotFoundError(
+            f"model artifact {named!r} no longer exists ({error})",
+            handle=handle,
+        ) from error
+    except (ArtifactError, OSError) as error:
         raise UnreadableModelError(
-            f"model artifact {os.fspath(path)!r} is unreadable: {error}",
+            f"model artifact {named!r} is unreadable: {error}",
             handle=handle,
         ) from error
 
@@ -609,35 +587,6 @@ def _load_pickle(path: Union[str, os.PathLike], handle: str) -> Predictor:
     return cast(Predictor, loaded)
 
 
-def _load_handle_object(handle: Any) -> Predictor:
-    """``load()`` a :class:`~repro.store.registry.ModelHandle`-like
-    object, holding it to the same typed-error contract as every other
-    route (the artifact can vanish or rot between ``store.list()`` and
-    resolution)."""
-    from repro.store.format import ArtifactError, ArtifactVersionError
-
-    described = getattr(handle, "name", None) or repr(handle)
-    try:
-        return cast(Predictor, handle.load())
-    except ArtifactVersionError as error:
-        raise VersionMismatchError(
-            f"model handle {described!r} points at an artifact written by "
-            f"an incompatible format version ({error})",
-            handle=str(described),
-        ) from error
-    except FileNotFoundError as error:
-        raise ModelNotFoundError(
-            f"model handle {described!r} points at a file that no longer "
-            f"exists ({error}); re-list the store",
-            handle=str(described),
-        ) from error
-    except (ArtifactError, OSError) as error:
-        raise UnreadableModelError(
-            f"model handle {described!r} failed to load: {error}",
-            handle=str(described),
-        ) from error
-
-
 def _resolve_path(path: Union[str, os.PathLike]) -> Predictor:
     """Resolve a filesystem path: artifact via mmap, else legacy pickle."""
     handle = os.fspath(path)
@@ -647,6 +596,21 @@ def _resolve_path(path: Union[str, os.PathLike]) -> Predictor:
 
 
 # -- the facade entry points ------------------------------------------------------
+
+
+def _scheme_resolver(scheme: str, handle: str) -> SchemeResolver:
+    """The resolver registered for ``scheme``; an unknown scheme is
+    refused with the one error every entry point raises for it."""
+    resolver = _SCHEMES.get(scheme)
+    if resolver is None:
+        raise UnknownSchemeError(
+            f"no resolver registered for scheme {scheme!r} "
+            f"(handle {handle!r}); registered schemes: "
+            f"{', '.join(registered_schemes())}. Third-party "
+            "backends add theirs via repro.api.register_scheme().",
+            handle=handle,
+        )
+    return resolver
 
 
 def open_model(
@@ -669,7 +633,10 @@ def open_model(
     if hasattr(handle, "scores_many") and hasattr(handle, "decisions"):
         return cast(Predictor, handle)
     if hasattr(handle, "load") and not isinstance(handle, (str, os.PathLike)):
-        return _load_handle_object(handle)  # a ModelHandle
+        # a ModelHandle
+        return _load_artifact(
+            handle, handle=str(getattr(handle, "name", None) or repr(handle))
+        )
     if not isinstance(handle, (str, os.PathLike)):
         raise TypeError(
             "expected a fitted identifier, a ModelHandle, a handle string "
@@ -681,16 +648,7 @@ def open_model(
         split = _split_scheme(handle)
         if split is not None:
             scheme, rest = split
-            resolver = _SCHEMES.get(scheme)
-            if resolver is None:
-                raise UnknownSchemeError(
-                    f"no resolver registered for scheme {scheme!r} "
-                    f"(handle {handle!r}); registered schemes: "
-                    f"{', '.join(registered_schemes())}. Third-party "
-                    "backends add theirs via repro.api.register_scheme().",
-                    handle=handle,
-                )
-            return resolver(rest, context)
+            return _scheme_resolver(scheme, handle)(rest, context)
     return _resolve_path(handle)
 
 
@@ -706,8 +664,9 @@ def resolve_artifact_path(
     resolves plain paths and ``store://`` names to that file and
     rejects everything that has none.  Raises
     :class:`UnreadableModelError` for pickles (serving requires the
-    artifact format) and :class:`InvalidHandleError` for ``repro://``
-    handles (a daemon is already serving that model).
+    artifact format), :class:`InvalidHandleError` for daemon handles
+    (a daemon is already serving that model) and other registered
+    schemes, and :class:`UnknownSchemeError` for unregistered ones.
     """
     if isinstance(handle, str):
         split = _split_scheme(handle)
@@ -716,17 +675,11 @@ def resolve_artifact_path(
             if scheme == STORE_SCHEME:
                 context = ResolveContext(store_root=store_root)
                 return str(_store_lookup(rest, context).path)
-            if scheme in (DAEMON_SCHEME, TCP_DAEMON_SCHEME):
-                raise InvalidHandleError(
-                    f"{handle!r} points at a running daemon, not an "
-                    "artifact file; serve commands need a model path or "
-                    "store:// name",
-                    handle=handle,
-                )
-            raise UnknownSchemeError(
-                f"no resolver registered for scheme {scheme!r} "
-                f"(handle {handle!r}); registered schemes: "
-                f"{', '.join(registered_schemes())}",
+            _scheme_resolver(scheme, handle)  # an unknown one is refused
+            raise InvalidHandleError(
+                f"{handle!r} points at a running daemon or another live "
+                "backend, not an artifact file; serve commands need a "
+                "model path or store:// name",
                 handle=handle,
             )
     if sniff_model_format(handle) != "artifact":
@@ -756,9 +709,14 @@ def portable_handle(
       ``?root=`` option (handle option > ``store_root`` argument >
       ``$REPRO_MODEL_STORE`` > default), made absolute;
     * ``repro://`` handles get their socket path made absolute
-      (options preserved);
+      (options kept as written);
+    * ``repro+tcp://`` handles pass through unchanged;
     * third-party scheme handles pass through unchanged (only their
       own resolver could know what to canonicalise).
+
+    Built-in scheme handles are parsed, so a malformed one — an
+    unknown option, an unreadable value — is refused here, before any
+    worker is spawned.
 
     Live predictor objects have no portable form — save them to an
     artifact first; passing one raises ``TypeError``.
@@ -775,21 +733,16 @@ def portable_handle(
     if split is None:
         return str(Path(handle).resolve())
     scheme, rest = split
-    if scheme == DAEMON_SCHEME:
-        socket_path = daemon_socket_path(handle)  # validates, strips options
-        _, options = _split_options(
-            rest, scheme=DAEMON_SCHEME, allowed=_DAEMON_OPTIONS
-        )
-        query = "&".join(
-            f"{key}={quote(value)}" for key, value in sorted(options.items())
-        )
-        absolute = str(Path(socket_path).resolve())
-        return f"{DAEMON_SCHEME}://{absolute}{'?' + query if query else ''}"
+    if scheme in _DAEMON_FORMS:
+        address, _ = _parse_daemon(handle)
+        if scheme == TCP_DAEMON_SCHEME:
+            return handle
+        absolute = Path(cast(str, address)).resolve()
+        _, separator, query = rest.partition("?")
+        return f"{DAEMON_SCHEME}://{absolute}{separator}{query}"
     if scheme != STORE_SCHEME:
         return handle
-    body, options = _split_options(
-        rest, scheme=STORE_SCHEME, allowed=_STORE_OPTIONS
-    )
+    body, options = _split_options(STORE_SCHEME, rest)
     context = ResolveContext(store_root=store_root)
     root = Path(os.fspath(_store_root(context, options))).resolve()
     return f"{STORE_SCHEME}://{body}?root={quote(str(root))}"

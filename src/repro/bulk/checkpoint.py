@@ -45,7 +45,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,6 +54,7 @@ from repro.bulk.errors import (
     ManifestMismatchError,
 )
 from repro.bulk.source import Shard
+from repro.store.format import write_atomic
 
 __all__ = [
     "GROUP_COMMIT_SHARDS",
@@ -94,31 +94,6 @@ def sha256_file(path: str | os.PathLike, chunk_bytes: int = 1 << 20) -> str:
                 break
             digest.update(block)
     return digest.hexdigest()
-
-
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    """Replace ``path`` with ``payload`` atomically (tmp + fsync + rename).
-
-    A reader (or a resume) therefore sees either the previous manifest
-    or the new one, never a truncated hybrid — a SIGKILL mid-save
-    cannot corrupt the checkpoint.
-    """
-    data = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as stream:
-            stream.write(data)
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 def _fsync_directory(path: Path) -> None:
@@ -305,7 +280,10 @@ class RunManifest:
             payload["summary"] = self.summary
         if self.query_index is not None:
             payload["query_index"] = self.query_index
-        _atomic_write_json(path, payload)
+        # Atomic: a SIGKILL mid-save leaves the previous manifest whole.
+        write_atomic(path, (
+            (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(),
+        ))
         if journal.exists():
             _fsync_directory(path.parent)
             journal.unlink()

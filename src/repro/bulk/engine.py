@@ -576,6 +576,7 @@ def run(
             sink=sink, chunk_size=chunk_size, url_field=url_field,
         )
     if row_sink.indexes_results:
+        from repro.query.ingest import record_model
         from repro.query.schema import RESULT_DB_NAME, create_result_db
 
         manifest.query_index = RESULT_DB_NAME
@@ -741,12 +742,7 @@ def run(
             # Inside the try: an index this build cannot use (an older
             # schema) aborts the run with its remedy, logged as such.
             index_connection = create_result_db(output_dir / RESULT_DB_NAME)
-            with index_connection:
-                index_connection.execute(
-                    "INSERT INTO meta(key, value) VALUES ('model', ?) "
-                    "ON CONFLICT(key) DO UPDATE SET value=excluded.value",
-                    (json.dumps(manifest.model, sort_keys=True),),
-                )
+            record_model(index_connection, manifest.model)
         if tasks:
             if workers <= 1 or stdin_run or len(tasks) == 1:
                 _initialize_worker(*initargs)

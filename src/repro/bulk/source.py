@@ -170,9 +170,12 @@ def discover_shards(spec: str | os.PathLike) -> list[Shard]:
 def _open_text(shard: Shard) -> io.TextIOBase:
     if shard.is_stdin:
         return sys.stdin  # type: ignore[return-value]
+    # The csv module needs newline="" to keep a quoted \r inside a cell;
+    # text and JSONL lines keep universal newlines, which iterate faster.
+    newline = "" if shard.format == "csv" else None
     if shard.compressed:
-        return gzip.open(shard.path, "rt", encoding="utf-8")  # type: ignore[return-value]
-    return open(shard.path, "r", encoding="utf-8")
+        return gzip.open(shard.path, "rt", encoding="utf-8", newline=newline)  # type: ignore[return-value]
+    return open(shard.path, "r", encoding="utf-8", newline=newline)
 
 
 def _excerpt(raw: str) -> str:

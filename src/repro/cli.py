@@ -406,6 +406,7 @@ def _cmd_generate(args: argparse.Namespace, out) -> int:
 
 def _cmd_train(args: argparse.Namespace, out) -> int:
     from repro.store import save_identifier
+    from repro.store.format import write_atomic
 
     data = build_datasets(seed=args.seed, scale=args.scale)
     identifier = LanguageIdentifier(
@@ -424,8 +425,7 @@ def _cmd_train(args: argparse.Namespace, out) -> int:
     else:
         if args.dtype != "float64":
             out.write("--dtype applies to artifacts only; ignored for pickle\n")
-        with open(args.out, "wb") as handle:
-            pickle.dump(identifier, handle)
+        write_atomic(args.out, (pickle.dumps(identifier),))
     note = "" if model_format == "artifact" else " (deprecated pickle format)"
     out.write(
         f"trained {identifier.name} on {len(data.combined_train)} URLs "

@@ -64,6 +64,7 @@ __all__ = [
     "ingest_shard",
     "ingest_shards",
     "insert_rows",
+    "record_model",
 ]
 
 #: Score keys a row may carry: the codes of the score columns.
@@ -450,6 +451,17 @@ def ingest_shard(
     )[0]
 
 
+def record_model(connection: sqlite3.Connection, model: dict) -> None:
+    """Store ``model`` (a run manifest's model fingerprint) as the
+    index's ``model`` row, in its own transaction."""
+    with connection:
+        connection.execute(
+            "INSERT INTO meta(key, value) VALUES ('model', ?) "
+            "ON CONFLICT(key) DO UPDATE SET value=excluded.value",
+            (json.dumps(model, sort_keys=True),),
+        )
+
+
 def index_run(
     output_dir: str | os.PathLike,
     db_path: str | os.PathLike | None = None,
@@ -489,12 +501,7 @@ def index_run(
                 pass
     connection = create_result_db(path)
     try:
-        with connection:
-            connection.execute(
-                "INSERT INTO meta(key, value) VALUES ('model', ?) "
-                "ON CONFLICT(key) DO UPDATE SET value=excluded.value",
-                (json.dumps(manifest.model, sort_keys=True),),
-            )
+        record_model(connection, manifest.model)
         done = {
             shard_id: (ordinal, manifest.shards[shard_id])
             for ordinal, shard_id in enumerate(manifest.order)

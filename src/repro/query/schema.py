@@ -139,20 +139,21 @@ def connect(path: str | os.PathLike, *, readonly: bool = False) -> sqlite3.Conne
     """A raw connection with the tier's pragmas applied.
 
     WAL journaling lets the daemon's read-only handlers run while the
-    bulk engine is still ingesting shards; filesystems that refuse WAL
-    (some network mounts) silently keep the default journal — queries
-    stay correct, only concurrent-reader behaviour degrades.
+    bulk engine is still ingesting shards.  The journal mode is a
+    property of the file, so only a writer sets it; a read-only
+    connection reads an index in whatever mode it is.  Filesystems that
+    refuse WAL (some network mounts) silently keep the default journal
+    — queries stay correct, only concurrent-reader behaviour degrades.
     """
     if readonly:
         uri = f"file:{Path(path).as_posix()}?mode=ro"
         connection = sqlite3.connect(uri, uri=True)
     else:
         connection = sqlite3.connect(path)
-    try:
-        connection.execute("PRAGMA journal_mode=WAL")
-    except sqlite3.DatabaseError:
-        if readonly:
-            raise
+        try:
+            connection.execute("PRAGMA journal_mode=WAL")
+        except sqlite3.DatabaseError:
+            pass
     connection.execute("PRAGMA synchronous=NORMAL")
     return connection
 

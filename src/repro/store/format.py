@@ -44,12 +44,13 @@ SIMD-friendly no matter what precedes it.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import mmap
 import os
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,32 @@ def _dtype_string(array: np.ndarray) -> str:
     return dtype.str
 
 
+def write_atomic(path: str | os.PathLike, chunks: Iterable[bytes]) -> None:
+    """Replace the file at ``path`` with ``chunks``, atomically.
+
+    The bytes go to a temporary sibling of this call's own, which is
+    fsynced and then renamed over ``path``: a reader sees the previous
+    file or the new one, never a torn mix, and concurrent saves to one
+    path all succeed (the last rename wins).  On any failure the
+    temporary file is removed and ``path`` is left as it was.  The file
+    gets the usual permissions (``0o666`` less the umask).
+    """
+    path = Path(path)
+    tmp_path = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as stream:
+            for chunk in chunks:
+                stream.write(chunk)
+            stream.flush()
+            os.fsync(stream.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_path)
+        raise
+
+
 def write_artifact(
     path: str | os.PathLike,
     model: Mapping,
@@ -118,8 +145,9 @@ def write_artifact(
 ) -> str:
     """Write ``buffers`` + ``model`` metadata as one artifact file.
 
-    The file is written to a temporary sibling and atomically renamed
-    into place, so readers never observe a half-written artifact.
+    The file is written through :func:`write_atomic`, so readers never
+    observe a half-written artifact and concurrent saves to one path
+    all succeed.
     Returns the payload's checksum hex digest (the artifact's content
     identity, also recorded in the header).
 
@@ -130,7 +158,6 @@ def write_artifact(
     silently mis-read the model.  The key is written only when non-empty
     so that flag-free artifacts stay byte-stable across versions.
     """
-    path = Path(path)
     arrays = {name: _canonical_array(name, array) for name, array in buffers.items()}
 
     table: dict[str, dict] = {}
@@ -158,14 +185,13 @@ def write_artifact(
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     payload_start = _align(len(MAGIC) + 8 + len(header_bytes))
 
-    tmp_path = path.with_name(path.name + ".tmp")
-    with open(tmp_path, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(len(header_bytes).to_bytes(8, "little"))
-        handle.write(header_bytes)
-        handle.write(b"\x00" * (payload_start - len(MAGIC) - 8 - len(header_bytes)))
-        handle.write(payload)
-    os.replace(tmp_path, path)
+    write_atomic(path, (
+        MAGIC,
+        len(header_bytes).to_bytes(8, "little"),
+        header_bytes,
+        b"\x00" * (payload_start - len(MAGIC) - 8 - len(header_bytes)),
+        payload,
+    ))
     return digest
 
 

@@ -197,7 +197,7 @@ class TestJournal:
         # The journal goes before the plan is written, so not even a
         # kill during that write can pair the plan with it.
         with monkeypatch.context() as patch:
-            patch.setattr(checkpoint, "_atomic_write_json", kill)
+            patch.setattr(checkpoint, "write_atomic", kill)
             with pytest.raises(Killed):
                 plan("a.txt", "b.txt").save(path)
         assert not journal_path(path).exists()

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import gzip
 import json
 
 import pytest
 
+import repro.bulk as bulk
 from repro.bulk import BulkError, discover_shards, read_urls
 from repro.bulk.source import STDIN_SPEC, detect_format
 
@@ -112,6 +114,20 @@ class TestReadUrls:
         (shard,) = discover_shards(path)
         assert list(read_urls(shard)) == ["http://a.de", "http://b.fr"]
 
+    @pytest.mark.parametrize("name", ["u.csv", "u.csv.gz"])
+    def test_csv_keeps_a_carriage_return_inside_a_cell(self, tmp_path, name):
+        path = tmp_path / name
+        opener = gzip.open if name.endswith(".gz") else open
+        with opener(path, "wt", encoding="utf-8", newline="") as out:
+            csv.writer(out).writerows([
+                ["url"], ["http://x.de/a\rb"], ["http://x.de/c\r\nd"],
+                ["http://x.fr/e"],
+            ])
+        (shard,) = discover_shards(path)
+        assert list(read_urls(shard)) == [
+            "http://x.de/a\rb", "http://x.de/c\r\nd", "http://x.fr/e",
+        ]
+
     def test_jsonl_empty_url_raises(self, tmp_path):
         path = tmp_path / "u.jsonl"
         path.write_text('{"url": ""}\n')
@@ -133,3 +149,21 @@ class TestReadUrls:
         (shard,) = discover_shards(path)
         with pytest.raises(BulkError, match="no 'url' column"):
             list(read_urls(shard))
+
+
+def test_a_jsonl_run_writes_a_csv_cell_as_it_was_written(
+    bulk_model, tmp_path
+):
+    """The URL in each output row is the input cell, ``\\r`` and all."""
+    model_path, _ = bulk_model
+    urls = ["http://x.de/a\rb", "http://www.blumen.de/garten"]
+    source = tmp_path / "in.csv"
+    with open(source, "w", encoding="utf-8", newline="") as out:
+        csv.writer(out).writerows([["url"], *([url] for url in urls)])
+    report = bulk.run(
+        model_path, source, tmp_path / "out", sink="jsonl", workers=1
+    )
+    (output,) = report.outputs
+    with open(tmp_path / "out" / output, encoding="utf-8") as lines:
+        rows = [json.loads(line) for line in lines]
+    assert [row["url"] for row in rows] == urls

@@ -13,9 +13,11 @@ from repro.query import (
     IndexMissingError,
     IndexVersionError,
     create_result_db,
+    open_index,
     open_result_db,
     resolve_db_path,
 )
+from tests.query.conftest import fill_index
 
 
 class TestCreate:
@@ -112,3 +114,53 @@ class TestOpen:
                 connection.execute("INSERT INTO meta VALUES ('x', 'y')")
         finally:
             connection.close()
+
+
+class TestJournalMode:
+    """Only a writer sets the journal mode; a reader takes the file as
+    it is."""
+
+    @pytest.fixture
+    def index_path(self, tmp_path):
+        path = tmp_path / RESULT_DB_NAME
+        fill_index(create_result_db(path), shards=2, rows_per_shard=10).close()
+        return path
+
+    def test_an_index_in_rollback_journal_mode_answers_read_only(
+        self, index_path
+    ):
+        connection = sqlite3.connect(index_path)
+        assert connection.execute(
+            "PRAGMA journal_mode=DELETE"
+        ).fetchone()[0] == "delete"
+        connection.close()
+        index = open_index(index_path)
+        try:
+            assert index.status()["rows"] == 20
+            assert index.counts() == {
+                "de": 4, "en": 4, "es": 4, "fr": 4, "it": 4,
+            }
+        finally:
+            index.close()
+        check = sqlite3.connect(index_path)
+        try:
+            assert check.execute(
+                "PRAGMA journal_mode"
+            ).fetchone()[0] == "delete"
+        finally:
+            check.close()
+
+    def test_a_wal_index_opens_while_a_writer_holds_it(self, index_path):
+        writer = create_result_db(index_path)
+        try:
+            writer.execute("BEGIN IMMEDIATE")
+            writer.execute("DELETE FROM results WHERE shard_id = ?",
+                           ("synthetic-01",))
+            index = open_index(index_path)
+            try:
+                assert index.status()["rows"] == 20  # the last commit
+            finally:
+                index.close()
+            writer.rollback()
+        finally:
+            writer.close()

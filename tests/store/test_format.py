@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -140,3 +141,42 @@ class TestCorruption:
         path.write_bytes(b"")
         with pytest.raises(ArtifactFormatError):
             ArtifactFile(path)
+
+
+def _save_repeatedly(path, writer, barrier, saves):
+    """Save ``saves`` artifacts to ``path``; exit with the failures."""
+    weights = np.full(65_536, float(writer))
+    barrier.wait()
+    failures = 0
+    for save in range(saves):
+        try:
+            write_artifact(
+                path, {"writer": writer, "save": save}, {"weights": weights}
+            )
+        except Exception:
+            failures += 1
+    raise SystemExit(failures)
+
+
+class TestConcurrentSaves:
+    def test_two_processes_saving_one_path_all_succeed(self, tmp_path):
+        path = tmp_path / "shared.urlmodel"
+        context = multiprocessing.get_context("fork")
+        barrier = context.Barrier(2)
+        writers = [
+            context.Process(
+                target=_save_repeatedly, args=(path, writer, barrier, 20)
+            )
+            for writer in (1, 2)
+        ]
+        for process in writers:
+            process.start()
+        for process in writers:
+            process.join(timeout=60)
+            if process.is_alive():
+                process.kill()
+        assert [process.exitcode for process in writers] == [0, 0]
+        artifact = ArtifactFile(path)
+        artifact.verify()
+        assert artifact.model["save"] == 19
+        assert [entry.name for entry in tmp_path.iterdir()] == [path.name]

@@ -175,6 +175,22 @@ class TestCommands:
         assert code == 0
         assert "scored 0 URLs" in out.getvalue()
 
+    @pytest.mark.parametrize("handle", [
+        "repro://{dir}/x.sock?timeout=soon",
+        "repro+tcp://127.0.0.1:9?tracing=maybe",
+    ])
+    def test_bulk_refuses_an_unreadable_handle_option_while_planning(
+        self, tmp_path, handle
+    ):
+        shard_dir = tmp_path / "shards"
+        shard_dir.mkdir()
+        (shard_dir / "a.txt").write_text("http://www.blumen.de/garten\n")
+        args = ["bulk", "--model", handle.format(dir=tmp_path), "--input",
+                str(shard_dir), "--output", str(tmp_path / "run"), "--quiet"]
+        with pytest.raises(SystemExit, match="is not a"):
+            main(args, out=io.StringIO())
+        assert not (tmp_path / "run").exists()
+
     def test_bulk_without_resume_refuses_existing_run(self, tmp_path):
         model_path = tmp_path / "model.urlmodel"
         main(["train", "--out", str(model_path), "--scale", "0.08"],
@@ -199,6 +215,28 @@ class TestModelFormats:
         )
         assert code == 0
         return model_path, out.getvalue()
+
+    def test_a_failed_pickle_save_keeps_the_previous_model(
+        self, tmp_path, monkeypatch
+    ):
+        import threading
+
+        from repro.core.pipeline import LanguageIdentifier
+
+        model_path, _ = self._train(tmp_path, "--format", "pickle")
+        before = model_path.read_bytes()
+        fit = LanguageIdentifier.fit
+
+        def fit_unpicklable(identifier, *args, **kwargs):
+            fitted = fit(identifier, *args, **kwargs)
+            identifier.guard = threading.Lock()  # pickle refuses a lock
+            return fitted
+
+        monkeypatch.setattr(LanguageIdentifier, "fit", fit_unpicklable)
+        with pytest.raises(TypeError, match="pickle"):
+            self._train(tmp_path, "--format", "pickle")
+        assert model_path.read_bytes() == before
+        assert [path.name for path in tmp_path.iterdir()] == ["model.bin"]
 
     def test_pickle_format_is_deprecated_fallback(self, tmp_path):
         from repro.store import is_artifact
