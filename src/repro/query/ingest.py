@@ -7,12 +7,12 @@ therefore works in whole committed shards, a group at a time — each
 :func:`ingest_shards` call is **one SQLite transaction** that, per
 shard, deletes any previous rows of that shard, inserts the new ones
 (table + FTS) and records the shard's sha256, and adds the shard to
-the running index fingerprint kept in ``meta``.  No statement reads
-the whole ``shards`` table, so a shard costs the same however big the
-index already is.  A SIGKILL at any instant leaves the database at a
-group boundary: each shard is either fully in (and recorded), or fully
-out — exactly the atomic-per-shard story the manifest tells for the
-text outputs.
+the running index fingerprint kept in ``meta`` and its per-label row
+tally to ``label_counts``.  No statement reads the whole ``shards``
+table, so a shard costs the same however big the index already is.
+A SIGKILL at any instant leaves the database at a group boundary: each
+shard is either fully in (and recorded), or fully out — exactly the
+atomic-per-shard story the manifest tells for the text outputs.
 
 :func:`index_run` is the reconciler both the engine and ``repro query
 index`` call: walk the manifest's ``done`` shards, ingest whatever the
@@ -64,6 +64,7 @@ __all__ = [
     "ingest_shard",
     "ingest_shards",
     "insert_rows",
+    "kept_counts",
     "record_model",
 ]
 
@@ -313,6 +314,18 @@ _INSERT_ROW = (
     f"VALUES ({', '.join('?' * (len(SCORE_COLUMNS) + 6))})"
 )
 
+#: Moves one label's kept count by a shard's tally (negative to drop).
+_MOVE_COUNT = (
+    "INSERT INTO label_counts(label, rows) VALUES (?, ?) "
+    "ON CONFLICT(label) DO UPDATE SET rows = rows + excluded.rows"
+)
+
+
+def kept_counts(connection: sqlite3.Connection) -> dict[str, int]:
+    """The per-label row counts ingest keeps (``und`` for rows with no
+    ``best``): O(labels), never a read of ``results``."""
+    return dict(connection.execute("SELECT label, rows FROM label_counts"))
+
 
 def insert_rows(
     connection: sqlite3.Connection,
@@ -327,19 +340,26 @@ def insert_rows(
     code; ids are ``ordinal * ROW_ID_STRIDE + row_ordinal``.  Rows
     stream into the table one at a time, and the FTS index is then fed
     from the table by the shard's primary-key range, so memory does not
-    grow with the shard.  Caller owns the transaction.  Returns the row
-    count.
+    grow with the shard.  The shard's per-label tally is added to
+    ``label_counts`` in one upsert.  Caller owns the transaction.
+    Returns the row count.
     """
     first = ordinal * ROW_ID_STRIDE
     count = 0
+    tally: dict[str | None, int] = {}
 
     def numbered():
         nonlocal count
         for row in rows:
             yield (first + count, *row, shard_id)
             count += 1
+            tally[row[1]] = tally.get(row[1], 0) + 1
 
     connection.executemany(_INSERT_ROW, numbered())
+    connection.executemany(_MOVE_COUNT, (
+        ("und" if best is None else best, rows)
+        for best, rows in tally.items()
+    ))
     # A primary-key range, never a scan: shard_id is deliberately
     # unindexed, so "WHERE shard_id = ?" would read the whole table.
     connection.execute(
@@ -356,9 +376,11 @@ def _drop_shard(connection: sqlite3.Connection, shard_id: str) -> str | None:
     Rows and their ``shards`` entry land in one transaction, so a shard
     with no recorded ordinal has no rows to drop; a recorded one owns
     exactly the id range ``[ordinal x stride, (ordinal+1) x stride)`` —
-    a primary-key range delete, never a table scan.  Returns the
-    dropped shard's recorded sha256 (``None`` when none was recorded);
-    the caller owns the transaction and the fingerprint.
+    a primary-key range delete, never a table scan.  The shard's
+    per-label tally, read over the same range, leaves ``label_counts``
+    first; a label left with no rows is removed.  Returns the dropped
+    shard's recorded sha256 (``None`` when none was recorded); the
+    caller owns the transaction and the fingerprint.
     """
     recorded = connection.execute(
         "SELECT ordinal, sha256 FROM shards WHERE shard_id = ?", (shard_id,)
@@ -367,6 +389,14 @@ def _drop_shard(connection: sqlite3.Connection, shard_id: str) -> str | None:
         return None
     lo = recorded[0] * ROW_ID_STRIDE
     hi = lo + ROW_ID_STRIDE
+    connection.executemany(_MOVE_COUNT, [
+        (label, -rows) for label, rows in connection.execute(
+            "SELECT COALESCE(best, 'und'), COUNT(*) FROM results "
+            "WHERE id >= ? AND id < ? GROUP BY best",
+            (lo, hi),
+        )
+    ])
+    connection.execute("DELETE FROM label_counts WHERE rows = 0")
     connection.execute(
         "INSERT INTO results_fts(results_fts, rowid, url) "
         "SELECT 'delete', id, url FROM results "
@@ -395,8 +425,9 @@ def ingest_shards(
     recorded under the same sha256 is a no-op; a stale recording (the
     shard was re-scored) is replaced wholesale.  The running
     fingerprint in ``meta`` moves by each inserted and dropped shard's
-    term in the same transaction; an index written before the sum was
-    kept gets it computed from its ``shards`` table here, once.  Any
+    term, and ``label_counts`` by its per-label tally, in the same
+    transaction; an index written before the sum was kept gets it
+    computed from its ``shards`` table here, once.  Any
     error — a malformed row in any shard of the group — rolls the
     whole group back.  Returns the rows ingested per shard, in order
     (0 when skipped).
@@ -526,9 +557,6 @@ def index_run(
                     progress(
                         f"indexed {shard_id}: {rows} rows from {output.name}"
                     )
-        total = connection.execute(
-            "SELECT COUNT(*) FROM results"
-        ).fetchone()[0]
         row = connection.execute(
             "SELECT value FROM meta WHERE key='fingerprint'"
         ).fetchone()
@@ -537,7 +565,7 @@ def index_run(
             shards_ingested=len(todo),
             shards_skipped=len(done) - len(todo),
             shards_dropped=len(stale),
-            rows=total,
+            rows=sum(kept_counts(connection).values()),
             fingerprint=row[0] if row else index_fingerprint(connection),
         )
     finally:

@@ -4,9 +4,11 @@
 questions a flat TSV corpus cannot without a full rescan:
 
 * :meth:`counts` — per-language decision totals (the ``best`` label;
-  ``und`` counts URLs every binary classifier rejected);
+  ``und`` counts URLs every binary classifier rejected), read from the
+  counts ingest keeps;
 * :meth:`histogram` — the score distribution of one language (or all),
-  equi-width bins over an indexed min/max probe;
+  equi-width bins over an indexed min/max probe, each counted by one
+  index range;
 * :meth:`lookup` — point or prefix URL lookup through the URL index;
 * :meth:`search` — FTS5 keyword search over URLs;
 * :meth:`page` — score-ordered listing under ``{score}|{rowid}``
@@ -19,16 +21,20 @@ deep in a 100M-row index costs the same as the first page.  The test
 suite holds that property with ``EXPLAIN QUERY PLAN`` assertions, not
 good intentions.
 
-Aggregates (counts, histogram bins) do visit every qualifying index
-entry — that is what an aggregate is — but through covering indexes,
-never the table, and never rows of other languages.
+Counts and row totals read ``label_counts``, which ingest moves shard
+by shard, and never visit a row.  A histogram is two index probes
+(min and max) and one covering-index range ``COUNT(*)`` per bin: the
+bins visit each index entry of the language's slice once, with no
+``GROUP BY`` sort, and never the table.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sqlite3
+import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,7 +44,7 @@ from repro.query.cursor import (
     encode_cursor,
 )
 from repro.query.errors import QueryError
-from repro.query.ingest import index_fingerprint
+from repro.query.ingest import index_fingerprint, kept_counts
 from repro.query.schema import SCORE_CODES, SCORE_COLUMNS, open_result_db
 
 __all__ = ["Page", "ResultIndex", "open_index"]
@@ -97,6 +103,80 @@ def _prefix_successor(prefix: str) -> str | None:
     return None
 
 
+_DOUBLE = struct.Struct("<d")
+_BITS = struct.Struct("<Q")
+_SIGN = 1 << 63
+
+
+def _ordinal(value: float) -> int:
+    """``value``'s place among the doubles: consecutive doubles have
+    consecutive ordinals, and ``0.0`` and ``-0.0`` share 0."""
+    bits = _BITS.unpack(_DOUBLE.pack(value))[0]
+    return bits if bits < _SIGN else _SIGN - bits
+
+
+def _double(ordinal: int) -> float:
+    """The double at ``ordinal`` (inverse of :func:`_ordinal`)."""
+    return _DOUBLE.unpack(
+        _BITS.pack(ordinal if ordinal >= 0 else _SIGN - ordinal)
+    )[0]
+
+
+def _bin_edge(index: int, lo: float, hi: float, width: float,
+              bins: int) -> float:
+    """The smallest double whose bin is ``index`` or above.
+
+    A finite score's bin is ``CAST((score - lo) / width AS INTEGER)``
+    clamped to ``bins - 1``, evaluated in doubles as SQLite would.  It
+    never falls as the score rises, so bin ``index`` holds exactly the
+    scores in ``[edge(index), edge(index + 1))``.  The edge is almost
+    always ``lo + index * width`` itself; when rounding puts it a few
+    doubles away, the search gallops outward from there, then bisects.
+    Returns the double after ``hi`` when no score up to ``hi`` reaches
+    the bin.
+    """
+
+    def reaches(score: float) -> bool:
+        quotient = (score - lo) / width
+        return quotient >= bins or int(quotient) >= index
+
+    guess = lo + index * width
+    if lo < guess <= hi and reaches(guess) and not reaches(
+        math.nextafter(guess, -math.inf)
+    ):
+        return guess
+    floor, ceiling = _ordinal(lo), _ordinal(hi)
+    start = min(max(_ordinal(guess), floor), ceiling)
+    step = 1
+    if reaches(_double(start)):
+        below, above = start - 1, start
+        while below >= floor and reaches(_double(below)):
+            above, below, step = below, below - step, step * 2
+        below = max(below, floor - 1)
+    else:
+        below, above = start, start + 1
+        while above <= ceiling and not reaches(_double(above)):
+            below, above, step = above, above + step, step * 2
+        above = min(above, ceiling + 1)
+    while above - below > 1:
+        middle = (below + above) // 2
+        if reaches(_double(middle)):
+            above = middle
+        else:
+            below = middle
+    return _double(above)
+
+
+#: Most bins one histogram answers: each bin is one index range to
+#: count, and ``bins`` arrives from outside (``GET /v1/query/hist``).
+MAX_BINS = 1000
+
+#: Bins counted per statement: each bin is one scalar ``COUNT(*)``
+#: subquery, and a statement holds at most this many (with their
+#: parameters, well under SQLite's oldest limit of 999).
+_BINS_PER_STATEMENT = 64
+
+
 class ResultIndex:
     """Queries over one open result database (read-only by default)."""
 
@@ -139,14 +219,11 @@ class ResultIndex:
 
     def status(self) -> dict:
         """One JSON-ready block: totals, shards, fingerprint, model."""
-        rows = self.connection.execute(
-            "SELECT COUNT(*) FROM results"
-        ).fetchone()[0]
         shards = self.connection.execute(
             "SELECT COUNT(*) FROM shards"
         ).fetchone()[0]
         return {
-            "rows": rows,
+            "rows": sum(kept_counts(self.connection).values()),
             "shards": shards,
             "fingerprint": self.fingerprint,
             "model": self.model,
@@ -159,20 +236,14 @@ class ResultIndex:
 
         ``language`` narrows to one code; the undecided bucket is
         reported as ``und`` (matching the bulk summary's convention).
-        Covered entirely by ``idx_results_lang_score``.
+        Read from the counts ingest keeps: O(labels), whatever the
+        index holds.  A label with no rows is absent from the whole
+        answer, and ``0`` when asked for by name.
         """
+        counts = kept_counts(self.connection)
         if language is not None:
-            where, params = self._language_filter(language)
-            count = self.connection.execute(
-                f"SELECT COUNT(*) FROM results WHERE {where}", params
-            ).fetchone()[0]
-            return {language: count}
-        return {
-            (best if best is not None else "und"): count
-            for best, count in self.connection.execute(
-                "SELECT best, COUNT(*) FROM results GROUP BY best"
-            )
-        }
+            return {language: counts.get(language, 0)}
+        return counts
 
     def histogram(
         self,
@@ -184,34 +255,70 @@ class ResultIndex:
 
         Returns ``{"lo", "hi", "bins": [{"lo", "hi", "count"}, ...],
         "rows"}``.  Undecided rows carry no score and are excluded.
-        Min/max come from one index probe each; the bin pass is a
-        covering range scan of the language's index slice.
+        ``lo`` and ``hi`` are the smallest and largest finite scores,
+        one index probe each; the bins split that span evenly, and each
+        is counted by one covering-index range.  A row lands in bin
+        ``int((score - lo) / width)``, the last bin also taking the
+        top score; an infinite score lands in the first bin
+        (``-inf``) or the last (``+inf``), so ``rows`` is every scored
+        row.  With no finite score, ``lo``, ``hi`` and the bin bounds
+        are ``None``.
         """
-        if bins < 1:
-            raise QueryError(f"bins must be >= 1, got {bins}")
+        if not 1 <= bins <= MAX_BINS:
+            raise QueryError(
+                f"bins must be between 1 and {MAX_BINS}, got {bins}"
+            )
         where, params = self._score_filter(language)
+        # 1e999 is SQLite's literal for an infinite double.
         lo, hi = self.connection.execute(
-            f"SELECT MIN(score), MAX(score) FROM results WHERE {where}",
-            params,
+            "SELECT " + ", ".join(
+                f"(SELECT score FROM results WHERE {where} "
+                "AND score > -1e999 AND score < 1e999 "
+                f"ORDER BY score {direction}, id {direction} LIMIT 1)"
+                for direction in ("ASC", "DESC")
+            ),
+            params * 2,
         ).fetchone()
         if lo is None:
+            # No finite score: any finite split parts -inf from +inf.
+            width: float | None = None
+            edges = [0.0] * (bins - 1)
+        else:
+            width = (hi - lo) / bins or 1.0
+            if math.isinf(width):  # the span overflows a double
+                width = hi / bins - lo / bins
+            edges = [
+                _bin_edge(index, lo, hi, width, bins)
+                for index in range(1, bins)
+            ]
+        # The first bin is open below and the last open above.
+        ranges = [
+            (("" if low is None else " AND score >= ?")
+             + ("" if high is None else " AND score < ?"),
+             [value for value in (low, high) if value is not None])
+            for low, high in zip([None, *edges], [*edges, None])
+        ]
+        counts: list[int] = []
+        for first in range(0, bins, _BINS_PER_STATEMENT):
+            chunk = ranges[first:first + _BINS_PER_STATEMENT]
+            counts += self.connection.execute(
+                "SELECT " + ", ".join(
+                    f"(SELECT COUNT(*) FROM results WHERE {where}{bounds})"
+                    for bounds, _ in chunk
+                ),
+                [value for _, limits in chunk
+                 for value in (*params, *limits)],
+            ).fetchone()
+        total = sum(counts)
+        if not total:
             return {"lo": None, "hi": None, "bins": [], "rows": 0}
-        width = (hi - lo) / bins or 1.0
-        counts = [0] * bins
-        total = 0
-        for bucket, count in self.connection.execute(
-            "SELECT CAST((score - ?) / ? AS INTEGER) AS bucket, COUNT(*) "
-            f"FROM results WHERE {where} GROUP BY bucket",
-            (lo, width, *params),
-        ):
-            counts[min(max(int(bucket), 0), bins - 1)] += count
-            total += count
         return {
             "lo": lo,
             "hi": hi,
             "rows": total,
             "bins": [
-                {"lo": lo + index * width, "hi": lo + (index + 1) * width,
+                {"lo": None if width is None else lo + index * width,
+                 "hi": None if width is None else lo + (index + 1) * width,
                  "count": count}
                 for index, count in enumerate(counts)
             ],
@@ -271,39 +378,33 @@ class ResultIndex:
 
         ``query`` is FTS5 match syntax (``blumen OR garten``); rows
         come back in id order, so the cursor's score field is unused
-        (zero) and its rowid carries the keyset.  Malformed match
-        syntax raises a typed :class:`QueryError`.
+        (zero) and its rowid carries the keyset.  One statement fetches
+        the page's rows, however many match.  Malformed match syntax
+        raises a typed :class:`QueryError`.
         """
         limit = clamp_limit(limit)
         last_id = -1
         if cursor is not None:
             _, last_id = decode_cursor(cursor, self.fingerprint)
         try:
-            matches = self.connection.execute(
+            rows = self.connection.execute(
+                f"SELECT {_ROW_COLUMNS} FROM results WHERE id IN ("
                 "SELECT rowid FROM results_fts "
                 "WHERE results_fts MATCH ? AND rowid > ? "
-                "ORDER BY rowid LIMIT ?",
+                "ORDER BY rowid LIMIT ?) ORDER BY id",
                 (query, last_id, limit + 1),
             ).fetchall()
         except sqlite3.OperationalError as error:
             raise QueryError(
                 f"unusable search query {query!r}: {error}"
             ) from None
-        has_more = len(matches) > limit
-        ids = [row[0] for row in matches[:limit]]
-        rows = [
-            _row_dict(row)
-            for rowid in ids
-            for row in self.connection.execute(
-                f"SELECT {_ROW_COLUMNS} FROM results WHERE id = ?",
-                (rowid,),
-            )
-        ]
+        has_more = len(rows) > limit
+        rows = rows[:limit]
         return Page(
-            rows=rows,
+            rows=[_row_dict(row) for row in rows],
             next_cursor=(
-                encode_cursor(0.0, ids[-1], self.fingerprint)
-                if has_more and ids else None
+                encode_cursor(0.0, rows[-1][0], self.fingerprint)
+                if has_more and rows else None
             ),
         )
 
@@ -349,16 +450,9 @@ class ResultIndex:
     # -- filters -------------------------------------------------------------------
 
     @staticmethod
-    def _language_filter(language: str | None) -> tuple[str, tuple]:
-        if language is None:
-            return "1=1", ()
-        if language == "und":
-            return "best IS NULL", ()
-        return "best = ?", (language,)
-
-    @staticmethod
     def _score_filter(language: str | None) -> tuple[str, tuple]:
-        """Like :meth:`_language_filter` but over scored rows only."""
+        """The SQL filter and parameters of one language's scored rows
+        (all languages' when ``language`` is ``None``)."""
         if language == "und":
             raise QueryError(
                 "undecided rows carry no score; they cannot be listed "

@@ -41,12 +41,18 @@ Tables:
 ``results_fts``
     FTS5 external-content table over ``url`` for keyword search,
     contentless of everything else (rows live once, in ``results``).
+``label_counts``
+    One row per decided label: the number of ``results`` rows whose
+    ``best`` it is (``und`` for NULL), moved by every shard ingested
+    or dropped in that shard's own transaction.  Counts and row totals
+    read it instead of scanning ``results``; a label whose last row
+    goes is removed, so no count reads zero.
 
 Indexes: ``(best, score DESC, id DESC)`` and ``(score DESC, id DESC)``
-serve per-language and global keyset pagination plus count/histogram
-aggregates without touching the table; ``(url)`` serves point and
-prefix lookup.  The database runs in WAL mode so daemon readers never
-block the ingesting writer.
+serve per-language and global keyset pagination plus min/max probes
+and per-bin range counts without touching the table; ``(url)`` serves
+point and prefix lookup.  The database runs in WAL mode so daemon
+readers never block the ingesting writer.
 """
 
 from __future__ import annotations
@@ -79,8 +85,8 @@ RESULT_DB_NAME = "results.sqlite"
 
 #: Result-index schema version (bumped on incompatible layout changes).
 #: Version 2 replaced version 1's JSON ``scores`` text column with one
-#: REAL column per language.
-SCHEMA_VERSION = 2
+#: REAL column per language; version 3 added the kept ``label_counts``.
+SCHEMA_VERSION = 3
 
 #: Deterministic row ids: ``shard_ordinal * ROW_ID_STRIDE + row_ordinal``.
 #: 2**32 rows per shard is far beyond any real shard while keeping ids
@@ -119,6 +125,10 @@ CREATE INDEX IF NOT EXISTS idx_results_url
     ON results(url);
 CREATE VIRTUAL TABLE IF NOT EXISTS results_fts
     USING fts5(url, content='results', content_rowid='id');
+CREATE TABLE IF NOT EXISTS label_counts (
+    label TEXT PRIMARY KEY,
+    rows  INTEGER NOT NULL
+) WITHOUT ROWID;
 """
 
 
@@ -164,18 +174,27 @@ def create_result_db(path: str | os.PathLike) -> sqlite3.Connection:
     A fresh database gets the DDL, the schema version, and a random
     per-build **salt** — the reason a rebuilt index refuses old page
     cursors even when it happens to contain identical rows: the salt
-    feeds the index fingerprint cursors embed.
+    feeds the index fingerprint cursors embed.  An index of another
+    schema version is refused before anything is written to it.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     connection = connect(path)
     try:
         with connection:
-            connection.executescript(_DDL)
             row = connection.execute(
+                "SELECT 1 FROM sqlite_master WHERE name = 'meta'"
+            ).fetchone() and connection.execute(
                 "SELECT value FROM meta WHERE key='schema_version'"
             ).fetchone()
-            if row is None:
+            if row and int(row[0]) != SCHEMA_VERSION:
+                raise IndexVersionError(
+                    f"result index {path} has schema version {row[0]}; this "
+                    f"build writes {SCHEMA_VERSION} — rebuild it with "
+                    "'repro query index --rebuild'"
+                )
+            connection.executescript(_DDL)
+            if not row:
                 connection.execute(
                     "INSERT INTO meta(key, value) VALUES ('schema_version', ?)",
                     (str(SCHEMA_VERSION),),
@@ -183,12 +202,6 @@ def create_result_db(path: str | os.PathLike) -> sqlite3.Connection:
                 connection.execute(
                     "INSERT INTO meta(key, value) VALUES ('salt', ?)",
                     (os.urandom(8).hex(),),
-                )
-            elif int(row[0]) != SCHEMA_VERSION:
-                raise IndexVersionError(
-                    f"result index {path} has schema version {row[0]}; this "
-                    f"build writes {SCHEMA_VERSION} — rebuild it with "
-                    "'repro query index --rebuild'"
                 )
     except sqlite3.DatabaseError as error:
         connection.close()

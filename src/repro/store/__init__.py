@@ -58,6 +58,7 @@ from repro.store.format import (
     ArtifactError,
     ArtifactFile,
     ArtifactFormatError,
+    ArtifactMissingError,
     ArtifactVersionError,
     is_artifact,
     write_artifact,
@@ -71,6 +72,7 @@ __all__ = [
     "ArtifactError",
     "ArtifactFile",
     "ArtifactFormatError",
+    "ArtifactMissingError",
     "ArtifactVersionError",
     "DaemonClient",
     "DaemonError",

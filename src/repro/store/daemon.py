@@ -113,6 +113,12 @@ DRAIN_NOTIFY_SECONDS = 1.0
 #: reconnect on close).
 HTTP_IDLE_SECONDS = 2.0
 
+#: Bounds on the lingering close after an HTTP refusal that leaves the
+#: request body unread: seconds and bytes the answering process spends
+#: reading and dropping what the client still sends.
+LINGER_SECONDS = 2.0
+LINGER_BYTES = 2 * MAX_FRAME_BYTES
+
 #: The ops that score URLs: never answered by the supervising parent.
 BATCH_OPS = ("classify", "score", "decisions")
 
@@ -197,13 +203,13 @@ class _ShedReader(io.RawIOBase):
 
     def __init__(self, connection: socket.socket, deadline: float) -> None:
         self._connection = connection
-        self._deadline = deadline
+        self.deadline = deadline
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int:
-        remaining = self._deadline - time.monotonic()
+        remaining = self.deadline - time.monotonic()
         if remaining <= 0:
             raise TimeoutError("the shed pass's read budget is spent")
         self._connection.settimeout(remaining)
@@ -1391,6 +1397,39 @@ class _HttpHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _refuse(self, status: int, response: dict) -> None:
+        """Refuse a request whose body stays unread, then close without
+        a reset.
+
+        The stream cannot go on past an unread body, but closing a
+        socket with received bytes unread makes the kernel send a reset,
+        which can destroy the answer before the client reads it.  So
+        this is a lingering close: answer, shut the write side (the
+        client sees the answer, then end of stream), and read and drop
+        what the client still sends, for at most :data:`LINGER_SECONDS`
+        and :data:`LINGER_BYTES` (the shedding parent: at most until
+        its pass's read budget is spent).
+        """
+        self._reply(status, response, close=True)
+        deadline = time.monotonic() + LINGER_SECONDS
+        if self._reader is not None:
+            deadline = min(deadline, self._reader.deadline)
+        sink = bytearray(1 << 16)
+        drained = 0
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            while drained < LINGER_BYTES:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self.connection.settimeout(remaining)
+                received = self.connection.recv_into(sink)
+                if not received:
+                    break  # the client read the answer and closed
+                drained += received
+        except OSError:
+            pass  # the client went away, or the time is up
+
     def _answer(self, response: dict) -> None:
         """Reply with a wire response: 200, 503 for the retryable
         refusals (``overloaded``, ``shutting-down``), 400 otherwise."""
@@ -1522,31 +1561,30 @@ class _HttpHandler(BaseHTTPRequestHandler):
         op = self.path.rsplit("/", 1)[-1]
         if self.path != f"/v1/{op}" or op not in BATCH_OPS:
             # The body stays unread, so the stream cannot go on.
-            self._reply(404, error_response("unknown-op", self.path),
-                        close=True)
+            self._refuse(404, error_response("unknown-op", self.path))
             return
         if "Transfer-Encoding" in self.headers:
             # Only a Content-Length body is read; chunks left unread
             # would be taken for the next request.
-            self._reply(411, error_response(
+            self._refuse(411, error_response(
                 "bad-request",
                 "send the body with a Content-Length, not Transfer-Encoding",
-            ), close=True)
+            ))
             return
         announced = (self.headers.get("Content-Length") or "0").strip()
         if not (announced.isascii() and announced.isdigit()):
             # Unread body of unknown length: the stream cannot go on.
-            self._reply(400, error_response(
+            self._refuse(400, error_response(
                 "bad-request",
                 f"Content-Length must be a byte count, got {announced!r}",
-            ), close=True)
+            ))
             return
         length = int(announced)
         if length > MAX_FRAME_BYTES:
-            self._reply(413, error_response(
+            self._refuse(413, error_response(
                 "frame-too-large",
                 f"body announces {length} bytes; limit {MAX_FRAME_BYTES}",
-            ), close=True)
+            ))
             return
         try:
             body = decode_body(self.rfile.read(length) or b"{}")

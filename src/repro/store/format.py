@@ -77,6 +77,11 @@ class ArtifactFormatError(ArtifactError):
     (bad magic, truncated file, unparseable header, bad buffer table)."""
 
 
+class ArtifactMissingError(ArtifactError, FileNotFoundError):
+    """No file is at the artifact's path (it may have been deleted
+    since it was listed); also a :class:`FileNotFoundError`."""
+
+
 class ArtifactVersionError(ArtifactError):
     """The artifact was written by an incompatible format version."""
 
@@ -219,6 +224,8 @@ class ArtifactFile:
         try:
             with open(self.path, "rb") as handle:
                 self._mmap = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        except FileNotFoundError as error:
+            raise ArtifactMissingError(f"cannot open artifact {self.path}: {error}")
         except OSError as error:
             raise ArtifactFormatError(f"cannot open artifact {self.path}: {error}")
         except ValueError as error:  # zero-length file cannot be mapped

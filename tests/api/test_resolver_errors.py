@@ -168,6 +168,15 @@ class TestStoreErrors:
         with pytest.raises(ResolveError, match="ephemeral"):
             open_model(handle)
 
+    def test_a_vanished_store_artifact_is_not_found(self, tmp_path, identifier):
+        """Deleted between ``save()`` (or ``list()``) and the open: the
+        same ``ModelNotFoundError`` a missing plain path raises."""
+        store = ModelStore(tmp_path / "models")
+        handle = store.save(identifier, "m")
+        store.delete("m")
+        with pytest.raises(ModelNotFoundError, match="no longer exists"):
+            open_model(handle)
+
     def test_nameless_store_handle(self, tmp_path):
         with pytest.raises(InvalidHandleError, match="names no model"):
             open_model("store://", store_root=tmp_path)

@@ -21,6 +21,7 @@ from repro.cli import main
 from repro.query import (
     IndexVersionError,
     QueryError,
+    create_result_db,
     index_fingerprint,
     open_index,
 )
@@ -212,6 +213,22 @@ def v1_run(sqlite_run, tmp_path):
     return run_dir
 
 
+@pytest.fixture()
+def v2_run(sqlite_run, tmp_path):
+    """A copy of the finished sqlite run whose index is version 2: the
+    same tables, without the kept label counts."""
+    run_dir = tmp_path / "v2-run"
+    shutil.copytree(sqlite_run[0], run_dir)
+    connection = sqlite3.connect(run_dir / "results.sqlite")
+    with connection:
+        connection.execute("DROP TABLE label_counts")
+        connection.execute(
+            "UPDATE meta SET value='2' WHERE key='schema_version'"
+        )
+    connection.close()
+    return run_dir
+
+
 def shard_rows(run_dir):
     """``(id, url, best, positives, scores)`` of every committed output
     row, read back from the shard files themselves."""
@@ -287,6 +304,41 @@ class TestSchemaVersion2:
         assert dump_results(v1_run / "results.sqlite") == dump_results(
             reference_dir / "results.sqlite"
         )
+
+    def test_a_v2_index_is_refused_with_the_rebuild_remedy(
+        self, query_model, query_corpus, v2_run
+    ):
+        """A schema-2 index keeps no label counts, so reading it would
+        answer zeros: every door refuses it, and writes nothing."""
+        model_path, _ = query_model
+        shard_dir, _ = query_corpus
+        db = v2_run / "results.sqlite"
+        with pytest.raises(IndexVersionError, match="--rebuild"):
+            open_index(v2_run)
+        with pytest.raises(IndexVersionError, match="--rebuild"):
+            create_result_db(db)
+        with pytest.raises(IndexVersionError, match="--rebuild"):
+            bulk.run(model_path, shard_dir, v2_run, sink="sqlite",
+                     workers=1, resume=True)
+        with pytest.raises(SystemExit, match="--rebuild"):
+            main(["query", "counts", "--db", str(v2_run)],
+                 out=io.StringIO())
+        connection = sqlite3.connect(db)
+        try:
+            assert connection.execute(
+                "SELECT name FROM sqlite_master WHERE name='label_counts'"
+            ).fetchone() is None
+        finally:
+            connection.close()
+        assert main(["query", "index", "--run", str(v2_run), "--rebuild"],
+                    out=io.StringIO()) == 0
+        with open_index(v2_run) as index:
+            assert index.counts() == {
+                ("und" if best is None else best): count
+                for best, count in index.connection.execute(
+                    "SELECT best, COUNT(*) FROM results GROUP BY best"
+                )
+            }
 
     def test_a_sqlite_run_reads_back_its_shard_scores(self, sqlite_run):
         run_dir, _ = sqlite_run

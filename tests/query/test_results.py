@@ -9,13 +9,26 @@ the assertion cannot drift from the implementation.
 
 from __future__ import annotations
 
+import json
+import math
+import re
+import urllib.request
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.query import (
     MAX_PAGE_LIMIT,
     QueryError,
+    create_result_db,
+    insert_rows,
     open_index,
 )
+from repro.query.results import MAX_BINS
+from repro.query.schema import SCORE_CODES
+from repro.store.client import DaemonClient
+from repro.store.daemon import start_daemon, stop_daemon
 
 ROWS_TOTAL = 100_000
 ROWS_PER_LANGUAGE = 20_000
@@ -28,17 +41,22 @@ def index(big_db):
         yield opened
 
 
-def traced_plans(index, operation):
-    """Run ``operation`` and return the query plans of every statement
-    it executed against the ``results`` table."""
+def traced_statements(index, operation):
+    """Run ``operation`` and return every statement it executed."""
     statements = []
     index.connection.set_trace_callback(statements.append)
     try:
         operation()
     finally:
         index.connection.set_trace_callback(None)
+    return statements
+
+
+def traced_plans(index, operation):
+    """Run ``operation`` and return the query plans of every statement
+    it executed against the ``results`` table."""
     plans = []
-    for statement in statements:
+    for statement in traced_statements(index, operation):
         if "FROM results" not in statement:
             continue
         details = [
@@ -92,12 +110,17 @@ class TestQueryPlans:
         ), plans
 
     def test_counts_never_touch_the_table(self, index):
-        plans = traced_plans(index, lambda: index.counts())
-        assert_no_table_scan(plans)
-        assert all(
-            "COVERING INDEX" in detail
-            for _, details in plans for detail in details
-        ), plans
+        """Counts and totals read the kept ``label_counts``: no
+        statement names ``results`` at all."""
+        statements = traced_statements(
+            index,
+            lambda: (index.counts(), index.counts("de"), index.status()),
+        )
+        assert statements
+        assert not [
+            statement for statement in statements
+            if re.search(r"\bresults\b", statement)
+        ], statements
 
     def test_lookups_ride_the_url_index(self, index):
         plans = traced_plans(
@@ -116,6 +139,42 @@ class TestQueryPlans:
     def test_histogram_scans_only_the_language_slice(self, index):
         plans = traced_plans(index, lambda: index.histogram("de", bins=10))
         assert_no_table_scan(plans)
+
+    @pytest.mark.parametrize("language, covering", [
+        ("de", "idx_results_lang_score"), (None, "idx_results_score"),
+    ])
+    def test_histogram_is_two_probes_and_a_range_count_per_bin(
+        self, index, language, covering
+    ):
+        """Min and max are one index probe each, and every bin one
+        covering-index range: no scan, no ``GROUP BY`` sort."""
+        bins = 10
+        plans = traced_plans(
+            index, lambda: index.histogram(language, bins=bins)
+        )
+        assert 0 < len(plans) <= bins + 2
+        searches = [
+            detail for _, details in plans for detail in details
+            if "results" in detail
+        ]
+        assert len(searches) == 2 + bins, plans
+        assert all(
+            detail.startswith(f"SEARCH results USING COVERING INDEX {covering}")
+            for detail in searches
+        ), plans
+        assert not any(
+            "TEMP B-TREE" in detail
+            for _, details in plans for detail in details
+        ), plans
+
+    def test_search_is_one_statement_however_many_rows_match(self, index):
+        issued = {
+            limit: len(traced_plans(
+                index, lambda: index.search("de", limit=limit)
+            ))
+            for limit in (1, 200)
+        }
+        assert issued == {1: 1, 200: 1}
 
 
 class TestPagination:
@@ -196,6 +255,8 @@ class TestAggregates:
     def test_histogram_refuses_silly_bins(self, index):
         with pytest.raises(QueryError, match="bins"):
             index.histogram(bins=0)
+        with pytest.raises(QueryError, match="bins"):
+            index.histogram(bins=MAX_BINS + 1)
 
 
 class TestLookupAndSearch:
@@ -227,3 +288,177 @@ class TestLookupAndSearch:
     def test_malformed_match_syntax_is_typed(self, index):
         with pytest.raises(QueryError, match="unusable search query"):
             index.search('"unbalanced')
+
+
+def reference_histogram(connection, language, bins):
+    """The histogram as one ``GROUP BY`` over the slice: the definition
+    the per-bin range counts must reproduce, bin for bin."""
+    where, params = (
+        ("score IS NOT NULL", ()) if language is None
+        else ("best = ? AND score IS NOT NULL", (language,))
+    )
+    lo, hi = connection.execute(
+        f"SELECT MIN(score), MAX(score) FROM results WHERE {where}", params
+    ).fetchone()
+    if lo is None:
+        return {"lo": None, "hi": None, "bins": [], "rows": 0}
+    width = (hi - lo) / bins or 1.0
+    counts = [0] * bins
+    for bucket, count in connection.execute(
+        "SELECT CAST((score - ?) / ? AS INTEGER) AS bucket, COUNT(*) "
+        f"FROM results WHERE {where} GROUP BY bucket",
+        (lo, width, *params),
+    ):
+        counts[min(max(int(bucket), 0), bins - 1)] += count
+    return {
+        "lo": lo,
+        "hi": hi,
+        "rows": sum(counts),
+        "bins": [
+            {"lo": lo + index * width, "hi": lo + (index + 1) * width,
+             "count": count}
+            for index, count in enumerate(counts)
+        ],
+    }
+
+
+def write_index(path, scores, labels):
+    """An index of one shard: row ``n`` is ``labels[n]`` scored
+    ``scores[n]``."""
+    rows = (
+        (f"http://x.test/{number}", label, score, label,
+         *(score if code == label else None for code in SCORE_CODES))
+        for number, (score, label) in enumerate(zip(scores, labels))
+    )
+    connection = create_result_db(path)
+    try:
+        with connection:
+            insert_rows(connection, 0, "shard", rows)
+    finally:
+        connection.close()
+
+
+#: Any finite double whose span with another one still fits a double:
+#: huge and subnormal magnitudes, zeros of both signs.
+ANY_MAGNITUDE = st.floats(min_value=-8e307, max_value=8e307)
+
+
+@st.composite
+def scores_on_bin_edges(draw):
+    """``(scores, bins)``: ``lo``, ``hi`` and scores placed exactly on
+    the edges ``lo + k * width`` the definition computes."""
+    lo = draw(st.floats(-1e6, 1e6))
+    hi = lo + draw(st.floats(1e-9, 1e6))
+    bins = draw(st.integers(1, 12))
+    width = (hi - lo) / bins or 1.0
+    ties = draw(st.lists(st.integers(0, bins - 1), min_size=1, max_size=30))
+    return [lo, hi, *(lo + k * width for k in ties)], bins
+
+
+SCORE_SETS = st.one_of(
+    st.tuples(st.lists(st.floats(-50, 50), min_size=1, max_size=40),
+              st.integers(1, 25)),
+    scores_on_bin_edges(),
+    st.tuples(st.lists(ANY_MAGNITUDE, min_size=1, max_size=40),
+              st.integers(1, 25)),
+    st.tuples(ANY_MAGNITUDE, st.integers(1, 8), st.integers(1, 25)).map(
+        lambda case: ([case[0]] * case[1], case[2])
+    ),
+)
+
+
+class TestHistogramDefinition:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=SCORE_SETS, whole_index=st.booleans())
+    def test_bins_equal_the_group_by_definition(
+        self, tmp_path_factory, case, whole_index
+    ):
+        """Random score sets, ties on bin edges, one distinct score,
+        and huge and tiny magnitudes: the range counts put every row in
+        the bin the ``GROUP BY`` definition does."""
+        scores, bins = case
+        labels = ["en" if number % 3 == 2 else "de"
+                  for number in range(len(scores))]
+        path = tmp_path_factory.mktemp("histogram") / "r.sqlite"
+        write_index(path, scores, labels)
+        language = None if whole_index else "de"
+        with open_index(path) as index:
+            assert index.histogram(language, bins=bins) == (
+                reference_histogram(index.connection, language, bins)
+            )
+
+
+    def test_a_span_wider_than_a_double_still_counts_every_row(
+        self, tmp_path
+    ):
+        """``hi - lo`` overflows: the width is taken as ``hi / bins -
+        lo / bins`` instead, and every row still lands in a bin."""
+        write_index(tmp_path / "r.sqlite", [-1.7e308, 0.0, 1.7e308],
+                    ["de"] * 3)
+        with open_index(tmp_path / "r.sqlite") as index:
+            histogram = index.histogram("de", bins=2)
+        assert histogram["rows"] == 3
+        assert [bucket["count"] for bucket in histogram["bins"]] == [1, 2]
+
+
+class TestInfiniteScores:
+    """Ingest accepts ``Infinity``: the bins span the finite scores, an
+    infinite score counts in the first (``-inf``) or last (``+inf``)
+    bin, and ``rows`` equals ``counts(language)``."""
+
+    def test_plus_infinity_counts_in_the_last_bin(self, tmp_path):
+        write_index(tmp_path / "r.sqlite", [1.0, math.inf, 2.0], ["de"] * 3)
+        with open_index(tmp_path / "r.sqlite") as index:
+            histogram = index.histogram("de", bins=4)
+            assert histogram["rows"] == index.counts("de")["de"] == 3
+        assert (histogram["lo"], histogram["hi"]) == (1.0, 2.0)
+        assert [bucket["count"] for bucket in histogram["bins"]] == [
+            1, 0, 0, 2,
+        ]
+
+    def test_minus_infinity_counts_in_the_first_bin(self, tmp_path):
+        write_index(tmp_path / "r.sqlite", [-math.inf, 1.0, 2.0, 3.0],
+                    ["de"] * 4)
+        with open_index(tmp_path / "r.sqlite") as index:
+            histogram = index.histogram(bins=2)
+        assert (histogram["lo"], histogram["hi"], histogram["rows"]) == (
+            1.0, 3.0, 4,
+        )
+        assert [bucket["count"] for bucket in histogram["bins"]] == [2, 2]
+
+    def test_no_finite_score_has_no_span(self, tmp_path):
+        write_index(tmp_path / "r.sqlite", [math.inf, -math.inf, math.inf],
+                    ["de"] * 3)
+        with open_index(tmp_path / "r.sqlite") as index:
+            histogram = index.histogram("de", bins=3)
+        assert histogram == {
+            "lo": None,
+            "hi": None,
+            "rows": 3,
+            "bins": [
+                {"lo": None, "hi": None, "count": count}
+                for count in (1, 0, 2)
+            ],
+        }
+
+    def test_the_http_route_answers_the_same(
+        self, tmp_path, query_model, sockpath
+    ):
+        path = tmp_path / "r.sqlite"
+        write_index(path, [1.0, math.inf, 2.0], ["de"] * 3)
+        with open_index(path) as index:
+            expected = index.histogram("de", bins=4)
+        socket_path = sockpath("hist.sock")
+        start_daemon(query_model[0], socket_path, workers=1, http_port=0,
+                     query_db=path)
+        try:
+            with DaemonClient(socket_path) as client:
+                port = client.status()["http_port"]
+            with urllib.request.urlopen(
+                f"http://127.0.0.1:{port}/v1/query/hist?language=de&bins=4"
+            ) as response:
+                body = json.loads(response.read())
+        finally:
+            stop_daemon(socket_path)
+        assert body["ok"]
+        assert {key: body[key] for key in expected} == expected

@@ -831,6 +831,36 @@ class TestHttpServedByWorkers:
     def transport(self):
         return "unix"
 
+    @pytest.mark.parametrize("head, status", [
+        (b"POST /v1/nope HTTP/1.1\r\nHost: x\r\n"
+         b"Content-Length: 2097152\r\n\r\n", 404),
+        (b"POST /v1/classify HTTP/1.1\r\nHost: x\r\n"
+         b"Transfer-Encoding: chunked\r\n\r\n", 411),
+        (b"POST /v1/classify HTTP/1.1\r\nHost: x\r\n"
+         b"Content-Length: many\r\n\r\n", 400),
+        (b"POST /v1/classify HTTP/1.1\r\nHost: x\r\n"
+         b"Content-Length: 67108864\r\n\r\n", 413),
+    ], ids=["404", "411", "400", "413"])
+    def test_a_refusal_that_leaves_the_body_unread_still_arrives(
+        self, live_daemon, head, status
+    ):
+        """The worker answers, then drains what the client still sends
+        before it closes: closing with the body unread would reset the
+        connection and destroy the answer before the client reads it."""
+        record = live_daemon(workers=2)
+        body = b"x" * (2 << 20)
+        answers = []
+        for _ in range(10):
+            with socket.create_connection(
+                ("127.0.0.1", record.http_port), timeout=10.0
+            ) as raw:
+                try:
+                    raw.sendall(head + body)
+                    answers.append(read_response(raw.makefile("rb"))[0])
+                except OSError as error:
+                    answers.append(repr(error))
+        assert answers == [status] * 10
+
     def test_a_free_worker_answers(self, live_daemon):
         record = live_daemon(workers=2)
         status = json.loads(
