@@ -21,61 +21,59 @@ use the :mod:`repro.api` facade:
 >>> model = open_model("model.urlmodel")  # doctest: +SKIP
 """
 
-from repro.api import (
-    BatchResult,
-    Prediction,
-    Predictor,
-    ResolveError,
-    open_model,
-    register_scheme,
-)
-from repro.algorithms import (
-    ALGORITHMS,
-    BinaryClassifier,
-    CcTldLabeler,
-    DecisionTreeClassifier,
-    KNearestNeighborsClassifier,
-    MaxEntClassifier,
-    NaiveBayesClassifier,
-    RelativeEntropyClassifier,
-    make_classifier,
-)
-from repro.core import (
-    BEST_COMBINATIONS,
-    CombinedIdentifier,
-    LanguageIdentifier,
-    TrainedPool,
-    build_best_combination,
-    forward_select,
-    make_extractor,
-)
-from repro.corpus import (
-    Corpus,
-    LabeledUrl,
-    UrlCorpusGenerator,
-    train_test_split,
-)
-from repro.datasets import DatasetBundle, build_datasets
-from repro.evaluation import (
-    BinaryMetrics,
-    ConfusionMatrix,
-    confusion_matrix,
-    evaluate_binary,
-)
-from repro.features import (
-    CustomFeatureExtractor,
-    TrigramFeatureExtractor,
-    WordFeatureExtractor,
-)
-from repro.humans import HumanEvaluator, default_evaluators
-from repro.languages import LANGUAGES, Language
-from repro.store import (
-    ModelStore,
-    ServingIdentifier,
-    load_identifier,
-    save_identifier,
-)
-from repro.urls import parse_url, tokenize, url_trigrams
+from repro._lazy import lazy_exports
+
+# Each name loads its defining module on first use, so a process pays
+# only for what it runs: the serving daemon and bulk workers never load
+# the trainers, the corpus generator or the human study.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "ALGORITHMS": "repro.algorithms.registry",
+    "make_classifier": "repro.algorithms.registry",
+    "BinaryClassifier": "repro.algorithms.base",
+    "CcTldLabeler": "repro.algorithms.cctld",
+    "DecisionTreeClassifier": "repro.algorithms.decision_tree",
+    "KNearestNeighborsClassifier": "repro.algorithms.knn",
+    "MaxEntClassifier": "repro.algorithms.maxent",
+    "NaiveBayesClassifier": "repro.algorithms.naive_bayes",
+    "RelativeEntropyClassifier": "repro.algorithms.relative_entropy",
+    "ResolveError": "repro.api.errors",
+    "Predictor": "repro.api.protocol",
+    "open_model": "repro.api.resolver",
+    "register_scheme": "repro.api.resolver",
+    "BatchResult": "repro.api.types",
+    "Prediction": "repro.api.types",
+    "BEST_COMBINATIONS": "repro.core.combination",
+    "CombinedIdentifier": "repro.core.combination",
+    "build_best_combination": "repro.core.combination",
+    "LanguageIdentifier": "repro.core.pipeline",
+    "make_extractor": "repro.core.pipeline",
+    "forward_select": "repro.core.selection",
+    "TrainedPool": "repro.core.training",
+    "UrlCorpusGenerator": "repro.corpus.generator",
+    "Corpus": "repro.corpus.records",
+    "LabeledUrl": "repro.corpus.records",
+    "train_test_split": "repro.corpus.records",
+    "DatasetBundle": "repro.datasets",
+    "build_datasets": "repro.datasets",
+    "ConfusionMatrix": "repro.evaluation.confusion",
+    "confusion_matrix": "repro.evaluation.confusion",
+    "BinaryMetrics": "repro.evaluation.metrics",
+    "evaluate_binary": "repro.evaluation.metrics",
+    "CustomFeatureExtractor": "repro.features.custom",
+    "TrigramFeatureExtractor": "repro.features.ngrams",
+    "WordFeatureExtractor": "repro.features.words",
+    "HumanEvaluator": "repro.humans.evaluator",
+    "default_evaluators": "repro.humans.evaluator",
+    "LANGUAGES": "repro.languages",
+    "Language": "repro.languages",
+    "ServingIdentifier": "repro.store.artifact",
+    "load_identifier": "repro.store.artifact",
+    "save_identifier": "repro.store.artifact",
+    "ModelStore": "repro.store.registry",
+    "parse_url": "repro.urls.parsing",
+    "tokenize": "repro.urls.tokenizer",
+    "url_trigrams": "repro.urls.trigrams",
+})
 
 __version__ = "1.0.0"
 

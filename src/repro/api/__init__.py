@@ -43,7 +43,9 @@ equivalence contract: ``decisions()`` byte-identical, scores within
 
 from __future__ import annotations
 
-from repro.api.aio import AsyncPredictor, aopen_model
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.api.errors import (
     BackendUnavailableError,
     InvalidHandleError,
@@ -72,6 +74,16 @@ from repro.api.resolver import (
     tcp_daemon_address,
 )
 from repro.api.types import BatchResult, Capabilities, ModelInfo, Prediction
+
+if TYPE_CHECKING:
+    from repro.api.aio import AsyncPredictor, aopen_model
+
+# The async facade loads on first use: it imports asyncio, which the
+# synchronous callers (the daemon, bulk workers, the CLI) never need.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "AsyncPredictor": "repro.api.aio",
+    "aopen_model": "repro.api.aio",
+})
 
 __all__ = [
     "AsyncPredictor",

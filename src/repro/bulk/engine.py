@@ -55,6 +55,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+# The stack a pool worker opens and scores with.  Imported here, before
+# the pool forks, so every worker inherits it instead of importing it
+# once each inside the run.
+import repro.api.resolver  # noqa: F401
+import repro.obs.trace  # noqa: F401
+import repro.store.artifact  # noqa: F401
 from repro.api.protocol import DEFAULT_CHUNK_SIZE, Predictor
 from repro.api.types import BatchResult
 from repro.bulk.checkpoint import (

@@ -38,11 +38,6 @@ import pickle
 import sys
 
 from repro.api import Predictor, ResolveError, open_model, resolve_artifact_path
-from repro.core.pipeline import LanguageIdentifier
-from repro.corpus.generator import UrlCorpusGenerator
-from repro.datasets import build_datasets
-from repro.evaluation.metrics import average_f
-from repro.evaluation.reports import metrics_table
 from repro.languages import LANGUAGES
 
 #: Experiment drivers runnable via ``repro.cli experiment <name>``.
@@ -395,6 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args: argparse.Namespace, out) -> int:
+    from repro.corpus.generator import UrlCorpusGenerator
+
     generator = UrlCorpusGenerator(seed=args.seed)
     corpus = generator.generate_corpus(
         args.profile, {lang: args.per_language for lang in LANGUAGES}
@@ -405,6 +402,8 @@ def _cmd_generate(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_train(args: argparse.Namespace, out) -> int:
+    from repro.core.pipeline import LanguageIdentifier
+    from repro.datasets import build_datasets
     from repro.store import save_identifier
     from repro.store.format import write_atomic
 
@@ -723,6 +722,10 @@ def _cmd_query(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace, out) -> int:
+    from repro.datasets import build_datasets
+    from repro.evaluation.metrics import average_f
+    from repro.evaluation.reports import metrics_table
+
     identifier = _load_model(args.model)
     data = build_datasets(seed=args.seed, scale=args.scale)
     test = {"odp": data.odp_test, "ser": data.ser_test, "wc": data.wc_test}[

@@ -1,34 +1,35 @@
-"""Core pipeline: identifiers, combination, selection, training helpers."""
+"""Core pipeline: identifiers, combination, selection, training helpers.
 
-from repro.core.combination import (
-    BEST_COMBINATIONS,
-    PRECISION,
-    RECALL,
-    CombinationSpec,
-    CombinedIdentifier,
-    build_best_combination,
-    merge_decisions,
-    search_best_combination,
-)
-from repro.core.pipeline import (
-    BACKENDS,
-    BASELINE_ALGORITHMS,
-    FEATURE_SETS,
-    CompiledIdentifier,
-    LanguageIdentifier,
-    make_extractor,
-)
-from repro.core.selection import (
-    SelectionResult,
-    SelectionStep,
-    forward_select,
-)
-from repro.core.training import (
-    EvaluationRun,
-    TrainedPool,
-    evaluate_grid,
-    language_f_table,
-)
+Each name loads its module on first use, so inference, which needs only
+:mod:`repro.core.pipeline`, never imports combination, selection or
+the training grid.
+"""
+
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "BEST_COMBINATIONS": "repro.core.combination",
+    "PRECISION": "repro.core.combination",
+    "RECALL": "repro.core.combination",
+    "CombinationSpec": "repro.core.combination",
+    "CombinedIdentifier": "repro.core.combination",
+    "build_best_combination": "repro.core.combination",
+    "merge_decisions": "repro.core.combination",
+    "search_best_combination": "repro.core.combination",
+    "BACKENDS": "repro.core.pipeline",
+    "BASELINE_ALGORITHMS": "repro.core.pipeline",
+    "FEATURE_SETS": "repro.core.pipeline",
+    "CompiledIdentifier": "repro.core.pipeline",
+    "LanguageIdentifier": "repro.core.pipeline",
+    "make_extractor": "repro.core.pipeline",
+    "SelectionResult": "repro.core.selection",
+    "SelectionStep": "repro.core.selection",
+    "forward_select": "repro.core.selection",
+    "EvaluationRun": "repro.core.training",
+    "TrainedPool": "repro.core.training",
+    "evaluate_grid": "repro.core.training",
+    "language_f_table": "repro.core.training",
+})
 
 __all__ = [
     "BACKENDS",

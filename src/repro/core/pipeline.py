@@ -61,12 +61,10 @@ from __future__ import annotations
 import abc
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.algorithms import BinaryClassifier, make_classifier
-from repro.algorithms.cctld import CcTldLabeler
-from repro.algorithms.compiled import CompiledScorer
 from repro.api.protocol import DEFAULT_CHUNK_SIZE
 from repro.api.types import (
     BatchResult,
@@ -75,9 +73,6 @@ from repro.api.types import (
     Prediction,
     argmax_labels,
 )
-from repro.corpus.records import Corpus, balanced_binary_indices
-from repro.evaluation.confusion import ConfusionMatrix, confusion_matrix
-from repro.evaluation.metrics import BinaryMetrics, evaluate_binary
 from repro.features import (
     CustomFeatureExtractor,
     FeatureExtractor,
@@ -92,6 +87,17 @@ from repro.features.indexer import (
 )
 from repro.languages import LANGUAGES, Language
 from repro.urls.tokenizer import tokenize_bytes_cached, tokenize_cached
+
+if TYPE_CHECKING:
+    # For annotations.  ``fit``, ``evaluate`` and ``confusion`` import
+    # what they run, so a process that only scores never loads the
+    # trainers, the corpus tools or the metrics.
+    from repro.algorithms.base import BinaryClassifier
+    from repro.algorithms.cctld import CcTldLabeler
+    from repro.algorithms.compiled import CompiledScorer
+    from repro.corpus.records import Corpus
+    from repro.evaluation.confusion import ConfusionMatrix
+    from repro.evaluation.metrics import BinaryMetrics
 
 #: Valid values for ``LanguageIdentifier(backend=...)``.
 BACKENDS = ("auto", "compiled", "sparse")
@@ -499,6 +505,8 @@ class IdentifierBase(abc.ABC):
 
     def evaluate(self, test: Corpus) -> dict[Language, BinaryMetrics]:
         """Section 4.2 metrics of all five classifiers on ``test``."""
+        from repro.evaluation.metrics import evaluate_binary
+
         decisions = self.decisions(test.urls)
         truths = test.labels
         return {
@@ -511,6 +519,8 @@ class IdentifierBase(abc.ABC):
 
     def confusion(self, test: Corpus) -> ConfusionMatrix:
         """The paper-style confusion matrix on ``test``."""
+        from repro.evaluation.confusion import confusion_matrix
+
         return confusion_matrix(test.labels, self.decisions(test.urls))
 
 
@@ -595,6 +605,8 @@ class LanguageIdentifier(IdentifierBase):
         self._compiled: CompiledIdentifier | None = None
         self._labeler: CcTldLabeler | None = None
         if algorithm in BASELINE_ALGORITHMS:
+            from repro.algorithms.cctld import CcTldLabeler
+
             self._labeler = CcTldLabeler(plus=algorithm.endswith("+"))
         self._fitted = algorithm in BASELINE_ALGORITHMS
 
@@ -623,6 +635,9 @@ class LanguageIdentifier(IdentifierBase):
         on the Section 7 mode: training vectors are built from URL *and*
         page content, while prediction always uses URLs only.
         """
+        from repro.algorithms.registry import make_classifier
+        from repro.corpus.records import balanced_binary_indices
+
         if self._labeler is not None:
             return self  # TLD baselines need no training
         if contents is not None and len(contents) != len(corpus):

@@ -22,43 +22,41 @@ Entry points: ``repro query ...`` on the CLI, ``GET /v1/query/*`` on
 the serving daemon, and this module's re-exports for Python callers.
 """
 
-from repro.query.cursor import (
-    DEFAULT_PAGE_LIMIT,
-    MAX_PAGE_LIMIT,
-    clamp_limit,
-    decode_cursor,
-    encode_cursor,
-)
-from repro.query.errors import (
-    CursorError,
-    IndexCorruptError,
-    IndexMissingError,
-    IndexVersionError,
-    LineageError,
-    QueryError,
-)
-from repro.query.ingest import (
-    IngestReport,
-    index_fingerprint,
-    index_run,
-    ingest_shard,
-    insert_rows,
-)
-from repro.query.lineage import (
-    LINEAGE_DB_NAME,
-    LineageIndex,
-    build_lineage,
-    open_lineage,
-)
-from repro.query.results import Page, ResultIndex, open_index
-from repro.query.schema import (
-    RESULT_DB_NAME,
-    ROW_ID_STRIDE,
-    SCHEMA_VERSION,
-    create_result_db,
-    open_result_db,
-    resolve_db_path,
-)
+from repro._lazy import lazy_exports
+
+# Each name loads its module on first use: the daemon's query routes
+# and ``repro query`` pull in only the modules they call.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "DEFAULT_PAGE_LIMIT": "repro.query.cursor",
+    "MAX_PAGE_LIMIT": "repro.query.cursor",
+    "clamp_limit": "repro.query.cursor",
+    "decode_cursor": "repro.query.cursor",
+    "encode_cursor": "repro.query.cursor",
+    "CursorError": "repro.query.errors",
+    "IndexCorruptError": "repro.query.errors",
+    "IndexMissingError": "repro.query.errors",
+    "IndexVersionError": "repro.query.errors",
+    "LineageError": "repro.query.errors",
+    "QueryError": "repro.query.errors",
+    "IngestReport": "repro.query.ingest",
+    "index_fingerprint": "repro.query.ingest",
+    "index_run": "repro.query.ingest",
+    "ingest_shard": "repro.query.ingest",
+    "insert_rows": "repro.query.ingest",
+    "LINEAGE_DB_NAME": "repro.query.lineage",
+    "LineageIndex": "repro.query.lineage",
+    "build_lineage": "repro.query.lineage",
+    "open_lineage": "repro.query.lineage",
+    "Page": "repro.query.results",
+    "ResultIndex": "repro.query.results",
+    "open_index": "repro.query.results",
+    "RESULT_DB_NAME": "repro.query.schema",
+    "ROW_ID_STRIDE": "repro.query.schema",
+    "SCHEMA_VERSION": "repro.query.schema",
+    "create_result_db": "repro.query.schema",
+    "open_result_db": "repro.query.schema",
+    "resolve_db_path": "repro.query.schema",
+})
 
 __all__ = [
     "DEFAULT_PAGE_LIMIT",

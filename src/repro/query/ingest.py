@@ -53,6 +53,7 @@ from repro.query.schema import (
     ROW_ID_STRIDE,
     SCORE_CODES,
     SCORE_COLUMNS,
+    _salt,
     create_result_db,
     resolve_db_path,
 )
@@ -106,27 +107,19 @@ def _shard_term(salt: str, shard_id: str, sha256: str) -> int:
     return _digest(f"{salt}\n{shard_id}:{sha256}")
 
 
-def _running_sum(connection: sqlite3.Connection) -> tuple[str, int | None]:
-    """``(salt, stored running sum)``; the sum is ``None`` in an index
-    written before the sum was kept."""
-    values = dict(connection.execute(
-        "SELECT key, value FROM meta "
-        "WHERE key IN ('salt', 'fingerprint_sum')"
-    ))
-    if "salt" not in values:
-        raise IndexCorruptError("result index carries no salt")
-    total = values.get("fingerprint_sum")
-    return values["salt"], None if total is None else int(total, 16)
-
-
-def _fingerprint_sum(connection: sqlite3.Connection, salt: str) -> int:
-    """The running sum computed from scratch: O(shards)."""
-    total = _digest(salt)
-    for shard_id, sha256 in connection.execute(
-        "SELECT shard_id, sha256 FROM shards"
-    ):
-        total += _shard_term(salt, shard_id, sha256)
-    return total
+def _running_sum(connection: sqlite3.Connection) -> tuple[str, int]:
+    """``(salt, stored running sum)``.  The sum is kept from the index's
+    creation on (:func:`~repro.query.schema.create_result_db` seeds
+    it), so an index without one is refused."""
+    row = connection.execute(
+        "SELECT value FROM meta WHERE key='fingerprint_sum'"
+    ).fetchone()
+    if row is None:
+        raise IndexCorruptError(
+            "result index keeps no fingerprint sum; rebuild it from the "
+            "run's committed shards with 'repro query index --rebuild'"
+        )
+    return _salt(connection), int(row[0], 16)
 
 
 def index_fingerprint(connection: sqlite3.Connection) -> str:
@@ -141,12 +134,17 @@ def index_fingerprint(connection: sqlite3.Connection) -> str:
     it; see :mod:`repro.query.cursor`.
 
     This is the from-scratch reference: it reads every ``shards`` row.
-    Ingest keeps the same sum in ``meta`` instead, adding and
-    subtracting one shard's term in the transaction that inserts or
-    drops it.
+    The index keeps the same sum in ``meta`` instead: its creation
+    stores sha256(salt), and ingest adds or subtracts one shard's term
+    in the transaction that inserts or drops it.
     """
-    salt, _ = _running_sum(connection)
-    return f"{_fingerprint_sum(connection, salt) % _MODULUS:064x}"[:12]
+    salt = _salt(connection)
+    total = _digest(salt)
+    for shard_id, sha256 in connection.execute(
+        "SELECT shard_id, sha256 FROM shards"
+    ):
+        total += _shard_term(salt, shard_id, sha256)
+    return f"{total % _MODULUS:064x}"[:12]
 
 
 def _store_fingerprint(connection: sqlite3.Connection, total: int) -> None:
@@ -426,18 +424,14 @@ def ingest_shards(
     shard was re-scored) is replaced wholesale.  The running
     fingerprint in ``meta`` moves by each inserted and dropped shard's
     term, and ``label_counts`` by its per-label tally, in the same
-    transaction; an index written before the sum was kept gets it
-    computed from its ``shards`` table here, once.  Any
-    error — a malformed row in any shard of the group — rolls the
-    whole group back.  Returns the rows ingested per shard, in order
-    (0 when skipped).
+    transaction.  Any error — a malformed row in any shard of the
+    group — rolls the whole group back.  Returns the rows ingested per
+    shard, in order (0 when skipped).
     """
     ingested: list[int] = []
     with connection:
         connection.execute("BEGIN IMMEDIATE")
         salt, total = _running_sum(connection)
-        if total is None:
-            total = _fingerprint_sum(connection, salt)
         for shard_id in drop:
             dropped = _drop_shard(connection, shard_id)
             if dropped is not None:

@@ -16,8 +16,9 @@ Tables:
     differently-populated index is refused instead of silently paging
     over different rows.  ``fingerprint_sum`` holds the salted
     running sum it is read from (mod 2**256; see
-    :func:`repro.query.ingest.index_fingerprint`), moved by each
-    shard ingested or dropped in that shard's own transaction.
+    :func:`repro.query.ingest.index_fingerprint`): seeded when the
+    index is created, and moved by each shard ingested or dropped in
+    that shard's own transaction.
 ``shards``
     One row per ingested shard: id, output file, the output's sha256
     (the same value the run manifest checkpoints), and its row count.
@@ -57,6 +58,7 @@ readers never block the ingesting writer.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sqlite3
 from pathlib import Path
@@ -171,11 +173,13 @@ def connect(path: str | os.PathLike, *, readonly: bool = False) -> sqlite3.Conne
 def create_result_db(path: str | os.PathLike) -> sqlite3.Connection:
     """Create (or open) the result index at ``path``, schema applied.
 
-    A fresh database gets the DDL, the schema version, and a random
+    A fresh database gets the DDL, the schema version, a random
     per-build **salt** — the reason a rebuilt index refuses old page
     cursors even when it happens to contain identical rows: the salt
-    feeds the index fingerprint cursors embed.  An index of another
-    schema version is refused before anything is written to it.
+    feeds the index fingerprint cursors embed — and the running
+    fingerprint of its empty row set, so ingest never computes it from
+    scratch.  An index of another schema version is refused before
+    anything is written to it.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -203,6 +207,7 @@ def create_result_db(path: str | os.PathLike) -> sqlite3.Connection:
                     "INSERT INTO meta(key, value) VALUES ('salt', ?)",
                     (os.urandom(8).hex(),),
                 )
+            _seed_fingerprint(connection)
     except sqlite3.DatabaseError as error:
         connection.close()
         raise IndexCorruptError(
@@ -214,6 +219,33 @@ def create_result_db(path: str | os.PathLike) -> sqlite3.Connection:
         connection.close()
         raise
     return connection
+
+
+def _salt(connection: sqlite3.Connection) -> str:
+    """The index's per-build salt."""
+    row = connection.execute(
+        "SELECT value FROM meta WHERE key='salt'"
+    ).fetchone()
+    if row is None:
+        raise IndexCorruptError("result index carries no salt")
+    return row[0]
+
+
+def _seed_fingerprint(connection: sqlite3.Connection) -> None:
+    """Store the running fingerprint of an index that holds no shard:
+    the sum of sha256(salt) alone (:mod:`repro.query.ingest`).
+
+    A sum already stored is kept: on reopening, this fills in only an
+    index created before creation seeded the sum and never ingested
+    since.
+    """
+    if connection.execute("SELECT 1 FROM shards LIMIT 1").fetchone():
+        return
+    total = hashlib.sha256(_salt(connection).encode("utf-8")).hexdigest()
+    connection.executemany(
+        "INSERT OR IGNORE INTO meta(key, value) VALUES (?, ?)",
+        (("fingerprint_sum", total), ("fingerprint", total[:12])),
+    )
 
 
 def open_result_db(

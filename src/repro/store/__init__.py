@@ -37,34 +37,38 @@ See ``docs/architecture.md`` for the on-disk layout and header fields,
 ``docs/api.md`` for the public prediction facade.
 """
 
-from repro.store.artifact import (
-    MODEL_KIND,
-    QUANTIZED_SCORE_TOLERANCE,
-    ServingIdentifier,
-    load_identifier,
-    save_identifier,
-)
-from repro.store.client import (
-    DaemonClient,
-    DaemonError,
-    DaemonRequestError,
-    DaemonUnavailableError,
-    RemoteIdentifier,
-)
-from repro.store.daemon import ServingDaemon, start_daemon, stop_daemon
-from repro.store.format import (
-    FORMAT_VERSION,
-    ArtifactChecksumError,
-    ArtifactError,
-    ArtifactFile,
-    ArtifactFormatError,
-    ArtifactMissingError,
-    ArtifactVersionError,
-    is_artifact,
-    write_artifact,
-)
-from repro.store.registry import ARTIFACT_SUFFIX, ModelHandle, ModelStore
-from repro.store.serve import score_batch
+from repro._lazy import lazy_exports
+
+# Each name loads its module on first use: a bulk worker that opens an
+# artifact does not import the daemon or its clients.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "MODEL_KIND": "repro.store.artifact",
+    "QUANTIZED_SCORE_TOLERANCE": "repro.store.artifact",
+    "ServingIdentifier": "repro.store.artifact",
+    "load_identifier": "repro.store.artifact",
+    "save_identifier": "repro.store.artifact",
+    "DaemonClient": "repro.store.client",
+    "DaemonError": "repro.store.client",
+    "DaemonRequestError": "repro.store.client",
+    "DaemonUnavailableError": "repro.store.client",
+    "RemoteIdentifier": "repro.store.client",
+    "ServingDaemon": "repro.store.daemon",
+    "start_daemon": "repro.store.daemon",
+    "stop_daemon": "repro.store.daemon",
+    "FORMAT_VERSION": "repro.store.format",
+    "ArtifactChecksumError": "repro.store.format",
+    "ArtifactError": "repro.store.format",
+    "ArtifactFile": "repro.store.format",
+    "ArtifactFormatError": "repro.store.format",
+    "ArtifactMissingError": "repro.store.format",
+    "ArtifactVersionError": "repro.store.format",
+    "is_artifact": "repro.store.format",
+    "write_artifact": "repro.store.format",
+    "ARTIFACT_SUFFIX": "repro.store.registry",
+    "ModelHandle": "repro.store.registry",
+    "ModelStore": "repro.store.registry",
+    "score_batch": "repro.store.serve",
+})
 
 __all__ = [
     "ARTIFACT_SUFFIX",

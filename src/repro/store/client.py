@@ -36,13 +36,13 @@ pointless.
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import os
 import random
 import socket
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -61,6 +61,12 @@ from repro.store.wire import (
     recv_frame_ex,
     send_message,
 )
+
+if TYPE_CHECKING:
+    # The async client's methods import asyncio when they run, so the
+    # blocking client (``start_daemon``'s readiness ping, the CLI) does
+    # not load it.
+    import asyncio
 
 #: Operations safe to replay: pure reads whose repetition cannot change
 #: daemon state.  ``reload`` and ``stop`` are excluded — replaying a
@@ -612,6 +618,8 @@ class AsyncDaemonClient(_ClientBase):
     # -- connection management ----------------------------------------------------
 
     def _locks(self) -> tuple[asyncio.Lock, asyncio.Lock]:
+        import asyncio
+
         # Created lazily so the client can be constructed outside a
         # running event loop.
         if self._connect_lock is None:
@@ -621,6 +629,8 @@ class AsyncDaemonClient(_ClientBase):
         return self._connect_lock, self._write_lock
 
     async def _ensure_connected(self) -> None:
+        import asyncio
+
         connect_lock, _ = self._locks()
         async with connect_lock:
             if self._writer is not None:
@@ -710,6 +720,8 @@ class AsyncDaemonClient(_ClientBase):
         a dirty :class:`ConnectionClosed` and retry under their own
         budgets — the same thing a daemon-side close would do to them.
         """
+        import asyncio
+
         task, self._reader_task = self._reader_task, None
         writer, self._writer, self._reader = self._writer, None, None
         if task is not None and task is not asyncio.current_task():
@@ -742,6 +754,8 @@ class AsyncDaemonClient(_ClientBase):
 
     async def _roundtrip(self, message: dict,
                          deadline_ms: int | None) -> dict:
+        import asyncio
+
         await self._ensure_connected()
         _, write_lock = self._locks()
         loop = asyncio.get_running_loop()
@@ -791,6 +805,8 @@ class AsyncDaemonClient(_ClientBase):
     async def request(self, op: str, **fields) -> dict:
         """Async twin of :meth:`DaemonClient.request` — the same
         :class:`RequestPlan`, ``asyncio.sleep`` backoff."""
+        import asyncio
+
         plan = self._plan(op, fields)
         while True:
             message, deadline_ms = plan.next_attempt()

@@ -101,6 +101,11 @@ FRAME_IO_TIMEOUT = 30.0
 #: Seconds a graceful shutdown waits for workers before SIGKILL.
 DRAIN_TIMEOUT = 10.0
 
+#: Seconds :func:`start_daemon` waits between readiness pings.  A
+#: daemon answers its first ``ping`` some tens of milliseconds after
+#: the fork, and ``start_daemon`` returns within one interval of it.
+READY_POLL_INTERVAL = 0.005
+
 #: Seconds a draining worker keeps a persistent connection open to
 #: answer one late frame with a typed ``shutting-down`` error instead
 #: of resetting it mid-conversation.
@@ -1297,8 +1302,8 @@ class ServingDaemon:
         self._log("shutting down")
         for pid in list(self._children):
             self._terminate(pid, signal.SIGTERM)
-        deadline = time.time() + DRAIN_TIMEOUT
-        while self._children and time.time() < deadline:
+        deadline = time.monotonic() + DRAIN_TIMEOUT
+        while self._children and time.monotonic() < deadline:
             self._reap(respawn=False)
             time.sleep(0.05)
         for pid in list(self._children):
@@ -1700,8 +1705,8 @@ def start_daemon(
         except OSError:
             return ""
 
-    deadline = time.time() + ready_timeout
-    while time.time() < deadline:
+    deadline = time.monotonic() + ready_timeout
+    while time.monotonic() < deadline:
         try:
             with DaemonClient(socket_path, timeout=5.0) as client:
                 if client.ping():
@@ -1716,7 +1721,7 @@ def start_daemon(
                     f"daemon on {socket_path} died during startup; "
                     f"log tail:\n{log_tail()}"
                 ) from None
-            time.sleep(0.1)
+            time.sleep(READY_POLL_INTERVAL)
     raise DaemonStartupError(
         f"daemon on {socket_path} did not become ready within "
         f"{ready_timeout:.0f}s; log tail:\n{log_tail()}"
@@ -1756,9 +1761,9 @@ def stop_daemon(
     :class:`DaemonStopTimeout` when the daemon ignores the deadline.
     """
     pid = signal_daemon(socket_path, signal.SIGTERM)
-    deadline = time.time() + timeout
+    deadline = time.monotonic() + timeout
     pidfile = pidfile_for(socket_path)
-    while time.time() < deadline:
+    while time.monotonic() < deadline:
         if not pidfile.exists():
             return pid
         try:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.bulk.checkpoint import MANIFEST_NAME, RunManifest
 from repro.languages import LANGUAGES
 from repro.query import (
+    IndexCorruptError,
     QueryError,
     ResultIndex,
     create_result_db,
@@ -371,44 +372,77 @@ class TestRunningFingerprint:
         finally:
             connection.close()
 
-    def test_an_index_written_before_the_sum_gets_it_once(
+    def test_a_fresh_index_is_ingested_without_reading_shards(
         self, tmp_path, small_shard
     ):
-        """An older index keeps no running sum: its first ingest
-        computes it from the ``shards`` table, once, inside that
-        ingest's transaction — it must not start from zero."""
+        """Creation seeds the running sum, so not even the first ingest
+        of an index computes it from the ``shards`` table."""
         connection = create_result_db(tmp_path / "r.sqlite")
         try:
-            ingest_shards(connection, numbered_shards(small_shard, 3))
-            with connection:
-                connection.execute(
-                    "DELETE FROM meta WHERE key='fingerprint_sum'"
-                )
-                connection.execute(
-                    "UPDATE meta SET value='0123456789ab' "
-                    "WHERE key='fingerprint'"
-                )
             statements = []
             connection.set_trace_callback(statements.append)
             try:
-                for ordinal in (3, 4):
-                    ingest_shard(
-                        connection, ordinal=ordinal, shard_id=f"s{ordinal}",
-                        output_path=small_shard, sha256=f"sha-{ordinal}",
-                    )
+                ingest_shards(connection, numbered_shards(small_shard, 3))
             finally:
                 connection.set_trace_callback(None)
-            scans = [
-                number for number, statement in enumerate(statements)
-                if statement == "SELECT shard_id, sha256 FROM shards"
-            ]
-            assert len(scans) == 1
-            first_commit = statements.index("COMMIT")
-            assert statements.index("BEGIN IMMEDIATE") < scans[0]
-            assert scans[0] < first_commit
+            assert "SELECT shard_id, sha256 FROM shards" not in statements
             assert stored_fingerprint(connection) == (
                 index_fingerprint(connection)
             )
+        finally:
+            connection.close()
+
+    def test_a_shardless_index_without_the_sum_gets_it_when_reopened(
+        self, tmp_path, small_shard
+    ):
+        """An index created before creation seeded the sum, and never
+        ingested, holds only its salt; reopening it for writing adds
+        the seed."""
+        path = tmp_path / "r.sqlite"
+        connection = create_result_db(path)
+        with connection:
+            connection.execute(
+                "DELETE FROM meta "
+                "WHERE key IN ('fingerprint_sum', 'fingerprint')"
+            )
+        connection.close()
+        connection = create_result_db(path)
+        try:
+            assert stored_fingerprint(connection) == (
+                index_fingerprint(connection)
+            )
+            ingest_shards(connection, numbered_shards(small_shard, 2))
+            assert stored_fingerprint(connection) == (
+                index_fingerprint(connection)
+            )
+        finally:
+            connection.close()
+
+    def test_a_populated_index_without_the_sum_is_refused(
+        self, tmp_path, small_shard
+    ):
+        """Every index keeps its sum from creation on, so one whose
+        shards are in but whose sum is gone is damaged: ingest refuses
+        it with the rebuild remedy, and reopening does not reseed it
+        from zero."""
+        path = tmp_path / "r.sqlite"
+        connection = create_result_db(path)
+        ingest_shards(connection, numbered_shards(small_shard, 3))
+        with connection:
+            connection.execute(
+                "DELETE FROM meta WHERE key='fingerprint_sum'"
+            )
+        connection.close()
+        connection = create_result_db(path)
+        try:
+            with pytest.raises(IndexCorruptError, match="--rebuild"):
+                ingest_shard(
+                    connection, ordinal=3, shard_id="s3",
+                    output_path=small_shard, sha256="sha-3",
+                )
+            assert connection.execute(
+                "SELECT COUNT(*) FROM shards"
+            ).fetchone()[0] == 3
         finally:
             connection.close()
 

@@ -12,6 +12,8 @@ import json
 import os
 import signal
 import socket
+import subprocess
+import sys
 import time
 import urllib.error
 import urllib.request
@@ -29,6 +31,7 @@ from repro.store.client import (
     RemoteIdentifier,
 )
 from repro.store.daemon import (
+    DaemonStopTimeout,
     ServingDaemon,
     pidfile_for,
     read_pid,
@@ -410,6 +413,79 @@ class TestClientErrorPaths:
     def test_stop_without_daemon(self, tmp_path):
         with pytest.raises(RuntimeError, match="pidfile"):
             stop_daemon(tmp_path / "never.sock")
+
+
+def stepped_wall_clock(step):
+    """A ``time.time`` that reads true once, then ``step`` seconds off:
+    the wall clock stepped (by NTP or an operator) while a wait runs."""
+    real = time.time
+    readings = []
+
+    def now():
+        readings.append(None)
+        return real() + (step if len(readings) > 1 else 0.0)
+
+    return now
+
+
+class TestWallClockSteps:
+    """``start_daemon`` and ``stop_daemon`` time their deadlines on the
+    monotonic clock, so a step of the wall clock moves neither."""
+
+    def test_start_and_stop_ride_out_a_forward_step(
+        self, oracle_pair, tmp_path, sockpath, monkeypatch
+    ):
+        first, _ = oracle_pair
+        model_path = tmp_path / "clock.urlmodel"
+        socket_path = sockpath("clock.sock")
+        save_identifier(first, model_path)
+        monkeypatch.setattr(time, "time", stepped_wall_clock(120.0))
+        stopped = False
+        try:
+            pid = start_daemon(
+                model_path, socket_path, workers=1, ready_timeout=60
+            )
+            assert pid == read_pid(socket_path)
+            assert stop_daemon(socket_path, timeout=30) == pid
+            stopped = True
+        finally:
+            monkeypatch.undo()
+            if not stopped:
+                # A start that gave up early leaves its daemon booting.
+                deadline = time.monotonic() + 20
+                while read_pid(socket_path) is None and (
+                    time.monotonic() < deadline
+                ):
+                    time.sleep(0.05)
+                if read_pid(socket_path) is not None:
+                    stop_daemon(socket_path)
+
+    def test_stop_gives_up_on_time_under_a_backward_step(
+        self, tmp_path, monkeypatch
+    ):
+        """A daemon that ignores ``SIGTERM`` is reported after the
+        timeout, not after the timeout plus the step."""
+        socket_path = tmp_path / "stuck.sock"
+        stuck = subprocess.Popen(
+            [sys.executable, "-c",
+             "import signal, time\n"
+             "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+             "print('ready', flush=True)\n"
+             "time.sleep(60)\n"],
+            stdout=subprocess.PIPE,
+        )
+        try:
+            assert stuck.stdout.readline() == b"ready\n"
+            pidfile_for(socket_path).write_text(f"{stuck.pid}\n")
+            monkeypatch.setattr(time, "time", stepped_wall_clock(-5.0))
+            started = time.monotonic()
+            with pytest.raises(DaemonStopTimeout):
+                stop_daemon(socket_path, timeout=0.5)
+            assert time.monotonic() - started < 3.0
+        finally:
+            stuck.kill()
+            stuck.wait(timeout=10)
+            stuck.stdout.close()
 
 
 class TestEnvironment:
